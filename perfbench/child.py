@@ -6,7 +6,8 @@
 Both modes print ``READY`` once the inputs are built and every entry
 point has been called once on a small input.  ``setup`` exits there;
 ``run`` then prints one JSON line with its results.  ``run.py`` starts
-these processes with ``refinable`` importable from the checkout.
+the ``run`` process with ``refinable`` importable from the checkout;
+the timed run starts the ``setup`` processes itself, between items.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import resource
 import signal
 import statistics
+import subprocess
 import sys
 import time
 
@@ -26,23 +28,23 @@ from spans import Tracer
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
-REPEAT_BELOW_S = 2.0  # items faster than this are timed in every pass
-MIN_TIMINGS = 3
-ITEM_DEADLINE_S = 60.0  # an item still running after this fails
+REPEAT_S = 1.0  # pass p re-times an item whose best time b has (p - 1) * b < REPEAT_S
+MIN_TIMINGS = 2
+SETUP_EVERY_S = 5.0
+SETUP_TIMEOUT_S = 20.0
 
 
 class ItemTimeout(Exception):
     pass
 
 
-def _raise_timeout(signum, frame):
-    raise ItemTimeout(f"still running after {ITEM_DEADLINE_S:g} s")
-
-
 def run_item(workload, data):
-    """The product call, interrupted if it outlives ITEM_DEADLINE_S."""
-    previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, ITEM_DEADLINE_S)
+    """The product call, interrupted if it outlives the workload's deadline."""
+    def expire(signum, frame):
+        raise ItemTimeout(f"still running after {workload.deadline_s:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, workload.deadline_s)
     try:
         return workload.run(data)
     finally:
@@ -50,14 +52,54 @@ def run_item(workload, data):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_pass(workload, items, check: bool, tracer: Tracer | None = None):
+class SetupSampler:
+    """Times fresh ``setup`` interpreters of the workload, each from its
+    start to its READY line: one when asked to ``sample``, and one on
+    ``between`` whenever SETUP_EVERY_S have passed since the last.  The
+    calling process waits meanwhile, so the samples are spread over the
+    timed run without running beside it."""
+
+    def __init__(self, workload, seed: int):
+        self.cmd = [sys.executable, os.path.abspath(__file__), "setup",
+                    "--workload", workload.name, "--seed", str(seed)]
+        self.samples: list[float] = []
+        self.last = time.perf_counter()
+
+    def sample(self) -> None:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(self.cmd, stdout=subprocess.PIPE, text=True)
+        try:
+            line = proc.stdout.readline()
+            elapsed = time.perf_counter() - t0
+            proc.stdout.read()
+            code = proc.wait(timeout=SETUP_TIMEOUT_S)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        if line.strip() != "READY" or code != 0:
+            raise RuntimeError(f"setup process failed (exit {code})")
+        self.samples.append(elapsed)
+        self.last = time.perf_counter()
+
+    def between(self) -> None:
+        if time.perf_counter() - self.last >= SETUP_EVERY_S:
+            self.sample()
+
+
+def run_pass(workload, items, check: bool, tracer: Tracer | None = None,
+             setups: SetupSampler | None = None):
     """Run every item once.  Returns the product-call time of each item
     that did not raise, the indices of failed items (raised or failed
-    their check) and the canonical text of each item's output."""
+    their check), and the canonical text and the verdict of each item's
+    output.  ``setups`` may sample set-up times between items."""
     timings: dict[int, float] = {}
     failed: set[int] = set()
     texts: dict[int, str] = {}
+    verdicts: dict[int, str] = {}
     for item in items:
+        if setups is not None:
+            setups.between()
         if tracer is not None:
             tracer.item = item.index
         t0 = time.perf_counter()
@@ -66,9 +108,12 @@ def run_pass(workload, items, check: bool, tracer: Tracer | None = None):
         except Exception as exc:  # a refused or crashed item counts as failed
             failed.add(item.index)
             texts[item.index] = f"error:{type(exc).__name__}:{exc}"
+            print(f"{workload.name}: item {item.index} raised {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             continue
         timings[item.index] = time.perf_counter() - t0
         texts[item.index] = workload.canon(out)
+        verdicts[item.index] = workload.verdict(out)
         if not check:
             continue
         try:
@@ -81,7 +126,7 @@ def run_pass(workload, items, check: bool, tracer: Tracer | None = None):
             failed.add(item.index)
             print(f"{workload.name}: item {item.index} failed its check: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return timings, failed, texts
+    return timings, failed, texts, verdicts
 
 
 def digest(texts: dict[int, str]) -> str:
@@ -96,36 +141,55 @@ def _quantile(values: list[float], q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def timed_run(workload, items, seconds: float) -> dict:
-    """Passes until ``seconds`` have elapsed and every repeated item has
-    been timed MIN_TIMINGS times (the latter for at most 3 * ``seconds``).
+def timed_run(workload, items, seed: int, seconds: float) -> dict:
+    """Passes until ``seconds`` have elapsed, and at least MIN_TIMINGS of
+    them unless that takes more than 3 * ``seconds``.
 
-    The first pass runs every item and its check.  Later passes run only
-    the items that passed and took less than REPEAT_BELOW_S; each item's
-    latency is its best time.  The host's speed drifts by tens of
-    percent within a minute; the best of several timings spread over the
-    run removes most of that drift and the one-off costs (caches, lazily
-    computed constants) that land on whichever item runs first; a longer
-    item averages over both by itself.
+    The first pass runs every item and its check; the digest is taken
+    over its outputs.  Pass p >= 2 runs again the items that passed and
+    whose best time b satisfies (p - 1) * b < REPEAT_S: items below
+    1 s are timed at least twice, and cheaper items more often, about
+    REPEAT_S seconds' worth each while the run lasts.  Each repeat is a
+    fresh variant of the item (``workloads.vary_items``), so no input is
+    ever repeated in the process; a variant must give the first pass's
+    verdict.  Each item's latency is its best time.  The host's speed
+    drifts by tens of percent over seconds; the best of timings spread
+    over the run removes most of that drift and the one-off costs
+    (caches, lazily computed constants) that land on whichever item runs
+    first; an item above REPEAT_S averages over both by itself.
+
+    Set-up samples are taken before the first pass, between items every
+    SETUP_EVERY_S and after the last pass; ``setup_s`` is the least.
     """
+    setups = SetupSampler(workload, seed)
+    setups.sample()
     start = time.perf_counter()
-    timings, failed, texts = run_pass(workload, items, check=True)
+    timings, failed, texts, verdicts = run_pass(workload, items, check=True, setups=setups)
     best = {i: dt for i, dt in timings.items() if i not in failed}
     n_timings = len(timings)
-    deterministic = True
-    repeat = [item for item in items if best.get(item.index, REPEAT_BELOW_S) < REPEAT_BELOW_S]
+    consistent = True
     passes = 1
-    while repeat and (time.perf_counter() - start < seconds
-                      or (passes < MIN_TIMINGS and time.perf_counter() - start < 3 * seconds)):
-        timings, failed_now, again = run_pass(workload, repeat, check=False)
-        deterministic &= all(texts[i] == t for i, t in again.items())
+    while True:
+        elapsed = time.perf_counter() - start
+        if elapsed >= (3 * seconds if passes < MIN_TIMINGS else seconds):
+            break
+        repeat = [item for item in items if item.index in best
+                  and item.index not in failed and passes * best[item.index] < REPEAT_S]
+        if not repeat:
+            break
+        variants = workloads.vary_items(workload, repeat, seed, passes)
+        timings, failed_now, _, again = run_pass(workload, variants, check=False,
+                                                 setups=setups)
+        consistent &= all(verdicts[i] == v for i, v in again.items())
         failed |= failed_now
         for i, dt in timings.items():
             best[i] = min(best[i], dt)
         n_timings += len(timings)
         passes += 1
+    setups.sample()
     latencies = [dt for i, dt in best.items() if i not in failed]
     metrics = {
+        "setup_s": {"value": min(setups.samples), "unit": "s"},
         "items_per_s": {"value": len(latencies) / sum(latencies), "unit": "1/s"},
         "latency_p50_ms": {"value": 1e3 * _quantile(latencies, 50), "unit": "ms"},
         "latency_p90_ms": {"value": 1e3 * _quantile(latencies, 90), "unit": "ms"},
@@ -133,23 +197,25 @@ def timed_run(workload, items, seconds: float) -> dict:
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                         "unit": "MB"},
     }
-    return {"correct": deterministic, "attempted": len(items), "failed": len(failed),
+    return {"correct": consistent, "attempted": len(items), "failed": len(failed),
             "metrics": metrics, "digest": digest(texts),
-            "passes": passes, "samples": len(latencies), "timings": n_timings}
+            "passes": passes, "samples": len(latencies), "timings": n_timings,
+            "setup_samples": len(setups.samples)}
 
 
 def traced_run(workload, items, spans_path: str) -> dict:
     """One untraced pass, then one traced pass with checks; the two
     digests must agree.  Span records go to ``spans_path``."""
-    plain, _, plain_texts = run_pass(workload, items, check=False)
+    plain, _, plain_texts, _ = run_pass(workload, items, check=False)
     tracer = Tracer()
     with tracer:
-        traced, failed, traced_texts = run_pass(workload, items, check=True, tracer=tracer)
+        traced, failed, traced_texts, _ = run_pass(workload, items, check=True, tracer=tracer)
     plain_digest, traced_digest = digest(plain_texts), digest(traced_texts)
     tracer.write(spans_path)
     ratio = sum(traced.values()) / sum(plain.values())
     return {"correct": plain_digest == traced_digest, "attempted": len(items),
             "failed": len(failed), "metrics": tracer.metrics(ratio),
+            "extra_metrics": tracer.extra_metrics(),
             "digest": traced_digest, "untraced_digest": plain_digest,
             "passes": 1, "samples": len(traced), "timings": len(traced)}
 
@@ -159,7 +225,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("mode", choices=("setup", "run"))
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -174,7 +240,7 @@ def main(argv: list[str]) -> int:
         result = traced_run(workload, items,
                             os.path.join(OUT_DIR, f"spans-{args.workload}-{args.seed}.jsonl"))
     else:
-        result = timed_run(workload, items, args.seconds)
+        result = timed_run(workload, items, args.seed, args.seconds)
     print(json.dumps(result), flush=True)
     return 0
 

@@ -222,7 +222,7 @@ def certificate_task(rng: random.Random):
             factor = (a, rng.choice([b for b in range(1 - 2 * a, 2 * a)
                                      if b not in (0, a, -a)]))
         return ("decay", rng.randint(0, 3), rng.randint(2, 4),
-                rng.choice([50, 100, 200]), factor)
+                rng.choice([50, 100]), factor)
     if rng.random() < 0.5:
         q = rng.randint(1, 6)
         lam = QQ.rational(Fraction(rng.randint(q + 1, 12 * q), q))

@@ -7,8 +7,8 @@ of the current directory and nowhere else.  With ``--trace 0`` it
 reports the end-to-end metrics, with ``--trace 1`` the per-layer ones
 (see ``perfbench/README.md``).  Every measurement runs in a fresh child
 interpreter with numeric-library threads limited to one; ``setup_s`` is
-the median over several fresh interpreters of the time from process
-start to the end of the warm-up.
+the least time from process start to the end of the warm-up over fresh
+interpreters that the timed run starts before, during and after it.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before
@@ -20,16 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOAD_NAMES = ("decide-mixed", "masks-accepted", "certify-orbits", "decide-2d")
-SETUP_RUNS = 5
-RUN_TIMEOUT_S = 150.0
-SETUP_TIMEOUT_S = 20.0
+RUN_TIMEOUT_S = 170.0
 
 
 def child_env(root: str) -> dict:
@@ -42,39 +38,14 @@ def child_env(root: str) -> dict:
     return env
 
 
-def child_cmd(mode: str, args) -> list[str]:
-    cmd = [sys.executable, os.path.join(HERE, "child.py"), mode,
-           "--workload", args.workload, "--seed", str(args.seed)]
-    if mode == "run":
-        cmd += ["--seconds", str(args.seconds), "--trace", str(args.trace)]
-    return cmd
-
-
-def _kill(proc: subprocess.Popen) -> None:
-    proc.kill()
-    proc.wait()
-
-
-def time_setup(args, env: dict) -> float:
-    """Seconds from starting a fresh interpreter to its READY line."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(child_cmd("setup", args), env=env, stdout=subprocess.PIPE,
-                            text=True)
-    try:
-        line = proc.stdout.readline()
-        elapsed = time.perf_counter() - t0
-        proc.stdout.read()
-        code = proc.wait(timeout=SETUP_TIMEOUT_S)
-    except BaseException:
-        _kill(proc)
-        raise
-    if line.strip() != "READY" or code != 0:
-        raise RuntimeError(f"setup process failed (exit {code})")
-    return elapsed
+def child_cmd(args) -> list[str]:
+    return [sys.executable, os.path.join(HERE, "child.py"), "run",
+            "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", str(args.seconds), "--trace", str(args.trace)]
 
 
 def measure(args, env: dict) -> dict:
-    proc = subprocess.run(child_cmd("run", args), env=env, stdout=subprocess.PIPE,
+    proc = subprocess.run(child_cmd(args), env=env, stdout=subprocess.PIPE,
                           text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -86,7 +57,7 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     ap.add_argument("--seed", type=int, default=777)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -98,19 +69,16 @@ def main(argv: list[str]) -> int:
     env = child_env(root)
     try:
         result = measure(args, env)
-        if not args.trace:
-            setups = [time_setup(args, env) for _ in range(SETUP_RUNS)]
-            result["metrics"] = {"setup_s": {"value": statistics.median(setups), "unit": "s"},
-                                 **result["metrics"]}
     except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError) as exc:
         print(f"run.py: {exc}", file=sys.stderr)
         return 1
 
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
-          f"items {result['attempted']}  failed {result['failed']}  latency samples "
-          f"{result['samples']} (best of {result['timings']} timings in "
-          f"{result['passes']} passes)")
-    for name, m in result["metrics"].items():
+          f"items {result['attempted']}  failed {result['failed']}")
+    if not args.trace:
+        print(f"  latency samples {result['samples']} (best of {result['timings']} timings "
+              f"in {result['passes']} passes), {result['setup_samples']} set-up samples")
+    for name, m in {**result["metrics"], **result.get("extra_metrics", {})}.items():
         print(f"  {name:28s} {m['value']:.6g} {m['unit']}")
     print(f"  output digest sha256:{result['digest']}")
     print(json.dumps({key: result[key] for key in ("correct", "attempted", "failed", "metrics")}))

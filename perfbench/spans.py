@@ -108,12 +108,17 @@ PER_LAYER_UNITS = {
     "refinery.mask.self_s": "s",
     "refinery.structure.self_s": "s",
     "refinery.identity.self_s": "s",
-    "refinery.mv_decide.self_s": "s",
-    "refinery.mv_divide.calls": "count",
-    "refinery.probes": "count",
     "refinery.decay.self_s": "s",
     "bench.check.self_s": "s",
     "trace.overhead_ratio": "ratio",
+}
+
+# The s-variate path, which only decide-2d takes: printed, but not in the
+# result line, since BENCHMARK.json does not gate decide-2d.
+EXTRA_UNITS = {
+    "refinery.mv_decide.self_s": "s",
+    "refinery.mv_divide.calls": "count",
+    "refinery.probes": "count",
 }
 
 
@@ -208,19 +213,21 @@ class Tracer:
         return sum(st[field] for name, st in self.stats.items()
                    if name == prefix or name.startswith(prefix + "."))
 
+    def _value(self, name: str):
+        if name.endswith(".calls"):
+            return int(self._sum(name[:-len(".calls")], 0))
+        if name.endswith(".self_s"):
+            return self._sum(name[:-len(".self_s")], 2)
+        return self.counts[name]
+
     def metrics(self, overhead_ratio: float) -> dict:
-        out = {}
-        for name, unit in PER_LAYER_UNITS.items():
-            if name == "trace.overhead_ratio":
-                value = overhead_ratio
-            elif name.endswith(".calls"):
-                value = int(self._sum(name[:-len(".calls")], 0))
-            elif name.endswith(".self_s"):
-                value = self._sum(name[:-len(".self_s")], 2)
-            else:
-                value = self.counts[name]
-            out[name] = {"value": value, "unit": unit}
-        return out
+        return {name: {"value": overhead_ratio if name == "trace.overhead_ratio"
+                       else self._value(name), "unit": unit}
+                for name, unit in PER_LAYER_UNITS.items()}
+
+    def extra_metrics(self) -> dict:
+        return {name: {"value": self._value(name), "unit": unit}
+                for name, unit in EXTRA_UNITS.items()}
 
     def write(self, path: str) -> None:
         """Span records as JSON lines, then one line of per-name totals."""

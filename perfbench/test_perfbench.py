@@ -21,6 +21,15 @@ from refinable.exactreal import FieldElement  # noqa: E402
 from spans import PER_LAYER_UNITS  # noqa: E402
 
 
+# cheap template items per workload: enough to cross every layer
+SMALL = {
+    "decide-mixed": range(0, 8),
+    "masks-accepted": range(0, 4),
+    "certify-orbits": range(1, 6),
+    "decide-2d": range(3, 6),
+}
+
+
 def _key(instance):
     A, lam = instance
     return [(a.desc.n, a.desc.k, a.coeffs) for a in A], (lam.desc.n, lam.desc.k, lam.coeffs)
@@ -33,8 +42,8 @@ def test_univariate_generator_is_frozen_at_seed_777():
 
 
 def test_accepted_generator_matches_the_test_generator():
-    frozen = gen.accepted_batch(40, 777)
-    live = gen_instances.accepted_batch(40, 777)
+    frozen = gen.accepted_batch(100, 777)
+    live = gen_instances.accepted_batch(100, 777)
     assert [_key(x) for x in frozen] == [_key(x) for x in live]
 
 
@@ -45,13 +54,15 @@ def test_same_seed_same_inputs():
         assert [(i.index, repr(i.data)) for i in a] == [(i.index, repr(i.data)) for i in b]
 
 
-# cheap template items per workload: enough to cross every layer
-SMALL = {
-    "decide-mixed": range(0, 8),
-    "masks-accepted": range(0, 4),
-    "certify-orbits": range(1, 6),
-    "decide-2d": range(3, 6),
-}
+def test_variants_keep_the_verdict():
+    for name, keep in SMALL.items():
+        workload = workloads.WORKLOADS[name]
+        items = [i for i in workloads.build(workload, 3) if i.index in keep]
+        variant = workloads.vary_items(workload, items, 3, 1)
+        assert [repr(i.data) for i in variant] != [repr(i.data) for i in items], name
+        _, failed, _, verdicts = child.run_pass(workload, items, check=False)
+        _, failed_again, _, again = child.run_pass(workload, variant, check=False)
+        assert (failed, verdicts) == (failed_again, again), name
 
 
 def test_traced_and_untraced_digests_agree(tmp_path):

@@ -6,18 +6,23 @@ in ``gen.py`` at a fixed template seed, that the run seed then varies:
 * every direction of an item is multiplied by one positive rational
   scale (skipped where it could change which columns are integer);
 * single directions are negated;
+* a certificate target r is replaced by r + k for an integer k (the
+  same target class r + Z), a decay mask H by z^k H;
 * the order of the items is shuffled.
 
-Scaling and negation leave refinability, the division structure and the
-number of terms unchanged, so the cost profile of a batch is the same
-for every seed while every exponent, mask and witness the program
-produces changes with it.  Fresh draws per seed are not used: a single
+None of these changes a verdict, the division structure or the number
+of terms, so the cost profile of a batch is the same for every seed
+while every exponent, mask and witness the program produces changes
+with it.  The timed run draws a new variant of an item for each pass in
+which it is timed again (``vary_items``), so no repeat repeats an input.  Fresh draws per seed are not used: a single
 rejected four- or five-column instance can cost seconds, so the cost of
 a fresh batch swings by tens of percent from seed to seed.
 
 Each item has a product call (``run``), timed, and an independent
 check (``check``), untimed; ``canon`` gives the canonical text of the
-product for the output digest.  Library functions are always looked up
+product for the output digest and ``verdict`` the part of it that no
+variant may change.  An item still running after the workload's
+``deadline_s`` fails.  Library functions are always looked up
 on their module at call time, so the tracer's wrappers see them.
 """
 
@@ -67,6 +72,7 @@ def _check_oracle(A, lam, refinable: bool) -> None:
 class Item:
     index: int  # position in the template batch (digest order)
     data: tuple
+    template: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +84,14 @@ def _vary_univariate(rng: random.Random, A, lam):
     return [a * scale * rng.choice((1, -1)) for a in A], lam
 
 
+def _report_verdict(report) -> str:
+    return f"refinable={report.refinable}"
+
+
 class DecideMixed:
     name = "decide-mixed"
+    deadline_s = 60.0
+    verdict = staticmethod(_report_verdict)
 
     def templates(self):
         return gen.instance_batch(200, TEMPLATE_SEED)
@@ -104,12 +116,13 @@ class DecideMixed:
 
 class MasksAccepted:
     name = "masks-accepted"
+    deadline_s = 60.0
 
     grid, iters, J, points = 1024, 30, 40, 100
 
     def templates(self):
         _desc, lam, A = refinery.counterexample_instance()
-        return [(list(A), lam)] + gen.accepted_batch(40, TEMPLATE_SEED)
+        return [(list(A), lam)] + gen.accepted_batch(100, TEMPLATE_SEED)
 
     def vary(self, rng, template):
         A, lam = _vary_univariate(rng, *template)
@@ -149,6 +162,9 @@ class MasksAccepted:
     def canon(self, out) -> str:
         return json.dumps(out[0].to_jsonable(), sort_keys=True)
 
+    def verdict(self, out) -> str:
+        return _report_verdict(out[0])
+
 
 # ---------------------------------------------------------------------------
 # orbit certificates and decay probes
@@ -156,24 +172,29 @@ class MasksAccepted:
 
 class CertifyOrbits:
     name = "certify-orbits"
+    # the slowest task that finishes takes about 0.3 s; some certificates
+    # for lambda in Q(sqrt n) run far longer (see README.md)
+    deadline_s = 1.0
 
     def templates(self):
-        return gen.certificate_batch(24, TEMPLATE_SEED)
+        return gen.certificate_batch(100, TEMPLATE_SEED)
 
     def vary(self, rng, template):
-        # no cost-preserving change of a certificate task exists; the
-        # seed only reorders the batch
-        return template
+        if template[0] == "decay":
+            return template + (rng.randint(-2, 2),)
+        kind, lam, targets, depth = template
+        return kind, lam, [r + rng.randint(-1, 1) for r in targets], depth
 
     @staticmethod
-    def decay_mask(degree: int, m: int, factor):
+    def decay_mask(degree: int, m: int, factor, shift: int = 0):
         mask = splinecore.bspline_mask(degree, m)
+        H = mask.H.shift(shift)
         if factor is None:
-            return mask
+            return splinecore.MaskSpec(mask.lam, H)
         a, b = factor
         q = qtrig.QTrigPoly(exactreal.QQ, {exactreal.QQ.rational(e): Fraction(c, 2 * a + b)
                                            for e, c in enumerate((a, b, a))})
-        return splinecore.MaskSpec(mask.lam, mask.H * q)
+        return splinecore.MaskSpec(mask.lam, H * q)
 
     def warmup(self):
         cert = powermod.erdos_construct(2, [0], 2)
@@ -182,22 +203,27 @@ class CertifyOrbits:
 
     def run(self, data):
         if data[0] == "decay":
-            _, degree, m, J, factor = data
-            return refinery.decay_probe(self.decay_mask(degree, m, factor), J=J)
+            _, degree, m, J, factor, shift = data
+            return refinery.decay_probe(self.decay_mask(degree, m, factor, shift), J=J)
         _, lam, targets, depth = data
         cert = powermod.erdos_construct(lam, targets, depth)
         return cert, powermod.erdos_verify(cert)
 
     def check(self, data, out) -> None:
         if data[0] == "decay":
-            _, degree, m, J, factor = data
+            _, degree, m, J, factor, shift = data
             _require(out.epsilon0 > 0, "decay floor not positive")
-            again = refinery.decay_probe(self.decay_mask(degree, m, factor), J=J)
+            again = refinery.decay_probe(self.decay_mask(degree, m, factor, shift), J=J)
             _require(again.to_jsonable() == out.to_jsonable(),
                      "repeated decay probe differs")
             return
         cert, rep = out
         _require(rep.certified, "certificate not certified: " + "; ".join(rep.failures[:2]))
+
+    def verdict(self, out) -> str:
+        if isinstance(out, tuple):
+            return f"certified={out[1].certified}"
+        return f"positive={out.epsilon0 > 0}"
 
     def canon(self, out) -> str:
         if isinstance(out, tuple):
@@ -229,6 +255,8 @@ def _slice_poly(mask, probe, desc):
 
 class Decide2D:
     name = "decide-2d"
+    deadline_s = 60.0
+    verdict = staticmethod(_report_verdict)
 
     def templates(self):
         return [(desc, cols, lam, i % 2 == 0)
@@ -280,6 +308,12 @@ WORKLOADS = {w.name: w for w in (DecideMixed(), MasksAccepted(), CertifyOrbits()
 def build(workload, seed: int) -> list[Item]:
     """The seed's variant of the template batch, in the seed's order."""
     rng = random.Random(seed)
-    items = [Item(i, workload.vary(rng, t)) for i, t in enumerate(workload.templates())]
+    items = [Item(i, workload.vary(rng, t), t) for i, t in enumerate(workload.templates())]
     rng.shuffle(items)
     return items
+
+
+def vary_items(workload, items: list[Item], seed: int, round_no: int) -> list[Item]:
+    """A fresh variant of each item, the same for the same seed and round."""
+    rng = random.Random(f"{seed}:{round_no}")
+    return [Item(i.index, workload.vary(rng, i.template), i.template) for i in items]
