@@ -29,7 +29,6 @@ from spans import Tracer
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
 REPEAT_S = 1.0  # pass p re-times an item whose best time b has (p - 1) * b < REPEAT_S
-MIN_TIMINGS = 2
 SETUP_EVERY_S = 5.0
 SETUP_TIMEOUT_S = 20.0
 
@@ -88,11 +87,12 @@ class SetupSampler:
 
 
 def run_pass(workload, items, check: bool, tracer: Tracer | None = None,
-             setups: SetupSampler | None = None):
-    """Run every item once.  Returns the product-call time of each item
-    that did not raise, the indices of failed items (raised or failed
-    their check), and the canonical text and the verdict of each item's
-    output.  ``setups`` may sample set-up times between items."""
+             setups: SetupSampler | None = None, until: float | None = None):
+    """Run every item once, or those started before ``until`` (a
+    ``time.perf_counter()`` value).  Returns the product-call time of
+    each item that did not raise, the indices of failed items (raised or
+    failed their check), and the canonical text and the verdict of each
+    item's output.  ``setups`` may sample set-up times between items."""
     timings: dict[int, float] = {}
     failed: set[int] = set()
     texts: dict[int, str] = {}
@@ -100,6 +100,8 @@ def run_pass(workload, items, check: bool, tracer: Tracer | None = None,
     for item in items:
         if setups is not None:
             setups.between()
+        if until is not None and time.perf_counter() >= until:
+            break
         if tracer is not None:
             tracer.item = item.index
         t0 = time.perf_counter()
@@ -142,14 +144,14 @@ def _quantile(values: list[float], q: int) -> float:
 
 
 def timed_run(workload, items, seed: int, seconds: float) -> dict:
-    """Passes until ``seconds`` have elapsed, and at least MIN_TIMINGS of
-    them unless that takes more than 3 * ``seconds``.
+    """The first pass, then further passes until ``seconds`` have elapsed.
 
-    The first pass runs every item and its check; the digest is taken
-    over its outputs.  Pass p >= 2 runs again the items that passed and
-    whose best time b satisfies (p - 1) * b < REPEAT_S: items below
-    1 s are timed at least twice, and cheaper items more often, about
-    REPEAT_S seconds' worth each while the run lasts.  Each repeat is a
+    The first pass runs every item and its check, however long it takes;
+    the digest is taken over its outputs.  Pass p >= 2 runs again the
+    items that passed and whose best time b satisfies
+    (p - 1) * b < REPEAT_S, so cheaper items are timed more often, about
+    REPEAT_S seconds' worth each while the run lasts; it stops starting
+    items when ``seconds`` have elapsed.  Each repeat is a
     fresh variant of the item (``workloads.vary_items``), so no input is
     ever repeated in the process; a variant must give the first pass's
     verdict.  Each item's latency is its best time.  The host's speed
@@ -169,17 +171,15 @@ def timed_run(workload, items, seed: int, seconds: float) -> dict:
     n_timings = len(timings)
     consistent = True
     passes = 1
-    while True:
-        elapsed = time.perf_counter() - start
-        if elapsed >= (3 * seconds if passes < MIN_TIMINGS else seconds):
-            break
+    end = start + seconds
+    while time.perf_counter() < end:
         repeat = [item for item in items if item.index in best
                   and item.index not in failed and passes * best[item.index] < REPEAT_S]
         if not repeat:
             break
         variants = workloads.vary_items(workload, repeat, seed, passes)
         timings, failed_now, _, again = run_pass(workload, variants, check=False,
-                                                 setups=setups)
+                                                 setups=setups, until=end)
         consistent &= all(verdicts[i] == v for i, v in again.items())
         failed |= failed_now
         for i, dt in timings.items():

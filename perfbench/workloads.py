@@ -14,9 +14,10 @@ None of these changes a verdict, the division structure or the number
 of terms, so the cost profile of a batch is the same for every seed
 while every exponent, mask and witness the program produces changes
 with it.  The timed run draws a new variant of an item for each pass in
-which it is timed again (``vary_items``), so no repeat repeats an input.  Fresh draws per seed are not used: a single
-rejected four- or five-column instance can cost seconds, so the cost of
-a fresh batch swings by tens of percent from seed to seed.
+which it is timed again (``vary_items``), so no repeat repeats an
+input.  Fresh draws per seed are not used: a single rejected four- or
+five-column instance can cost seconds, so the cost of a fresh batch
+swings by tens of percent from seed to seed.
 
 Each item has a product call (``run``), timed, and an independent
 check (``check``), untimed; ``canon`` gives the canonical text of the
