@@ -29,7 +29,7 @@ from spans import Tracer
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
 REPEAT_S = 1.0  # pass p re-times an item whose best time b has (p - 1) * b < REPEAT_S
-SETUP_EVERY_S = 5.0
+SETUP_EVERY_S = 10.0
 SETUP_TIMEOUT_S = 20.0
 
 
