@@ -31,6 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
+from mpmath.libmp import mpf_sign
 
 from .errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 
@@ -393,10 +394,12 @@ class FieldElement:
             return 1 if self.coeffs[0] > 0 else -1
         prec = _SIGN_START_PREC
         while prec <= _PREC_HARD_CAP:
-            b = self.ball(prec)
-            if b.a > 0:
+            # raw endpoints: an ivmpf comparison with 0 turns any exception
+            # raised inside it (an alarm, Ctrl-C) into NotImplemented
+            lo, hi = self.ball(prec)._mpi_
+            if mpf_sign(lo) > 0:
                 return 1
-            if b.b < 0:
+            if mpf_sign(hi) < 0:
                 return -1
             prec *= 2
         raise RuntimeError(f"sign undecided at {_PREC_HARD_CAP} bits: {self!r}")

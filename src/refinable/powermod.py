@@ -77,7 +77,9 @@ def erdos_params(lam: ExactReal, m: int) -> tuple[int, Fraction]:
         g += 1
         power = power * lam_e
         if g > 10_000:
-            raise RuntimeError("g search runaway")
+            raise InvalidLambda(
+                f"dilation {lam_e} is too close to 1: no g <= 10000 "
+                f"satisfies lambda^g >= 2(1 + g*m) with m = {m}")
     c_exact = (lam_e - 1) ** 2 / (20 * (m + 2) ** 2 * lam_e ** 3)
     if c_exact.is_rational:
         return g, c_exact.as_fraction()

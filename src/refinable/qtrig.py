@@ -73,11 +73,6 @@ class ComplexBall:
     def radius(self) -> float:
         return math.hypot(float(self.re.delta) / 2, float(self.im.delta) / 2)
 
-    def abs_upper(self) -> float:
-        lo_r, hi_r = iv_endpoints(self.re)
-        lo_i, hi_i = iv_endpoints(self.im)
-        return math.hypot(max(abs(lo_r), abs(hi_r)), max(abs(lo_i), abs(hi_i)))
-
     def abs_lower(self) -> float:
         """Certified lower bound for |z| over the enclosure (0 if it may
         contain the origin)."""
@@ -89,9 +84,6 @@ class ComplexBall:
             return float(min(abs(lo), abs(hi)))
 
         return math.hypot(axis_low(self.re), axis_low(self.im))
-
-    def contains_zero(self) -> bool:
-        return 0 in self.re and 0 in self.im
 
     def __repr__(self) -> str:
         return f"ComplexBall({self.mid()} +/- {self.radius():.3g})"
@@ -221,10 +213,6 @@ class QTrigPoly:
         e = delta if isinstance(delta, FieldElement) else self.desc.rational(delta)
         return QTrigPoly(self.desc, {d + e: c for d, c in self.terms.items()})
 
-    def stretch(self, factor: FieldElement) -> "QTrigPoly":
-        """P(factor * w): every exponent multiplies by factor."""
-        return QTrigPoly(self.desc, {d * factor: c for d, c in self.terms.items()})
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_ball(self, w, prec: int = 64) -> ComplexBall:
@@ -281,18 +269,13 @@ class QTrigPoly:
         so each class is a genuine polynomial in z = E(1, w) with
         nonnegative offsets.
         """
-        classes: list[list[FieldElement]] = []
+        classes: dict[tuple, list[FieldElement]] = {}
         for d in self.exponents():
-            for cls in classes:
-                if (d - cls[0]).is_integer:
-                    cls.append(d)
-                    break
-            else:
-                classes.append([d])
+            classes.setdefault(_class_key(d.coeffs), []).append(d)
         entries = []
-        for cls in classes:
+        for cls in classes.values():
             rep = cls[0]  # exponents() is sorted, so first = smallest
-            offsets = [(d - rep).as_integer() for d in cls]
+            offsets = [(d.coeffs[0] - rep.coeffs[0]).numerator for d in cls]
             poly = [Fraction(0)] * (max(offsets) + 1)
             for d, off in zip(cls, offsets):
                 poly[off] = self.terms[d]
@@ -338,18 +321,27 @@ class QTrigPoly:
         return verdict
 
     def _divide_binomial_classes(self, m: FieldElement):
-        """Either the quotient or a witness for the failing class."""
-        classes: list[tuple[FieldElement, dict[int, Fraction]]] = []
+        """Either the quotient or a witness for the failing class.
+
+        Exponents d and d' share a class iff q = d/m and q' = d'/m differ
+        by an integer, i.e. agree in every coordinate but the first and
+        in the fractional part of the first.  So each term is keyed by
+        (frac(q_0), q_1, ..., q_{k-1}), one multiplication by m^-1, and
+        its offset in the class is q_0 - q_0(base).  Classes keep
+        first-seen order with the first-seen term as base, which fixes
+        the witness and the term order of the quotient.
+        """
+        m_inv = m.inverse()
+        classes: dict[tuple, tuple[FieldElement, Fraction, dict[int, Fraction]]] = {}
         for d, c in self.terms.items():
-            for base, offsets in classes:
-                t = (d - base) / m
-                if t.is_integer:
-                    offsets[t.as_integer()] = c
-                    break
+            q = (d * m_inv).coeffs
+            cls = classes.get(key := _class_key(q))
+            if cls is None:
+                classes[key] = (d, q[0], {0: c})
             else:
-                classes.append((d, {0: c}))
+                cls[2][(q[0] - cls[1]).numerator] = c
         out: dict[FieldElement, Fraction] = {}
-        for base, offsets in classes:
+        for base, _, offsets in classes.values():
             total = sum(offsets.values(), Fraction(0))
             if total != 0:
                 return BinomialDivisionWitness(base=base, divisor=m,
@@ -383,6 +375,12 @@ class QTrigPoly:
 
     def __repr__(self) -> str:
         return f"QTrigPoly({self.to_text()})"
+
+
+def _class_key(q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """(frac(q_0), q_1, ...): equal iff the two elements differ by an integer."""
+    q0 = q[0]
+    return (q0 - q0.numerator // q0.denominator, *q[1:])
 
 
 class _SortKey:

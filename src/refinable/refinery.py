@@ -182,15 +182,16 @@ def verify_mask_identity(A: Sequence[ExactScalar], lam: ExactScalar,
     """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)."""
     desc, lam_e, cols = _lift_directions(A, lam)
     cols, _ = _normalize_signs(cols, lam_e)
-    num = QTrigPoly.constant(desc)
-    den = QTrigPoly.constant(desc)
-    for m in cols:
-        num = num * QTrigPoly.binomial(desc, lam_e * m)
-        den = den * QTrigPoly.binomial(desc, m)
     lam_n = lam_e ** len(cols)
     if not lam_n.is_rational:
         return False
-    return num == (mask.H * den).scale(lam_n.as_fraction())
+    # one binomial at a time: P * (1 - E(m)) = P - E(m) P
+    num = QTrigPoly.constant(desc)
+    rhs = mask.H.scale(lam_n.as_fraction())
+    for m in cols:
+        num = num - num.shift(lam_e * m)
+        rhs = rhs - rhs.shift(m)
+    return num == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,6 @@ def _all_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of a successor map, each rotated to start at its
     smallest index, listed by that index."""
     n = len(successor)
-    on_cycle = [False] * n
     cycles = []
     seen_global: set[int] = set()
     for start in range(n):
@@ -301,8 +301,6 @@ def _all_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             cyc = order[seen[i]:]
             lo = cyc.index(min(cyc))
             cycles.append(tuple(cyc[lo:] + cyc[:lo]))
-            for j in cyc:
-                on_cycle[j] = True
         seen_global.update(seen)
     cycles.sort()
     return tuple(cycles)
@@ -659,21 +657,26 @@ class MvQTrigPoly:
     def divide_binomial(self, v: tuple):
         """Quotient by 1 - E(v, .) or an MvMaskWitness.
 
-        Residue classes are exponent differences in v*Z, decided by the
-        exact integer-ratio test on the first nonzero coordinate of v
-        and confirmed on all coordinates.
+        Residue classes are exponent differences in v*Z.  With q = d_i/v_i
+        on the first nonzero coordinate i of v, each term is keyed by its
+        class representative d - floor(q_0) v, and its offset in the class
+        is floor(q_0) - floor(q_0(base)).  Classes keep first-seen order
+        with the first-seen term as base.
         """
-        classes: list[tuple[tuple, dict[int, Fraction]]] = []
+        i0 = next(i for i, x in enumerate(v) if not x.is_zero)
+        inv = v[i0].inverse()
+        classes: dict[tuple, tuple[tuple, int, dict[int, Fraction]]] = {}
         for d, c in self.terms.items():
-            for base, offsets in classes:
-                t = _vector_step(d, base, v)
-                if t is not None:
-                    offsets[t] = c
-                    break
+            q0 = (d[i0] * inv).coeffs[0]
+            t = q0.numerator // q0.denominator
+            rep = tuple(x - t * y for x, y in zip(d, v))
+            cls = classes.get(rep)
+            if cls is None:
+                classes[rep] = (d, t, {0: c})
             else:
-                classes.append((d, {0: c}))
+                cls[2][t - cls[1]] = c
         out: dict[tuple, Fraction] = {}
-        for base, offsets in classes:
+        for base, _, offsets in classes.values():
             total = sum(offsets.values(), Fraction(0))
             if total != 0:
                 return MvDivisionWitness(base=base, divisor=v, class_sum=total)
@@ -685,19 +688,6 @@ class MvQTrigPoly:
                     key = tuple(b + t * vi for b, vi in zip(base, v))
                     out[key] = acc
         return MvQTrigPoly(self.desc, self.s, out)
-
-
-def _vector_step(d: tuple, base: tuple, v: tuple) -> Optional[int]:
-    """Integer t with d - base = t * v, if any."""
-    i0 = next(i for i, x in enumerate(v) if not x.is_zero)
-    r = (d[i0] - base[i0]) / v[i0]
-    if not r.is_integer:
-        return None
-    t = r.as_integer()
-    for db, bb, vv in zip(d, base, v):
-        if db - bb != t * vv:
-            return None
-    return t
 
 
 def _vector_int_ratio(a: tuple, b: tuple) -> Optional[int]:

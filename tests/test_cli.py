@@ -76,6 +76,12 @@ def test_erdos_subcommand(capsys):
     assert code == 0
 
 
+def test_erdos_dilation_too_close_to_one(capsys):
+    # no g <= 10000 is admissible; exit 1 would read as "refuted"
+    assert run(["erdos", "--lambda", "100001/100000", "--depth", "1"]) == 2
+    assert "too close to 1" in capsys.readouterr().err
+
+
 def test_cascade_csv(tmp_path, counter_file):
     out = tmp_path / "grid.csv"
     code = run(["cascade", "--instance", counter_file, "--grid", "256",

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from refinable.errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 from refinable.exactreal import (
     QQ,
+    FieldElement,
     classify,
     field_make,
     int_ratio,
@@ -146,3 +148,33 @@ def test_hash_consistency(F10):
     th = F10.theta()
     d = {th / 2: "a", F10.one(): "b"}
     assert d[5 / th] == "a"  # 5/sqrt(10) = sqrt(10)/2
+
+
+class _Interrupt(BaseException):
+    """Stands in for an alarm or Ctrl-C arriving mid-computation."""
+
+
+def test_sign_lets_an_interrupt_in_the_enclosure_check_through(F10, monkeypatch):
+    class Ball:
+        @property
+        def _mpi_(self):
+            raise _Interrupt
+
+    monkeypatch.setattr(FieldElement, "ball", lambda self, prec=64: Ball())
+    with pytest.raises(_Interrupt):
+        (F10.theta() - 3).sign()
+
+
+@pytest.mark.parametrize("expected", [1, -1])
+def test_sign_check_converts_nothing(F10, monkeypatch, expected):
+    # the check used to compare an interval with 0, converting the 0; an
+    # interrupt there surfaced as "'>' not supported between 'ivmpf' and 'int'"
+    x = (F10.theta() - 3) * expected
+    ball = x.ball(64)
+    monkeypatch.setattr(FieldElement, "ball", lambda self, prec=64: ball)
+    monkeypatch.setattr(type(iv), "convert", _raise_interrupt)
+    assert x.sign() == expected
+
+
+def _raise_interrupt(*args, **kwargs):
+    raise _Interrupt

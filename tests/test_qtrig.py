@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gen_instances import instance_batch
 from refinable.errors import ZeroPolynomial
 from refinable.exactreal import QQ, field_make
-from refinable.qtrig import QTrigPoly, combine, geometric
+from refinable.qtrig import BinomialDivisionWitness, QTrigPoly, combine, geometric
+from refinable.refinery import _lift_directions, _normalize_signs
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,90 @@ def test_divide_binomial_roundtrip_random(F10):
         got = P.divide_binomial(m)
         assert got is not None
         assert QTrigPoly.binomial(F10, m) * got == P
+
+
+def _pairwise_divide(P, m):
+    """Reference division: each term is tested against every class base
+    by the exact ratio (d - base) / m, in first-seen order."""
+    m_inv = m.inverse()
+    classes = []
+    for d, c in P.terms.items():
+        for base, offsets in classes:
+            t = (d - base) * m_inv
+            if t.is_integer:
+                offsets[t.as_integer()] = c
+                break
+        else:
+            classes.append((d, {0: c}))
+    out = {}
+    for base, offsets in classes:
+        total = sum(offsets.values(), Fraction(0))
+        if total != 0:
+            return BinomialDivisionWitness(base=base, divisor=m, class_sum=total,
+                                           offsets=dict(sorted(offsets.items())))
+        acc = Fraction(0)
+        for t in range(min(offsets), max(offsets)):
+            acc += offsets.get(t, Fraction(0))
+            if acc != 0:
+                out[base + m * t] = acc
+    return QTrigPoly(P.desc, out)
+
+
+def _assert_column_steps_match_reference(A, lam):
+    """Every step of the mask construction's sequential division agrees
+    with the reference: quotient terms in the same order, or the same
+    witness."""
+    desc, lam_e, cols = _lift_directions(A, lam)
+    cols, _ = _normalize_signs(cols, lam_e)
+    P = QTrigPoly.constant(desc)
+    for m in cols:
+        P = P * QTrigPoly.binomial(desc, lam_e * m)
+    for m in cols:
+        got = P._divide_binomial_classes(m)
+        ref = _pairwise_divide(P, m)
+        if isinstance(ref, BinomialDivisionWitness):
+            assert isinstance(got, BinomialDivisionWitness)
+            assert got.base.coeffs == ref.base.coeffs
+            assert got.class_sum == ref.class_sum
+            assert list(got.offsets.items()) == list(ref.offsets.items())
+            return
+        assert [(d.coeffs, c) for d, c in got.terms.items()] == \
+            [(d.coeffs, c) for d, c in ref.terms.items()]
+        P = got
+
+
+@pytest.fixture(scope="module")
+def batch_777():
+    return instance_batch(200, 777)
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_keyed_division_matches_pairwise_reference(batch_777, index):
+    _assert_column_steps_match_reference(*batch_777[index])
+
+
+def test_keyed_division_matches_pairwise_reference_on_the_slow_instance(F10):
+    th = F10.theta()
+    A = [F10.rational(Fraction(1, 3)), th * Fraction(8, 21),
+         F10.rational(Fraction(5, 2)), th * Fraction(5, 2)]
+    _assert_column_steps_match_reference(A, th)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_small, _small, st.integers(-3, 3).filter(bool)),
+                min_size=1, max_size=6),
+       _small, _small)
+def test_divide_binomial_roundtrip_property(terms, m0, m1):
+    F10 = field_make(10, 2)
+    th = F10.theta()
+    m = F10.rational(m0) + th * m1
+    if m.is_zero:
+        return
+    P = QTrigPoly(F10, {F10.rational(a) + th * b: c for a, b, c in terms})
+    assert (P * QTrigPoly.binomial(F10, m)).divide_binomial(m) == P
 
 
 def test_geometric_examples(F10):
