@@ -229,7 +229,7 @@ def _gaps(lo: FieldElement, hi: FieldElement,
           removed: list[tuple[FieldElement, FieldElement]]
           ) -> list[tuple[FieldElement, FieldElement]]:
     """Closed complement of a union of open intervals inside [lo, hi]."""
-    removed = sorted(removed, key=lambda ab: _Key(ab[0]))
+    removed = sorted(removed, key=lambda ab: ab[0])
     gaps = []
     cur = lo
     for a, b in removed:
@@ -242,16 +242,6 @@ def _gaps(lo: FieldElement, hi: FieldElement,
     if cur < hi:
         gaps.append((cur, hi))
     return [(a, b) for a, b in gaps if b >= a]
-
-
-class _Key:
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = e
-
-    def __lt__(self, other):
-        return self.e < other.e
 
 
 def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],

@@ -154,7 +154,7 @@ class QTrigPoly:
     def exponents(self) -> tuple[FieldElement, ...]:
         """Exponents sorted increasingly by real value."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.terms, key=_SortKey))
+            self._sorted = tuple(sorted(self.terms))
         return self._sorted
 
     def items(self) -> list[tuple[FieldElement, Fraction]]:
@@ -280,7 +280,7 @@ class QTrigPoly:
             for d, off in zip(cls, offsets):
                 poly[off] = self.terms[d]
             entries.append((rep, polyq.pnorm(poly)))
-        entries.sort(key=lambda e: _SortKey(e[0]))
+        entries.sort(key=lambda e: e[0])
         return StdDecomposition(self.desc, tuple(entries))
 
     def component_gcd(self) -> "QTrigPoly":
@@ -381,18 +381,6 @@ def _class_key(q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """(frac(q_0), q_1, ...): equal iff the two elements differ by an integer."""
     q0 = q[0]
     return (q0 - q0.numerator // q0.denominator, *q[1:])
-
-
-class _SortKey:
-    """Order field elements by their real value (exact comparisons)."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e: FieldElement):
-        self.e = e
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.e < other.e
 
 
 @dataclass(frozen=True)

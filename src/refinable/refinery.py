@@ -8,11 +8,15 @@ the exact sequential division
 
 carried out binomial by binomial over residue classes of exponents: it
 is unconditionally complete, and a failure yields a residue class with
-nonzero coefficient sum as an independently checkable witness.  The
-structural view (per-column integer relations lambda m = p m_0, cycles
-whose multiplier product is an exact power of lambda, chain partitions
-(m_0, lambda m_0, ..., lambda^{k-1} m_0)) is a report layered on top,
-not the decider.
+nonzero coefficient sum as an independently checkable witness.  Only an
+integer dilation of an integer matrix takes the classical
+integer-dilation mask instead; a non-integer matrix under an integer
+dilation goes through the general division like every other instance.
+The structural view (per-column integer relations lambda m = p m_0,
+cycles whose multiplier product is an exact power of lambda, chain
+partitions (m_0, lambda m_0, ..., lambda^{k-1} m_0)) is a report
+layered on top, not the decider; one relation search and one chain walk
+serve scalar columns (s = 1) and vector columns (s >= 2) alike.
 
 Also here: the polynomial divisibility test Q(z) | Q(z^m) for
 integer-dilation spline masks, an independent zero-lattice coverage
@@ -59,44 +63,57 @@ ExactScalar = Union[int, Fraction, FieldElement]
 # input normalization
 
 
-def _lift_directions(A: Sequence[ExactScalar], lam: ExactScalar
-                     ) -> tuple[FieldDescriptor, FieldElement, tuple[FieldElement, ...]]:
-    desc = None
+def _coords(c) -> tuple:
+    """A column as a tuple of coordinates: a scalar column has one."""
+    return c if isinstance(c, tuple) else (c,)
+
+
+def _colmap(f, *cols):
+    """f applied coordinate by coordinate to scalar or vector columns."""
+    if isinstance(cols[0], tuple):
+        return tuple(map(f, *cols))
+    return f(*cols)
+
+
+def _lead(c) -> Optional[int]:
+    """Index of the first nonzero coordinate of a column (None if zero)."""
+    return next((i for i, x in enumerate(_coords(c)) if not x.is_zero), None)
+
+
+def _prepare(A: Sequence, lam: ExactScalar) -> tuple[FieldElement, tuple, tuple, object]:
+    """Lift lambda and the columns into one field and normalize signs.
+
+    A column is a scalar (Q(theta)) or a tuple of coordinates
+    (Q(theta)^s).  Returns (lambda, lifted columns, normalized columns,
+    shift): a column whose first nonzero coordinate is negative is
+    negated.  1 - E(-m, w) = -E(-m, w) (1 - E(m, w)), so flipping a sign
+    multiplies the mask by E(-(lambda-1) m, w): the true translations
+    are the normalized ones minus the returned shift.
+    """
     if isinstance(lam, FieldElement):
         desc = lam.desc
     else:
-        for a in A:
-            if isinstance(a, FieldElement):
-                desc = a.desc
-                break
-        desc = desc or QQ
-    lam_e = lam if isinstance(lam, FieldElement) else desc.rational(Fraction(lam))
-    cols = tuple(a if isinstance(a, FieldElement) else desc.rational(Fraction(a))
-                 for a in A)
+        desc = next((x.desc for a in A for x in _coords(a)
+                     if isinstance(x, FieldElement)), QQ)
+
+    def lift(x):
+        return x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
+
+    lam_e = lift(lam)
+    cols = tuple(_colmap(lift, a) for a in A)
     if not lam_e > 1:
         raise InvalidLambda("dilation must be > 1")
-    if any(c.is_zero for c in cols):
-        raise ValueError("directions must be nonzero")
-    return lam_e.desc, lam_e, cols
-
-
-def _normalize_signs(cols: Sequence[FieldElement], lam: FieldElement
-                     ) -> tuple[tuple[FieldElement, ...], FieldElement]:
-    """Negate numerically negative columns.
-
-    1 - E(-m, w) = -E(-m, w) (1 - E(m, w)), so flipping a sign multiplies
-    the mask by E(-(lambda-1) m, w): the true translations are the
-    normalized ones minus the returned shift.
-    """
-    out = []
-    shift = cols[0].desc.zero()
+    norm = []
+    shift = _colmap(lambda x: x.desc.zero(), cols[0])
     for c in cols:
-        if c.sign() < 0:
-            out.append(-c)
-            shift = shift + (lam - 1) * (-c)
-        else:
-            out.append(c)
-    return tuple(out), shift
+        i0 = _lead(c)
+        if i0 is None:
+            raise ValueError("directions must be nonzero")
+        if _coords(c)[i0].sign() < 0:
+            c = _colmap(lambda x: -x, c)
+            shift = _colmap(lambda t, x: t + (lam_e - 1) * x, shift, c)
+        norm.append(c)
+    return lam_e, cols, tuple(norm), shift
 
 
 def minimal_integer_power(lam: FieldElement) -> Optional[int]:
@@ -152,8 +169,8 @@ def mask_construct_detailed(A: Sequence[ExactScalar], lam: ExactScalar
     sum equal to lambda^n exactly, and H is the quotient normalized to
     H(0) = 1.
     """
-    desc, lam_e, cols = _lift_directions(A, lam)
-    cols, shift = _normalize_signs(cols, lam_e)
+    lam_e, _, cols, shift = _prepare(A, lam)
+    desc = lam_e.desc
     num = QTrigPoly.constant(desc)
     for m in cols:
         num = num * QTrigPoly.binomial(desc, lam_e * m)
@@ -180,13 +197,12 @@ def mask_construct(A: Sequence[ExactScalar], lam: ExactScalar) -> Optional[MaskS
 def verify_mask_identity(A: Sequence[ExactScalar], lam: ExactScalar,
                          mask: MaskSpec) -> bool:
     """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)."""
-    desc, lam_e, cols = _lift_directions(A, lam)
-    cols, _ = _normalize_signs(cols, lam_e)
+    lam_e, _, cols, _ = _prepare(A, lam)
     lam_n = lam_e ** len(cols)
     if not lam_n.is_rational:
         return False
     # one binomial at a time: P * (1 - E(m)) = P - E(m) P
-    num = QTrigPoly.constant(desc)
+    num = QTrigPoly.constant(lam_e.desc)
     rhs = mask.H.scale(lam_n.as_fraction())
     for m in cols:
         num = num - num.shift(lam_e * m)
@@ -228,20 +244,36 @@ class ConditionBResult:
         }
 
 
-def condition_B(A: Sequence[ExactScalar], lam: ExactScalar) -> ConditionBResult:
+def condition_B(A: Sequence, lam: ExactScalar) -> ConditionBResult:
     """For each column m_0, all columns m with m = p m_0 / lambda, p in Z.
 
-    The first listed relation per column is the deterministic successor
-    used by chain extraction.
+    Columns are scalars or vectors (tuples of coordinates).  The first
+    listed relation per column is the deterministic successor used by
+    chain extraction.
     """
-    _, lam_e, cols = _lift_directions(A, lam)
-    cols, _ = _normalize_signs(cols, lam_e)
+    lam_e, _, cols, _ = _prepare(A, lam)
+    return _column_relations(cols, lam_e)
+
+
+def _column_ratio(a, b) -> Optional[int]:
+    """The integer p with a = p * b for scalar or vector columns, if any."""
+    a, b = _coords(a), _coords(b)
+    i0 = _lead(b)
+    p = int_ratio(a[i0], b[i0])
+    if p is None or any(x != p * y for i, (x, y) in enumerate(zip(a, b)) if i != i0):
+        return None
+    return p
+
+
+def _column_relations(cols: Sequence, lam: FieldElement) -> ConditionBResult:
+    """condition_B on lifted, sign-normalized columns."""
+    lam_cols = [_colmap(lambda x: lam * x, m) for m in cols]
     relations = []
     violations = []
     for i, m0 in enumerate(cols):
         found = []
-        for j, m in enumerate(cols):
-            p = int_ratio(lam_e * m, m0)
+        for j, lam_m in enumerate(lam_cols):
+            p = _column_ratio(lam_m, m0)
             if p is not None:
                 found.append(ColumnRelation(i, j, p))
         if not found:
@@ -306,17 +338,23 @@ def _all_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def chain_structure(A: Sequence[ExactScalar], lam: ExactScalar) -> ChainStructure:
+def chain_structure(A: Sequence, lam: ExactScalar) -> ChainStructure:
     """Follow successor relations to a cycle; check the multiplier laws.
 
-    The cycle multipliers satisfy prod p_i = lambda^l exactly, the
-    cumulative multipliers divide each other in turn and the last
-    divides lambda^l.  When the columns split into chains
+    Columns are scalars or vectors (tuples of coordinates).  The cycle
+    multipliers satisfy prod p_i = lambda^l exactly, the cumulative
+    multipliers divide each other in turn and the last divides
+    lambda^l.  When the columns split into chains
     (m_0, lambda m_0, ..., lambda^{k-1} m_0) the partition is returned.
     """
-    _, lam_e, cols = _lift_directions(A, lam)
-    cols, _ = _normalize_signs(cols, lam_e)
-    condb = condition_B(cols, lam_e)
+    lam_e, _, cols, _ = _prepare(A, lam)
+    return _chain_walk(cols, lam_e, _column_relations(cols, lam_e))
+
+
+def _chain_walk(cols: Sequence, lam_e: FieldElement,
+                condb: ConditionBResult) -> ChainStructure:
+    """chain_structure on lifted, sign-normalized columns and their
+    relations."""
     if not condb.ok:
         raise RefinabilityError(
             f"per-column relation fails at columns {condb.violations}")
@@ -353,7 +391,7 @@ def chain_structure(A: Sequence[ExactScalar], lam: ExactScalar) -> ChainStructur
         acc *= p
         cumulative.append(acc)
         lam_pow = lam_pow * lam_e
-        sub.append(v * acc / lam_pow)
+        sub.append(_colmap(lambda x: x * acc / lam_pow, v))
     for a, b in zip(cumulative, cumulative[1:]):
         if b % a != 0:
             raise CycleInconsistency(f"multiplier divisibility fails: {a} | {b}")
@@ -371,44 +409,47 @@ def chain_structure(A: Sequence[ExactScalar], lam: ExactScalar) -> ChainStructur
                           partition=partition)
 
 
-def _partition_into_chains(cols: Sequence[FieldElement], lam: FieldElement,
+def _partition_into_chains(cols: Sequence, lam: FieldElement,
                            k: int) -> Optional[tuple[tuple[int, ...], ...]]:
     """Greedy partition into chains (m, lambda m, ..., lambda^{k-1} m).
 
-    Columns are positive, so the smallest remaining value must head a
-    chain in any valid partition; the greedy choice is complete.
+    A chain lies on one ray, so the columns are first grouped by ray (a
+    scalar instance is a single ray).  Along a ray every column is
+    given by its coordinate at the ray's leading index, which is
+    positive after sign normalization, so the smallest remaining value
+    must head a chain in any valid partition; the greedy choice is
+    complete.
     """
-    if len(cols) % k != 0:
-        return None
-    remaining = set(range(len(cols)))
+    rays: list[tuple[tuple, int, list[int]]] = []
+    for idx, col in enumerate(cols):
+        c = _coords(col)
+        for base, i0, members in rays:
+            if all(x * base[i0] == y * c[i0]
+                   for i, (x, y) in enumerate(zip(c, base)) if i != i0):
+                members.append(idx)
+                break
+        else:
+            rays.append((c, _lead(c), [idx]))
     chains = []
-    while remaining:
-        head = min(remaining, key=lambda i: (_NumKey(cols[i]), i))
-        chain = [head]
-        remaining.discard(head)
-        cur = cols[head]
-        for _ in range(k - 1):
-            cur = lam * cur
-            j = next((t for t in sorted(remaining) if cols[t] == cur), None)
-            if j is None:
-                return None
-            chain.append(j)
-            remaining.discard(j)
-        chains.append(tuple(chain))
+    for _, i0, members in rays:
+        if len(members) % k != 0:
+            return None
+        value = {i: _coords(cols[i])[i0] for i in members}
+        remaining = set(members)
+        while remaining:
+            head = min(remaining, key=lambda i: (value[i], i))
+            chain = [head]
+            remaining.discard(head)
+            cur = value[head]
+            for _ in range(k - 1):
+                cur = lam * cur
+                j = next((t for t in sorted(remaining) if value[t] == cur), None)
+                if j is None:
+                    return None
+                chain.append(j)
+                remaining.discard(j)
+            chains.append(tuple(chain))
     return tuple(chains)
-
-
-class _NumKey:
-    __slots__ = ("e",)
-
-    def __init__(self, e: FieldElement):
-        self.e = e
-
-    def __lt__(self, other) -> bool:
-        return self.e < other.e
-
-    def __eq__(self, other) -> bool:
-        return self.e == other.e
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +503,7 @@ class RefinabilityReport:
 
 def decide_univariate(A: Sequence[ExactScalar], lam: ExactScalar) -> RefinabilityReport:
     """Full univariate decision: division verdict + structural report."""
-    desc, lam_e, cols = _lift_directions(A, lam)
-    norm_cols, shift = _normalize_signs(cols, lam_e)
+    lam_e, cols, norm_cols, shift = _prepare(A, lam)
     mask, witness, _ = mask_construct_detailed(norm_cols, lam_e)
 
     k = minimal_integer_power(lam_e)
@@ -558,8 +598,7 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
     iff den(m_j'/m_j) | I when the ratio is rational (never, otherwise).
     Signs are symmetric, so positive I suffice.
     """
-    _, lam_e, cols = _lift_directions(A, lam)
-    cols, _ = _normalize_signs(cols, lam_e)
+    lam_e, _, cols, _ = _prepare(A, lam)
     n = len(cols)
     den_mod: list[list[Optional[int]]] = []
     num_mod: list[list[Optional[int]]] = []
@@ -641,8 +680,7 @@ class MvQTrigPoly:
         raise TypeError("MvQTrigPoly is unhashable")
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        keys = sorted(self.terms, key=lambda d: tuple(_NumKey(x) for x in d))
-        return [(d, self.terms[d]) for d in keys]
+        return [(d, self.terms[d]) for d in sorted(self.terms)]
 
     def substitute(self, probe: Sequence[int]) -> QTrigPoly:
         """The univariate slice w -> z * probe: exponents become probe . d."""
@@ -688,20 +726,6 @@ class MvQTrigPoly:
                     key = tuple(b + t * vi for b, vi in zip(base, v))
                     out[key] = acc
         return MvQTrigPoly(self.desc, self.s, out)
-
-
-def _vector_int_ratio(a: tuple, b: tuple) -> Optional[int]:
-    """Integer p with a = p * b componentwise, if any."""
-    i0 = next((i for i, x in enumerate(b) if not x.is_zero), None)
-    if i0 is None:
-        return None
-    p = int_ratio(a[i0], b[i0])
-    if p is None:
-        return None
-    for ai, bi in zip(a, b):
-        if ai != p * bi:
-            return None
-    return p
 
 
 @dataclass(frozen=True)
@@ -816,17 +840,7 @@ def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, .
     chosen: list[tuple[int, ...]] = []
     independent: list[tuple[int, ...]] = []
     for w0 in _probe_vectors(spec.s):
-        dots = []
-        ok = True
-        for col in spec.columns:
-            dot = spec.desc.zero()
-            for wi, mi in zip(w0, col):
-                dot = dot + wi * mi
-            if dot.is_zero:
-                ok = False
-                break
-            dots.append(dot)
-        if not ok:
+        if any(dot.is_zero for dot in _slice_directions(spec.columns, w0)):
             continue
         if _rank_of_int_vectors(independent + [w0], spec.s) > len(independent):
             independent.append(w0)
@@ -838,52 +852,35 @@ def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, .
     raise ProbeExhaustion("probe enumeration exhausted")  # pragma: no cover
 
 
-def _slice_directions(spec: BoxSplineSpec, w0: tuple[int, ...]) -> tuple[FieldElement, ...]:
+def _slice_directions(cols: Sequence[tuple], w0: tuple[int, ...]) -> tuple[FieldElement, ...]:
+    """The directions w0 . m_j of the univariate slice w -> z * w0."""
     out = []
-    for col in spec.columns:
-        dot = spec.desc.zero()
+    for col in cols:
+        dot = col[0].desc.zero()
         for wi, mi in zip(w0, col):
             dot = dot + wi * mi
         out.append(dot)
     return tuple(out)
 
 
-def _normalize_vector_signs(spec: BoxSplineSpec, lam: FieldElement):
-    """Flip columns whose first nonzero coordinate is negative; the mask
-    shift vector accumulates (lambda - 1) * |negated column|."""
-    cols = []
-    shift = tuple(spec.desc.zero() for _ in range(spec.s))
-    for col in spec.columns:
-        lead = next(x for x in col if not x.is_zero)
-        if lead.sign() < 0:
-            col = tuple(-x for x in col)
-            shift = tuple(s + (lam - 1) * x for s, x in zip(shift, col))
-        cols.append(col)
-    return tuple(cols), shift
-
-
 def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityReport:
     """Refinability of B(x|M) for an s-variate direction matrix.
 
-    Integer dilations with integer matrices delegate to the exact
-    integer-dilation mask.  Otherwise: integer probe vectors slice the
-    instance to univariate ones (each must be refinable), candidate
-    column relations lambda m = p m_0 harvested from the slices are
-    confirmed exactly in coordinates, and the s-variate mask is built by
-    the same exact binomial division with vector exponents and checked
-    by re-multiplication.  Slices of the s-variate mask must reproduce
-    the univariate masks exactly.
+    Integer dilations of integer matrices delegate to the exact
+    integer-dilation mask.  Every other instance, including a
+    non-integer matrix under an integer dilation, goes through the
+    general division: integer probe vectors slice the instance to
+    univariate ones (each must be refinable), and the s-variate mask is
+    built by the same exact binomial division with vector exponents and
+    checked by re-multiplication.  Slices of the s-variate mask must
+    reproduce the univariate masks exactly.  The column relations
+    lambda m = p m_0 and the cycle/chain report come from the relation
+    search and chain walk that condition_B and chain_structure use.
     """
     desc = spec.desc
-    lam_e = lam if isinstance(lam, FieldElement) else desc.rational(Fraction(lam))
-    if not lam_e > 1:
-        raise InvalidLambda("dilation must be > 1")
+    lam_e, _, cols, shift = _prepare(spec.columns, lam)
 
-    if lam_e.is_integer:
-        if not spec.is_integer_matrix():
-            raise RefinabilityError(
-                "integer dilation with a non-integer matrix is outside the "
-                "decidable class")
+    if lam_e.is_integer and spec.is_integer_matrix():
         m = lam_e.as_integer()
         mask = integer_dilation_box_mask(spec, m)
         return RefinabilityReport(
@@ -895,13 +892,13 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
             chains=None, identity_checked=True,
             notes=("integer dilation: exact expansion of the classical mask",))
 
-    cols, shift = _normalize_vector_signs(spec, lam_e)
-    probes = admissible_probes(spec)
-
+    condb = _column_relations(cols, lam_e)
+    flags = {"A": minimal_integer_power(lam_e) is not None, "B": condb.ok,
+             "C": None, "D": None}
     slice_masks: list[tuple[tuple[int, ...], MaskSpec, FieldElement]] = []
-    for w0 in probes:
-        sliced = _slice_directions(BoxSplineSpec(desc, cols), w0)
-        mask_w, witness_w, shift_w = mask_construct_detailed(sliced, lam_e)
+    for w0 in admissible_probes(spec):
+        mask_w, witness_w, shift_w = mask_construct_detailed(
+            _slice_directions(cols, w0), lam_e)
         if mask_w is None:
             mv_wit = MvMaskWitness(
                 column_index=witness_w.column_index,
@@ -914,20 +911,15 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
             return RefinabilityReport(
                 refinable=False, lam=lam_e, columns=spec.columns,
                 normalized_columns=cols, translation_shift=shift,
-                mask=None, witness=mv_wit,
-                condition_flags=_vector_condition_flags(cols, lam_e),
+                mask=None, witness=mv_wit, condition_flags=flags,
                 chains=None, identity_checked=False,
                 notes=(f"slice along probe {w0} is not refinable",))
         slice_masks.append((w0, mask_w, shift_w))
 
-    # candidate relations from the slices, confirmed in coordinates
-    relations = _vector_condition_B(cols, lam_e)
-    flags = _vector_condition_flags(cols, lam_e)
-
     # s-variate mask by exact division
     num = MvQTrigPoly.constant(desc, spec.s)
     for col in cols:
-        num = num * MvQTrigPoly.binomial(desc, tuple(lam_e * x for x in col))
+        num = num * MvQTrigPoly.binomial(desc, _colmap(lambda x: lam_e * x, col))
     quotient = num
     witness = None
     for idx, col in enumerate(cols):
@@ -968,8 +960,9 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
                 "univariate mask")
     notes.append(f"{len(slice_masks)} slices agree with the s-variate mask")
 
-    chains = _vector_chains(cols, lam_e, relations)
-    if chains is not None:
+    chains = None
+    if condb.ok:
+        chains = _chain_walk(cols, lam_e, condb)
         flags["C"] = bool(chains.subvector)
         flags["D"] = chains.partition is not None
     return RefinabilityReport(
@@ -978,91 +971,6 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
         witness=None, condition_flags=flags, chains=chains,
         identity_checked=True, notes=tuple(notes))
 
-
-def _vector_condition_B(cols, lam_e) -> list[tuple[tuple[ColumnRelation, ...], ...]]:
-    relations = []
-    for i, m0 in enumerate(cols):
-        found = []
-        for j, m in enumerate(cols):
-            p = _vector_int_ratio(tuple(lam_e * x for x in m), m0)
-            if p is not None:
-                found.append(ColumnRelation(i, j, p))
-        relations.append(tuple(found))
-    return relations
-
-
-def _vector_condition_flags(cols, lam_e) -> dict:
-    relations = _vector_condition_B(cols, lam_e)
-    ok = all(rs for rs in relations)
-    return {"A": minimal_integer_power(lam_e) is not None, "B": ok,
-            "C": None, "D": None}
-
-
-def _vector_chains(cols, lam_e, relations) -> Optional[ChainStructure]:
-    if not all(rs for rs in relations):
-        return None
-    # cycle walk
-    successor = tuple(relations[i][0].target for i in range(len(cols)))
-    seen: dict[int, int] = {}
-    order = []
-    i = 0
-    while i not in seen:
-        seen[i] = len(order)
-        order.append(i)
-        i = successor[i]
-    cycle = tuple(order[seen[i]:])
-    multipliers = tuple(relations[j][0].p for j in cycle)
-    l = len(cycle)
-    prod = 1
-    for p in multipliers:
-        prod *= p
-    lam_l = lam_e ** l
-    if not (lam_l.is_rational and lam_l.as_fraction() == prod):
-        raise CycleInconsistency("vector cycle multiplier product != lambda^l")
-    k = minimal_integer_power(lam_e)
-
-    # partition per ray: group proportional columns, then chain scalars
-    partition: Optional[tuple[tuple[int, ...], ...]] = None
-    if k is not None:
-        rays: list[tuple[tuple, list[int], list[FieldElement]]] = []
-        for idx, col in enumerate(cols):
-            for base, idxs, scalars in rays:
-                i0 = next(t for t, x in enumerate(base) if not x.is_zero)
-                factor = col[i0] / base[i0]
-                if all(x == factor * b for x, b in zip(col, base)):
-                    idxs.append(idx)
-                    scalars.append(factor)
-                    break
-            else:
-                rays.append((col, [idx], [col[0].desc.one()]))
-        chains_all: list[tuple[int, ...]] = []
-        ok = True
-        for _, idxs, scalars in rays:
-            sub = _partition_into_chains(scalars, lam_e, k)
-            if sub is None:
-                ok = False
-                break
-            for chain in sub:
-                chains_all.append(tuple(idxs[t] for t in chain))
-        if ok:
-            partition = tuple(chains_all)
-
-    v = cols[cycle[0]]
-    sub = [v]
-    cumulative = []
-    acc = 1
-    lam_pow = lam_e.desc.one()
-    for p in multipliers[:-1]:
-        acc *= p
-        cumulative.append(acc)
-        lam_pow = lam_pow * lam_e
-        sub.append(tuple(x * acc / lam_pow for x in v))
-    return ChainStructure(l=l, k=k, successor=successor, cycle=cycle,
-                          cycle_multipliers=multipliers,
-                          cycles=_all_cycles(successor),
-                          subvector=tuple(sub),
-                          subvector_multipliers=tuple(cumulative),
-                          partition=partition)
 
 # ---------------------------------------------------------------------------
 # Fourier-decay probe

@@ -12,7 +12,7 @@ from gen_instances import instance_batch
 from refinable.errors import ZeroPolynomial
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import BinomialDivisionWitness, QTrigPoly, combine, geometric
-from refinable.refinery import _lift_directions, _normalize_signs
+from refinable.refinery import _prepare
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +191,8 @@ def _assert_column_steps_match_reference(A, lam):
     """Every step of the mask construction's sequential division agrees
     with the reference: quotient terms in the same order, or the same
     witness."""
-    desc, lam_e, cols = _lift_directions(A, lam)
-    cols, _ = _normalize_signs(cols, lam_e)
+    lam_e, _, cols, _ = _prepare(A, lam)
+    desc = lam_e.desc
     P = QTrigPoly.constant(desc)
     for m in cols:
         P = P * QTrigPoly.binomial(desc, lam_e * m)

@@ -247,6 +247,47 @@ def test_multivariate_block_product_rule(F10):
     assert not multivariate_decide(bad, th).refinable
 
 
+@pytest.mark.parametrize("second", [Fraction(1, 2), 1])
+def test_multivariate_chains_match_univariate_blocks(F10, second):
+    # block-diagonal columns: the s-variate relation search and chain walk
+    # see each block as its univariate instance, with indices shifted
+    th = F10.theta()
+    blocks = [[F10.one(), second * th], [F10.rational(3), 3 * second * th]]
+    spec = BoxSplineSpec(F10, [[1, 0], [second * th, 0],
+                               [0, 3], [0, 3 * second * th]])
+    rep = multivariate_decide(spec, th)
+    assert rep.refinable
+    uni = [chain_structure(b, th) for b in blocks]
+    assert rep.chains.cycles == tuple(
+        tuple(i + 2 * b for i in c) for b in (0, 1) for c in uni[b].cycles)
+    assert rep.chains.cycle_multipliers == uni[0].cycle_multipliers
+    # the cycle reached from the first column of the second block
+    swapped = chain_structure(spec.columns[2:] + spec.columns[:2], th)
+    assert swapped.cycle_multipliers == uni[1].cycle_multipliers
+    if uni[0].partition is None or uni[1].partition is None:
+        assert rep.chains.partition is None
+    else:
+        assert rep.chains.partition == tuple(
+            tuple(i + 2 * b for i in c) for b in (0, 1) for c in uni[b].partition)
+    assert rep.condition_flags["B"] == all(condition_B(b, th).ok for b in blocks)
+
+
+def test_multivariate_condition_B_matches_univariate_blocks(F10):
+    th = F10.theta()
+    spec = BoxSplineSpec(F10, [[1, 0], [th / 2, 0], [0, 3], [0, 1]])
+    rep = multivariate_decide(spec, th)
+    assert not condition_B([F10.rational(3), F10.one()], th).ok
+    assert rep.condition_flags["B"] is False
+    assert condition_B(spec.columns, th).violations == (2, 3)
+
+
+def test_multivariate_integer_dilation_of_a_rational_matrix():
+    # integer lambda, non-integer matrix: decided by the general division
+    spec = BoxSplineSpec(QQ, [[Fraction(1, 2), 0], [0, 1]])
+    rep = multivariate_decide(spec, 2)
+    assert rep.refinable and rep.identity_checked
+
+
 def test_multivariate_integer_delegation():
     spec = BoxSplineSpec(QQ, [[1, 0], [0, 1], [1, 1]])
     rep = multivariate_decide(spec, 2)
