@@ -120,6 +120,17 @@ class QTrigPoly:
         self.terms = {d: c for d, c in clean.items() if c != 0}
         self._sorted: Optional[tuple[FieldElement, ...]] = None
 
+    @staticmethod
+    def _from_clean(desc: FieldDescriptor,
+                    terms: dict[FieldElement, Fraction]) -> "QTrigPoly":
+        """Wrap a map already in normal form (exponents of ``desc``, each
+        once, nonzero Fraction coefficients) without re-checking it."""
+        out = object.__new__(QTrigPoly)
+        out.desc = desc
+        out.terms = terms
+        out._sorted = None
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -187,10 +198,10 @@ class QTrigPoly:
         out = dict(self.terms)
         for d, c in other.terms.items():
             out[d] = out.get(d, Fraction(0)) + c
-        return QTrigPoly(self.desc, out)
+        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c})
 
     def __neg__(self) -> "QTrigPoly":
-        return QTrigPoly(self.desc, {d: -c for d, c in self.terms.items()})
+        return QTrigPoly._from_clean(self.desc, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other: "QTrigPoly") -> "QTrigPoly":
         return self + (-other)
@@ -202,16 +213,20 @@ class QTrigPoly:
             for d2, c2 in other.terms.items():
                 d = d1 + d2
                 out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return QTrigPoly(self.desc, out)
+        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c})
 
     def scale(self, q: Fraction) -> "QTrigPoly":
         q = Fraction(q)
-        return QTrigPoly(self.desc, {d: c * q for d, c in self.terms.items()})
+        if q == 0:
+            return QTrigPoly.zero(self.desc)
+        return QTrigPoly._from_clean(self.desc, {d: c * q for d, c in self.terms.items()})
 
     def shift(self, delta: ExponentLike) -> "QTrigPoly":
         """Multiply by E(delta, w): every exponent shifts by delta."""
         e = delta if isinstance(delta, FieldElement) else self.desc.rational(delta)
-        return QTrigPoly(self.desc, {d + e: c for d, c in self.terms.items()})
+        # an exponent lifted into another field must fail the descriptor check
+        make = QTrigPoly._from_clean if e.desc == self.desc else QTrigPoly
+        return make(self.desc, {d + e: c for d, c in self.terms.items()})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -353,7 +368,9 @@ class QTrigPoly:
                 acc += offsets.get(t, Fraction(0))
                 if acc != 0:
                     out[base + m * t] = acc
-        return QTrigPoly(self.desc, out)
+        # an m from another field lifts the exponents: keep the check
+        make = QTrigPoly._from_clean if m.desc == self.desc else QTrigPoly
+        return make(self.desc, out)
 
     # -- text form -----------------------------------------------------------
 

@@ -391,21 +391,42 @@ def fourier_product_eval(mask: MaskSpec, w: ExactScalar, J: int,
     return out
 
 
+_FOURIER_BLOCK = 4096  # points per block in fourier_product_f64
+
+
 def fourier_product_f64(mask: MaskSpec, w: np.ndarray, J: int) -> np.ndarray:
-    """Float64 truncated product over an array of real points."""
+    """Float64 truncated product prod_{j=1..J} H(lambda^(-j) w) over an
+    array of real points.
+
+    The arguments w / lambda^j (repeated division in extended precision)
+    of all J levels form one (J, P) array; each term c * E(d, .) is added
+    into all levels at once, in term order, and the levels are multiplied
+    into the result in increasing j.  Every element therefore sees the
+    same operations in the same order as a level-by-level loop.  Points
+    are independent, so they are processed in blocks of
+    ``_FOURIER_BLOCK``, which bounds the working memory by O(J * block).
+    """
+    if J < 1:
+        raise ValueError("J must be >= 1")
     lamf = _longdouble(mask.lam)
     w_l = np.asarray(w, dtype=np.longdouble)
-    out = np.ones(w_l.shape, dtype=np.complex128)
     terms = [(_longdouble(d), float(c)) for d, c in mask.H.items()]
-    arg = w_l.copy()
-    for _ in range(J):
-        arg = arg / lamf
-        h = np.zeros(w_l.shape, dtype=np.complex128)
+    flat = w_l.ravel()
+    out = np.ones(flat.shape, dtype=np.complex128)
+    for start in range(0, flat.size, _FOURIER_BLOCK):
+        arg = flat[start:start + _FOURIER_BLOCK]
+        args = np.empty((J, arg.size), dtype=np.longdouble)
+        for j in range(J):
+            arg = arg / lamf
+            args[j] = arg
+        h = np.zeros(args.shape, dtype=np.complex128)
         for d, c in terms:
-            phase = np.mod(d * arg, 1.0).astype(np.float64)
+            phase = np.mod(d * args, 1.0).astype(np.float64)
             h += c * np.exp(-2j * np.pi * phase)
-        out *= h
-    return out
+        acc = out[start:start + _FOURIER_BLOCK]
+        for row in h:
+            acc *= row
+    return out.reshape(w_l.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +467,33 @@ def spline_time_eval(spec: BoxSplineSpec, n_samples: int = 2048,
     return GridFunction(origin, h, acc, meta={"kind": "convolution-oracle"})
 
 
+_CASCADE_BLOCK = 8192  # query points per term group in cascade_solve
+
+
+def _term_groups(terms: list[tuple[float, float, int, int]]) -> list[tuple]:
+    """Split the terms (c, d, lo, hi) into runs of consecutive terms whose
+    slices hold at most ``_CASCADE_BLOCK`` points together (a longer slice
+    stands alone).  A run is the arrays (sizes, offsets, shifts, coeffs):
+    with its slices laid end to end, position p inside the t-th slice is
+    grid index offsets[t] + p."""
+    runs, run, total = [], [], 0
+    for term in terms:
+        size = term[3] - term[2]
+        if run and total + size > _CASCADE_BLOCK:
+            runs.append(run)
+            run, total = [], 0
+        run.append(term)
+        total += size
+    if run:
+        runs.append(run)
+    groups = []
+    for run in runs:
+        c, d, lo, hi = (np.array(v) for v in zip(*run))
+        sizes = hi - lo
+        groups.append((sizes, lo - (np.cumsum(sizes) - sizes), d, c))
+    return groups
+
+
 def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
                   renormalize: bool = True, pad: float = 0.0) -> GridFunction:
     """Cascade iteration f <- sum_j c_j f(lambda x - d_j) on a grid.
@@ -456,7 +504,18 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     returned metadata records the sup-norm residual between the last two
     iterates and the per-step integral drift.  Residuals growing 10x
     over 5 consecutive steps raise Divergence.
+
+    Each term is evaluated only on its in-range slice [lo, hi): the grid
+    points whose query lambda x - d_j lies in [x_0, x_last], where linear
+    interpolation does not return its 0 fill value.  The query is
+    monotone in x, so the slice is found once by ``searchsorted``.  The
+    slices of consecutive terms are evaluated together, at most
+    ``_CASCADE_BLOCK`` points per group unless one slice is longer, and
+    added in term order; the result is bitwise equal to adding every
+    term on the whole grid in turn.
     """
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     lamf = float(mask.lam)
     if lamf <= 1:
         raise InvalidLambda("cascade needs lambda > 1 numerically")
@@ -471,8 +530,21 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     sup_lo, sup_hi = float(dsup[0]), float(dsup[1])
     inside = (x >= sup_lo - 1e-12) & (x <= sup_hi + 1e-12)
     f = np.where(inside, 1.0 / (sup_hi - sup_lo), 0.0)
-    coeffs = [(float(c), float(d))
-              for c, d in zip(mask.refinement_coefficients, mask.translations)]
+    lx = lamf * x
+    # Term j is read only on its in-range slice [lo_j, hi_j).  Skipping the
+    # other points is exact: there the term adds c_j * 0.0 = +-0.0, and the
+    # accumulator starts at +0.0 and never becomes -0.0 (a round-to-nearest
+    # sum is -0.0 only when both addends are), so adding +-0.0 leaves every
+    # entry unchanged.  Only the bounds are kept, not the query points.
+    terms = []
+    for c, d in zip(mask.refinement_coefficients, mask.translations):
+        d = float(d)
+        q = lx - d
+        lo = int(np.searchsorted(q, x[0], side="left"))
+        hi = int(np.searchsorted(q, x[-1], side="right"))
+        if lo < hi:
+            terms.append((float(c), d, lo, hi))
+    groups = _term_groups(terms)
 
     residuals: list[float] = []
     drifts: list[float] = []
@@ -480,8 +552,14 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     for it in range(iters):
         # sum_j c_j = lambda, so the operator preserves the integral
         new = np.zeros_like(f)
-        for c, d in coeffs:
-            new += c * np.interp(lamf * x - d, x, f, left=0.0, right=0.0)
+        for sizes, offsets, shifts, coeffs in groups:
+            # np.add.at adds in index order and the slices are laid out
+            # term after term, so each entry still receives its terms in
+            # increasing j
+            idx = np.repeat(offsets, sizes) + np.arange(sizes.sum())
+            vals = np.interp(lx[idx] - np.repeat(shifts, sizes), x, f,
+                             left=0.0, right=0.0)
+            np.add.at(new, idx, np.repeat(coeffs, sizes) * vals)
         integral = float(_trapz(new, dx=h))
         drifts.append(abs(integral - 1.0))
         if renormalize and integral != 0:
@@ -501,6 +579,7 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
         "integrals": integrals,
         "support": (sup_lo, sup_hi),
     })
+
 
 # ---------------------------------------------------------------------------
 # integer-dilation box-spline masks

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,31 @@ def test_ftprobe(capsys, counter_file):
                                    "--J", "40", "--points", "40"])
     assert code == 0
     assert data["max_abs_deviation"] <= 1e-8
+
+
+def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
+    # exit 1 would read as "refuted"
+    assert run(["cascade", "--instance", counter_file, "--grid", "1",
+                "--out", str(tmp_path / "g.csv")]) == 2
+    assert "grid_size must be >= 2" in capsys.readouterr().err
+    for J in ("0", "-2"):
+        assert run(["ftprobe", "--instance", counter_file, "--J", J]) == 2
+        assert "J must be >= 1" in capsys.readouterr().err
+
+
+def test_numeric_output_golden(capsys, tmp_path, counter_file):
+    # pinned values of the per-term loop kernels: the CSV and the deviation
+    # are printed with repr, so any change in a float shows here
+    out = tmp_path / "grid.csv"
+    assert run(["cascade", "--instance", counter_file, "--grid", "256",
+                "--iters", "12", "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "22f59f5a7a3f5f79c16a3ec87575480cd580fb16d9e56fa284f4e61b9a7e3c2d"
+    code, data = run_json(capsys, ["ftprobe", "--instance", counter_file,
+                                   "--J", "40", "--points", "40"])
+    assert code == 0 and repr(data["max_abs_deviation"]) == "2.0434424045405772e-16"
+    code, data = run_json(capsys, ["ftprobe", "--instance", counter_file])
+    assert code == 0 and repr(data["max_abs_deviation"]) == "1.2749880984031409e-14"
 
 
 def test_decay_cli(capsys):

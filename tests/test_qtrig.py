@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen_instances import instance_batch
-from refinable.errors import ZeroPolynomial
+from refinable.errors import DescriptorMismatch, ZeroPolynomial
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import BinomialDivisionWitness, QTrigPoly, combine, geometric
 from refinable.refinery import _prepare
@@ -47,6 +47,39 @@ def test_combine_examples(F10):
 
     P = geometric(F10, 3, 1)
     assert (P + P.scale(Fraction(-1))).is_zero
+
+
+def test_library_results_are_in_normal_form(F10):
+    # sums, products, negation, scaling, shifts and quotients skip the
+    # checking constructor; they must equal its output, term order included
+    rng = random.Random(5)
+    th = F10.theta()
+
+    def rand_poly():
+        return QTrigPoly(F10, {F10.rational(rng.randint(0, 4)) + th * rng.randint(0, 2) / 2:
+                               Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 6))})
+
+    for _ in range(40):
+        P, Q = rand_poly(), rand_poly()
+        results = [P + Q, P - P, P * Q, -P, P.scale(Fraction(-2, 3)), P.scale(0),
+                   P.shift(th / 3), P.shift(Fraction(1, 2))]
+        quotient = (P * QTrigPoly.binomial(F10, th)).divide_binomial(th)
+        assert quotient == P
+        for R in results + [quotient]:
+            ref = QTrigPoly(F10, R.terms)
+            assert list(R.terms.items()) == list(ref.terms.items())
+            assert all(type(c) is Fraction and c != 0 for c in R.terms.values())
+    assert (P - P).is_zero and P.scale(0).is_zero
+
+
+def test_foreign_exponents_still_rejected(F10):
+    with pytest.raises(DescriptorMismatch):
+        QTrigPoly.constant(QQ).shift(F10.theta())
+    with pytest.raises(DescriptorMismatch):
+        QTrigPoly.binomial(QQ, 1).divide_binomial(F10.one())
+    with pytest.raises(DescriptorMismatch):
+        QTrigPoly.constant(F10).shift(field_make(2, 2).theta())
 
 
 def test_eval_examples(F10, counterexample_mask):

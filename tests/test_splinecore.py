@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from refinable import splinecore
 from refinable.errors import Divergence, GridTooCoarse, NonIntegerMatrix, RankDeficient
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly
@@ -24,6 +25,7 @@ from refinable.splinecore import (
     integer_dilation_box_mask,
     spline_time_eval,
 )
+from refinable.splinecore import _longdouble, _trapz  # shared by the reference loops
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +215,144 @@ def test_fourier_product_f64_counterexample(F10, trapezoid_spec):
     prod = fourier_product_f64(mask, w, 40)
     closed = boxspline_ft_f64(trapezoid_spec, w)
     assert np.max(np.abs(prod - closed)) < 1e-8
+
+
+# -- whole-array kernels against the per-term loops ------------------------------
+#
+# The loops below are the straightforward one-call-per-term kernels; the
+# library's whole-array versions must reproduce them bit for bit, since
+# the CLI prints these floats with repr.
+
+
+def reference_cascade(mask, grid_size=1024, iters=30, renormalize=True, pad=0.0):
+    lamf = float(mask.lam)
+    dsup = mask.support()
+    A, B = float(dsup[0]), float(dsup[1])
+    if pad:
+        span = B - A
+        A -= pad * span
+        B += pad * span
+    h = (B - A) / (grid_size - 1)
+    x = A + h * np.arange(grid_size)
+    sup_lo, sup_hi = float(dsup[0]), float(dsup[1])
+    inside = (x >= sup_lo - 1e-12) & (x <= sup_hi + 1e-12)
+    f = np.where(inside, 1.0 / (sup_hi - sup_lo), 0.0)
+    coeffs = [(float(c), float(d))
+              for c, d in zip(mask.refinement_coefficients, mask.translations)]
+    residuals, drifts, integrals = [], [], []
+    for _ in range(iters):
+        new = np.zeros_like(f)
+        for c, d in coeffs:
+            new += c * np.interp(lamf * x - d, x, f, left=0.0, right=0.0)
+        integral = float(_trapz(new, dx=h))
+        drifts.append(abs(integral - 1.0))
+        if renormalize and integral != 0:
+            new = new / integral
+        integrals.append(float(_trapz(new, dx=h)))
+        residuals.append(float(np.max(np.abs(new - f))))
+        f = new
+    return f, {"residuals": residuals, "integral_drift": drifts, "integrals": integrals}
+
+
+def reference_fourier(mask, w, J):
+    lamf = _longdouble(mask.lam)
+    w_l = np.asarray(w, dtype=np.longdouble)
+    out = np.ones(w_l.shape, dtype=np.complex128)
+    terms = [(_longdouble(d), float(c)) for d, c in mask.H.items()]
+    arg = w_l.copy()
+    for _ in range(J):
+        arg = arg / lamf
+        h = np.zeros(w_l.shape, dtype=np.complex128)
+        for d, c in terms:
+            phase = np.mod(d * arg, 1.0).astype(np.float64)
+            h += c * np.exp(-2j * np.pi * phase)
+        out *= h
+    return out
+
+
+def _negative_coefficient_mask():
+    # B_1 mask times (-1 + 4z - z^2)/2: coefficient sum 1, two negative terms
+    m1 = bspline_mask(1, 2)
+    q = QTrigPoly(QQ, {QQ.rational(0): Fraction(-1, 2), QQ.rational(1): 2,
+                       QQ.rational(2): Fraction(-1, 2)})
+    return MaskSpec(m1.lam, m1.H * q)
+
+
+def _kernel_masks():
+    from gen_instances import accepted_batch
+    from refinable.refinery import counterexample_instance, mask_construct
+
+    _desc, lam, A = counterexample_instance()
+    masks = [("counterexample", mask_construct(A, lam)),
+             ("negative", _negative_coefficient_mask())]
+    masks += [(f"bspline{deg},{m}", bspline_mask(deg, m))
+              for deg, m in ((0, 2), (1, 2), (3, 2), (2, 3))]
+    masks += [(f"accepted{i}", mask_construct(A, lam))
+              for i, (A, lam) in enumerate(accepted_batch(12, 11))]
+    return masks
+
+
+KERNEL_MASKS = _kernel_masks()
+CASCADE_CONFIGS = [dict(grid_size=512, iters=12), dict(grid_size=300, iters=8, pad=0.25),
+                   dict(grid_size=257, iters=8, renormalize=False)]
+
+
+def assert_cascade_bit_identical(mask, **config):
+    g = cascade_solve(mask, **config)
+    samples, meta = reference_cascade(mask, **config)
+    assert g.samples.tobytes() == samples.tobytes()
+    for key, ref in meta.items():
+        assert np.array(g.meta[key]).tobytes() == np.array(ref).tobytes(), key
+
+
+@pytest.mark.parametrize("name,mask", KERNEL_MASKS, ids=[n for n, _ in KERNEL_MASKS])
+def test_cascade_bit_identical_to_per_term_loop(name, mask, monkeypatch):
+    # block 1 puts every term in a group of its own, 97 splits the terms
+    # into groups of a few slices each
+    for block in (splinecore._CASCADE_BLOCK, 1, 97):
+        monkeypatch.setattr(splinecore, "_CASCADE_BLOCK", block)
+        for config in CASCADE_CONFIGS:
+            assert_cascade_bit_identical(mask, **config)
+
+
+def test_cascade_bit_identical_at_default_size():
+    assert_cascade_bit_identical(KERNEL_MASKS[0][1])
+
+
+@pytest.mark.parametrize("name,mask", KERNEL_MASKS, ids=[n for n, _ in KERNEL_MASKS])
+def test_fourier_product_bit_identical_to_per_level_loop(name, mask):
+    w = np.random.default_rng(8).uniform(-50.0, 50.0, 40)
+    w[:3] = [0.0, 50.0, -49.99]
+    for J in (1, 40):
+        assert fourier_product_f64(mask, w, J).tobytes() == \
+            reference_fourier(mask, w, J).tobytes()
+
+
+def test_fourier_product_blocks_and_shapes(monkeypatch):
+    mask = KERNEL_MASKS[0][1]
+    block = splinecore._FOURIER_BLOCK
+    w = np.random.default_rng(9).uniform(-50.0, 50.0, block + 37)
+    w[block] = 0.0
+    assert fourier_product_f64(mask, w, 40).tobytes() == \
+        reference_fourier(mask, w, 40).tobytes()
+    monkeypatch.setattr(splinecore, "_FOURIER_BLOCK", 7)
+    assert fourier_product_f64(mask, w[:40], 40).tobytes() == \
+        reference_fourier(mask, w[:40], 40).tobytes()
+    grid = w[:12].reshape(3, 4)
+    out = fourier_product_f64(mask, grid, 5)
+    assert out.shape == (3, 4)
+    assert out.tobytes() == reference_fourier(mask, grid, 5).tobytes()
+    assert fourier_product_f64(mask, np.array(0.7), 3).shape == ()
+
+
+def test_kernel_argument_checks():
+    mask = bspline_mask(1, 2)
+    for J in (0, -3):
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            fourier_product_f64(mask, np.array([0.5]), J)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="grid_size"):
+            cascade_solve(mask, grid_size=n)
 
 
 # -- integer-dilation masks ------------------------------------------------------
