@@ -235,18 +235,14 @@ def _cmd_erdos(args) -> int:
 def _cmd_cascade(args) -> int:
     mask = _mask_from_args(args)
     grid = cascade_solve(mask, grid_size=args.grid, iters=args.iters)
-    csv_lines = [f"# a={grid.a!r} b={grid.b!r} h={grid.h!r} n={len(grid.samples)}",
-                 "x,f"]
-    csv_lines += [f"{float(x)!r},{float(v)!r}" for x, v in zip(grid.x, grid.samples)]
     out = {
         "config": _config_echo(args),
         "grid": {"a": grid.a, "b": grid.b, "h": grid.h, "n": len(grid.samples)},
         "residual": grid.meta["residual"],
         "integral": grid.integral(),
-        "csv": "\n".join(csv_lines),
     }
-    if (args.format or "json") != "csv":
-        del out["csv"]
+    if args.format == "csv":
+        out["csv"] = grid.to_csv()
     _emit(args, out)
     return 0
 
@@ -264,6 +260,8 @@ def _mask_from_args(args) -> MaskSpec:
 
 
 def _cmd_ftprobe(args) -> int:
+    if args.points < 1:
+        raise ValueError("points must be >= 1")
     inst = _load_instance(args)
     if inst["s"] != 1:
         raise ValueError("univariate instance required")

@@ -1032,14 +1032,13 @@ def _mask_unit_circle_roots(mask: MaskSpec, delta_cap: Fraction
 
     With z = exp(-2 pi i w / D0), H becomes a polynomial P(z) with
     rational coefficients; real zeros of H correspond to unit-circle
-    roots of P.  Cyclotomic factors give exact rational zeros l/n * D0;
-    the remaining self-reciprocal factors are transformed by
-    y = z + 1/z into exact polynomials over Q whose roots in (-2, 2) are
-    isolated by Sturm bisection and mapped back through arccos with
-    outward rounding.
+    roots of P.  Each cyclotomic factor Phi_n of the squarefree part R
+    gives the exact rational zeros l/n * D0, gcd(l, n) = 1, and is
+    divided out; the rest lie on S = gcd(R, reversed R), which the
+    substitution y = z + 1/z turns into an exact polynomial over Q whose
+    roots in (-2, 2) are isolated by Sturm bisection and mapped back
+    through arccos with outward rounding.
     """
-    import sympy
-
     exps = mask.translations
     if not all(d.is_rational for d in exps):
         raise NonRationalTranslations("decay probe needs rational translations")
@@ -1055,59 +1054,60 @@ def _mask_unit_circle_roots(mask: MaskSpec, delta_cap: Fraction
     poly = [Fraction(0)] * (max(coeffs) - low + 1)
     for e, c in coeffs.items():
         poly[e - low] = c
-    z = sympy.symbols("z")
-    P = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
-                                  for c in poly])), z)
+    R = polyq.squarefree_part(poly)
     roots: list[MaskRoot] = []
-    _, factors = P.factor_list()
-    for fac, _mult in factors:
-        deg = fac.degree()
-        if deg == 0:
+    # phi(n) >= sqrt(n / 2): a factor Phi_n of R has n <= 2 deg(R)^2
+    bound = 2 * polyq.pdeg(R) ** 2 + 6
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    cyclotomic: dict[int, polyq.Poly] = {}
+    for n in range(1, bound + 1):
+        if phi[n] > polyq.pdeg(R):
             continue
-        order = _cyclotomic_order(fac, deg)
-        if order is not None:
-            for l in range(order):
-                if math.gcd(l, order) == 1 and order > 1:
-                    roots.append(MaskRoot(Fraction(l, order) * D0, Fraction(0),
-                                          True, f"cyclotomic({order})"))
-            continue
-        roots.extend(_self_reciprocal_roots(fac, D0, delta_cap))
+        quo, rem = polyq.pdivmod(R, _cyclotomic_poly(n, cyclotomic))
+        if not rem:
+            R = quo
+            roots.extend(MaskRoot(Fraction(l, n) * D0, Fraction(0), True,
+                                  f"cyclotomic({n})")
+                         for l in range(n) if math.gcd(l, n) == 1)
+    S = polyq.pgcd(R, tuple(reversed(R)))
+    if polyq.pdeg(S) > 0:
+        roots.extend(_self_reciprocal_roots(S, D0, delta_cap))
     roots.sort(key=lambda r: r.value)
     return D0, roots
 
 
-def _cyclotomic_order(fac, deg: int) -> Optional[int]:
-    """The n with fac = Phi_n, or None (coefficient-list comparison)."""
-    import sympy
-
-    z = fac.gens[0]
-    coeffs = [sympy.Rational(c) for c in fac.monic().all_coeffs()]
-    bound = 2 * deg * deg + 6
-    for n in range(1, bound + 1):
-        if sympy.totient(n) == deg:
-            cyc = sympy.Poly(sympy.cyclotomic_poly(n, z), z)
-            if [sympy.Rational(c) for c in cyc.all_coeffs()] == coeffs:
-                return n
-    return None
+def _cyclotomic_poly(n: int, cache: dict[int, polyq.Poly]) -> polyq.Poly:
+    """Phi_n: z^n - 1 divided by Phi_d for every proper divisor d of n."""
+    if n not in cache:
+        p = polyq.pnorm([-1] + [0] * (n - 1) + [1])
+        for d in range(1, n):
+            if n % d == 0:
+                p = polyq.pdivmod(p, _cyclotomic_poly(d, cache))[0]
+        cache[n] = p
+    return cache[n]
 
 
-def _self_reciprocal_roots(fac, D0: int, delta_cap: Fraction) -> list[MaskRoot]:
-    """Unit-circle roots of a non-cyclotomic irreducible factor.
+def _self_reciprocal_roots(S: polyq.Poly, D0: int, delta_cap: Fraction
+                           ) -> list[MaskRoot]:
+    """Unit-circle roots of S = gcd(R, reversed R), R squarefree and free
+    of cyclotomic factors.
 
-    Only self-reciprocal factors can have them (a unit-circle root z0
-    makes 1/z0 = conj(z0) a root too).  The substitution y = z + 1/z
-    turns fac(z)/z^(deg/2) into an exact polynomial C(y) over Q with
-    simple roots; roots of C in (-2, 2) are isolated by Sturm bisection,
-    narrowed by sign bisection, and pulled back to the angle pair
-    {u, 1-u} via y = 2 cos(2 pi u) with outward rounding.
+    An irreducible factor with a unit-circle root z0 also has the root
+    1/z0 = conj(z0), so it equals its own reversal and divides S.  S is
+    monic and equals its reversal up to a sign; as S(1) != 0 the sign is
+    +, and as S(-1) != 0 the palindrome has even degree 2D.  The
+    substitution y = z + 1/z turns S(z)/z^D into an exact polynomial
+    C(y) over Q with simple roots; roots of C in (-2, 2) are isolated by
+    Sturm bisection, narrowed by sign bisection, and pulled back to the
+    angle pair {u, 1-u} via y = 2 cos(2 pi u) with outward rounding.
     """
-    cs = [Fraction(int(c.numerator), int(c.denominator))
-          for c in reversed(fac.all_coeffs())]  # ascending
-    deg = len(cs) - 1
-    if cs != list(reversed(cs)) or deg % 2 != 0:
-        return []  # not palindromic: no unit-circle roots off +/-1
-    D = deg // 2
-    # fac(z)/z^D = cs[D] + sum_{t>=1} cs[D+t] (z^t + z^-t), z^t + z^-t = V_t(y)
+    cs = list(S)  # ascending
+    D = polyq.pdeg(S) // 2
+    # S(z)/z^D = cs[D] + sum_{t>=1} cs[D+t] (z^t + z^-t), z^t + z^-t = V_t(y)
     y = (Fraction(0), Fraction(1))
     V_prev: polyq.Poly = (Fraction(2),)
     V_cur: polyq.Poly = y
@@ -1119,10 +1119,6 @@ def _self_reciprocal_roots(fac, D0: int, delta_cap: Fraction) -> list[MaskRoot]:
         C = polyq.padd(C, polyq.pscale(V, cs[D + t]))
 
     width0 = Fraction(1, 1 << 16)
-    lo, hi = Fraction(-2), Fraction(2)
-    while polyq.peval_fraction(C, lo) == 0 or polyq.peval_fraction(C, hi) == 0:
-        lo -= width0
-        hi += width0
 
     def refine(ylo: Fraction, yhi: Fraction, target: Fraction):
         if ylo == yhi:
@@ -1140,14 +1136,13 @@ def _self_reciprocal_roots(fac, D0: int, delta_cap: Fraction) -> list[MaskRoot]:
         return ylo, yhi
 
     out = []
-    for ylo, yhi in polyq.isolate_real_roots(C, lo, hi, width0):
+    # C(2) = S(1) and C(-2) = +-S(-1) are nonzero: valid Sturm endpoints
+    for ylo, yhi in polyq.isolate_real_roots(C, Fraction(-2), Fraction(2), width0):
         for flip in (False, True):
             cur_lo, cur_hi = ylo, yhi
             target = width0
             for _ in range(80):
-                clo = max(cur_lo, Fraction(-2))
-                chi = min(cur_hi, Fraction(2))
-                ulo, uhi = _acos_enclosure(clo, chi)
+                ulo, uhi = _acos_enclosure(cur_lo, cur_hi)
                 if flip:
                     ulo, uhi = 1 - uhi, 1 - ulo
                 mid = (ulo + uhi) / 2 * D0

@@ -249,13 +249,17 @@ class GridFunction:
         """Max abs difference, sampled on this function's grid."""
         return float(np.max(np.abs(self.samples - other(self.x))))
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# a={self.a!r} b={self.b!r} h={self.h!r} "
-                     f"n={len(self.samples)}\n")
-            fh.write("x,f\n")
-            for xv, fv in zip(self.x, self.samples):
-                fh.write(f"{float(xv)!r},{float(fv)!r}\n")
+    def to_csv(self, path: Optional[str] = None) -> str:
+        """The samples as CSV text (a header comment, then "x,f" rows),
+        also written to ``path`` when one is given."""
+        lines = [f"# a={self.a!r} b={self.b!r} h={self.h!r} n={len(self.samples)}",
+                 "x,f"]
+        lines += [f"{float(xv)!r},{float(fv)!r}" for xv, fv in zip(self.x, self.samples)]
+        text = "\n".join(lines) + "\n"
+        if path is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        return text
 
     def __repr__(self) -> str:
         return (f"GridFunction([{self.a:.6g}, {self.b:.6g}], h={self.h:.3g}, "

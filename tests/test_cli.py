@@ -108,6 +108,8 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     for J in ("0", "-2"):
         assert run(["ftprobe", "--instance", counter_file, "--J", J]) == 2
         assert "J must be >= 1" in capsys.readouterr().err
+    assert run(["ftprobe", "--instance", counter_file, "--points", "0"]) == 2
+    assert "points must be >= 1" in capsys.readouterr().err
 
 
 def test_numeric_output_golden(capsys, tmp_path, counter_file):

@@ -1,18 +1,28 @@
 """Decision procedures: masks, structure, oracles, probes, witnesses."""
 
+import hashlib
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from gen_instances import instance_batch
+from refinable import polyq
 from refinable.errors import InvalidLambda, RefinabilityError
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly, geometric
 from refinable.splinecore import BoxSplineSpec, MaskSpec, bspline_mask
 from refinable.refinery import (
     ChainStructure,
+    _cyclotomic_poly,
     chain_structure,
     condition_B,
     counterexample_instance,
@@ -352,6 +362,81 @@ def test_decay_fractional_translations():
     assert rep.D0 == 3
     assert rep.targets == (Fraction(1, 2),)  # root at w = 3/2, mod 1
     assert rep.epsilon0 > 0
+
+
+def test_cyclotomic_polys():
+    # deg Phi_n = phi(n) and prod_{d | n} Phi_d = z^n - 1
+    cache = {}
+    for n in range(1, 61):
+        phi_n = _cyclotomic_poly(n, cache)
+        assert polyq.pdeg(phi_n) == sum(1 for l in range(n) if math.gcd(l, n) == 1)
+        prod = (Fraction(1),)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = polyq.pmul(prod, _cyclotomic_poly(d, cache))
+        assert prod == polyq.pnorm([-1] + [0] * (n - 1) + [1])
+
+
+def _palindromic_factor(a, b, den):
+    return QTrigPoly(QQ, {QQ.rational(e): Fraction(c, den) for e, c in enumerate((a, b, a))})
+
+
+def test_decay_reports_golden():
+    # B-spline masks alone and times one self-reciprocal quadratic factor,
+    # shifted by z^-1, 1 and z: the reports are pinned byte for byte
+    reports = []
+    for degree in range(4):
+        for m in range(2, 5):
+            base = bspline_mask(degree, m)
+            for H in (base.H, base.H * _palindromic_factor(2, 1, 5),
+                      base.H * _palindromic_factor(3, -2, 4)):
+                for shift in (-1, 0, 1):
+                    rep = decay_probe(MaskSpec(base.lam, H.shift(shift)), J=20)
+                    reports.append(rep.to_jsonable())
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "5af1d54fc0b9151339b54fe972ab91d504794b507a68bee18441ee67dbb08603"
+
+
+@pytest.mark.parametrize("extra", [(1,), (3, 1), (2, -5, 2)])
+def test_decay_two_self_reciprocal_factors(extra):
+    # (2z^2 + 3z + 2)(4z^2 + 7z + 4): y = z + 1/z is -3/2 or -7/4, so the
+    # zeros are u and 1 - u with u = acos(y/2) / (2 pi); the extra factor
+    # has no unit-circle roots (3 + z is not self-reciprocal, the roots
+    # 2 and 1/2 of 2 - 5z + 2z^2 map to y = 5/2)
+    H = _palindromic_factor(2, 3, 7) * _palindromic_factor(4, 7, 15) * QTrigPoly(
+        QQ, {QQ.rational(e): Fraction(c, sum(extra)) for e, c in enumerate(extra)})
+    rep = decay_probe(MaskSpec(QQ.rational(2), H), J=25)
+    assert rep.D0 == 1 and len(rep.roots) == 4
+    assert all(r.order_hint == "algebraic" and not r.exact for r in rep.roots)
+    with mpmath.workprec(200):
+        zeros = []
+        for y in (Fraction(-3, 2), Fraction(-7, 4)):
+            u = mpmath.acos(mpmath.mpf(y.numerator) / y.denominator / 2) / (2 * mpmath.pi)
+            zeros += [u, 1 - u]
+        zeros.sort()
+        for r, w in zip(rep.roots, zeros):
+            lo, hi = r.value - r.delta, r.value + r.delta
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= w
+            assert w <= mpmath.mpf(hi.numerator) / hi.denominator
+    assert rep.epsilon0 > 0
+
+
+def test_decay_probe_does_not_import_sympy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from refinable.exactreal import QQ\n"
+            "from refinable.qtrig import QTrigPoly\n"
+            "from refinable.refinery import decay_probe\n"
+            "from refinable.splinecore import MaskSpec\n"
+            "H = QTrigPoly(QQ, {QQ.rational(e): Fraction(c) for e, c in enumerate((2, -3, 2))})\n"
+            "rep = decay_probe(MaskSpec(QQ.rational(2), H), J=10)\n"
+            "assert rep.roots and not rep.roots[0].exact\n"
+            "print('sympy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- indecomposability ------------------------------------------------------------
