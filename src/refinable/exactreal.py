@@ -9,20 +9,26 @@ for any prime p dividing k), so zero tests, equality, rationality and
 integrality are decided exactly from the coordinates and never
 numerically.
 
-Sign determination is the one place numerics enter: a nonzero element is
-evaluated with outward-rounded interval arithmetic at doubling precision
-(starting at 64 bits) until the enclosure excludes zero.  This always
-terminates because the exact zero test fires first for zero elements.
+Sign and floor of an irrational element are decided with integer
+arithmetic only: the coordinates are cleared to one denominator D, so
+x * D = sum_j N_j theta^j with integers N_j, and each theta^j * 2^p is
+enclosed between floor(theta^j * 2^p) and that plus one (an integer
+k-th root).  The directed sums give integers lo <= x * D * 2^p <= hi of
+width at most sum_j |N_j|, while |x| * D * 2^p doubles with p; p starts
+at 64 and doubles until the enclosure decides.  Zero and rational
+elements are decided from the coordinates, so the loop always ends.
 
-Values are immutable; every operation is a pure function.  Interval
-evaluation temporarily adjusts the process-global mpmath interval
-precision; enclosures stay valid under concurrent precision changes
-(outward rounding is precision-independent), only their width is
-affected.
+Values are immutable; every operation is a pure function.  The float
+and complex values a caller asks for (``ball``, ``approx``, ``float``)
+come from mpmath interval arithmetic, which temporarily adjusts the
+process-global mpmath interval precision; enclosures stay valid under
+concurrent precision changes (outward rounding is
+precision-independent), only their width is affected.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,14 +37,13 @@ from typing import Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import mpf_sign
+from mpmath.libmp import to_rational
 
 from .errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 
 RationalLike = Union[int, Fraction]
 
 _SIGN_START_PREC = 64
-_PREC_HARD_CAP = 1 << 22
 
 
 @contextmanager
@@ -59,21 +64,25 @@ def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact value of a finite mpf endpoint as a Fraction."""
-    p, q = mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_)
+def _mpf_to_fraction(raw) -> Fraction:
+    """Exact value of a finite raw mpf tuple (``x._mpf_``) as a Fraction."""
+    p, q = to_rational(raw)
     return Fraction(int(p), int(q))
 
 
 def iv_endpoints(ball) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of an interval."""
-    return _mpf_to_fraction(ball.a), _mpf_to_fraction(ball.b)
+    lo, hi = ball._mpi_
+    return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
 
 
 def _int_nthroot(n: int, p: int) -> tuple[int, bool]:
     """Floor of n**(1/p) for n >= 1, p >= 1, plus exactness flag."""
     if n < 2 or p == 1:
         return n, True
+    if p == 2:
+        x = math.isqrt(n)
+        return x, x * x == n
     x = 1 << (-(-n.bit_length() // p))  # upper bound
     while True:
         y = ((p - 1) * x + n // x ** (p - 1)) // p
@@ -103,7 +112,7 @@ class FieldDescriptor:
     For k = 1 the field is Q itself and the radicand plays no role.
     """
 
-    __slots__ = ("n", "k", "_theta_cache")
+    __slots__ = ("n", "k", "_theta_cache", "_power_bounds")
 
     def __init__(self, n: int, k: int):
         if k < 1:
@@ -119,6 +128,7 @@ class FieldDescriptor:
         self.n = n
         self.k = k
         self._theta_cache: dict[int, object] = {}
+        self._power_bounds: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # Two descriptors denote the same field iff degrees match and, for
     # k > 1, the radicands match.  Every degree-1 descriptor is Q.
@@ -155,6 +165,20 @@ class FieldDescriptor:
             val = iv.exp(iv.log(iv.mpf(self.n)) / self.k)
         self._theta_cache[prec] = val
         return val
+
+    def theta_power_bounds(self, p: int) -> tuple[tuple[int, int], ...]:
+        """Integers (lo_j, hi_j) with lo_j <= theta^j * 2^p <= hi_j for
+        j < k: lo_j = floor(theta^j * 2^p), hi_j = lo_j + 1 unless exact.
+        Cached per p."""
+        bounds = self._power_bounds.get(p)
+        if bounds is None:
+            k = self.k
+            bounds = []
+            for j in range(k):
+                t, exact = _int_nthroot(self.n ** j << (k * p), k)
+                bounds.append((t, t if exact else t + 1))
+            bounds = self._power_bounds[p] = tuple(bounds)
+        return bounds
 
     # -- element constructors ------------------------------------------
 
@@ -386,38 +410,46 @@ class FieldElement:
             return float(self.coeffs[0])
         return float(self.approx(64))
 
+    def _enclosures(self) -> Iterator[tuple[int, int, int]]:
+        """Integers (lo, hi, D << p) with lo <= x * D * 2^p <= hi, for
+        p = 64, 128, ...; D is the common denominator of the coordinates.
+        The width hi - lo stays at most sum |N_j| as p doubles."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        p = _SIGN_START_PREC
+        while True:
+            lo = hi = 0
+            for num, (t_lo, t_hi) in zip(nums, self.desc.theta_power_bounds(p)):
+                if num > 0:
+                    lo += num * t_lo
+                    hi += num * t_hi
+                elif num < 0:
+                    lo += num * t_hi
+                    hi += num * t_lo
+            yield lo, hi, den << p
+            p *= 2
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; never decided numerically for zero."""
         if self.is_zero:
             return 0
         if self.is_rational:
             return 1 if self.coeffs[0] > 0 else -1
-        prec = _SIGN_START_PREC
-        while prec <= _PREC_HARD_CAP:
-            # raw endpoints: an ivmpf comparison with 0 turns any exception
-            # raised inside it (an alarm, Ctrl-C) into NotImplemented
-            lo, hi = self.ball(prec)._mpi_
-            if mpf_sign(lo) > 0:
+        for lo, hi, _ in self._enclosures():
+            if lo > 0:
                 return 1
-            if mpf_sign(hi) < 0:
+            if hi < 0:
                 return -1
-            prec *= 2
-        raise RuntimeError(f"sign undecided at {_PREC_HARD_CAP} bits: {self!r}")
 
     def floor(self) -> int:
         """Exact floor."""
         if self.is_rational:
             q = self.coeffs[0]
             return q.numerator // q.denominator
-        prec = _SIGN_START_PREC
-        while prec <= _PREC_HARD_CAP:
-            lo, hi = iv_endpoints(self.ball(prec))
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            prec *= 2
-        raise RuntimeError(f"floor undecided at {_PREC_HARD_CAP} bits: {self!r}")
+        for lo, hi, scale in self._enclosures():
+            f = lo // scale
+            if f == hi // scale:
+                return f
 
     # -- order ----------------------------------------------------------
 

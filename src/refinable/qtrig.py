@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from mpmath import iv
+from mpmath.libmp import mpi_cos_sin, mpi_neg
 
 from . import polyq
 from .errors import DescriptorMismatch, ZeroPolynomial
@@ -92,7 +93,9 @@ class ComplexBall:
 def _unit_exponential(phase_ball) -> ComplexBall:
     """Enclosure of exp(-2 pi i x) for a real interval x (in turns)."""
     ang = 2 * iv.pi * phase_ball
-    return ComplexBall(iv.cos(ang), -iv.sin(ang))
+    # one mpi_cos_sin: iv.cos and iv.sin would each compute both
+    cos, sin = mpi_cos_sin(ang._mpi_, iv.prec)
+    return ComplexBall(iv.make_mpf(cos), iv.make_mpf(mpi_neg(sin, iv.prec)))
 
 
 class QTrigPoly:

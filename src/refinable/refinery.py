@@ -1166,7 +1166,8 @@ def _acos_enclosure(ylo: Fraction, yhi: Fraction) -> tuple[Fraction, Fraction]:
         hi = mpmath.acos(mpmath.mpf(ylo.numerator) / ylo.denominator / 2) / (2 * mpmath.pi)
         lo = mpmath.acos(mpmath.mpf(yhi.numerator) / yhi.denominator / 2) / (2 * mpmath.pi)
         pad = mpmath.mpf(2) ** -80
-        return (_mpf_to_fraction(lo - pad), _mpf_to_fraction(hi + pad))
+        return (_mpf_to_fraction((lo - pad)._mpf_),
+                _mpf_to_fraction((hi + pad)._mpf_))
 
 
 def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:

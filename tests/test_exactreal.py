@@ -1,14 +1,20 @@
 """Exact field arithmetic: construction, classification, order, text IO."""
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from mpmath import iv
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import iv, mp
 
+from refinable import exactreal
 from refinable.errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 from refinable.exactreal import (
     QQ,
+    FieldDescriptor,
     FieldElement,
     classify,
     field_make,
@@ -154,27 +160,129 @@ class _Interrupt(BaseException):
     """Stands in for an alarm or Ctrl-C arriving mid-computation."""
 
 
-def test_sign_lets_an_interrupt_in_the_enclosure_check_through(F10, monkeypatch):
-    class Ball:
-        @property
-        def _mpi_(self):
-            raise _Interrupt
+def test_sign_lets_an_interrupt_in_the_enclosure_check_through(monkeypatch):
+    # raised while the theta-power bounds are built: at the first precision
+    # (x's field has none cached) and at an escalation step (0 < y < 2^-90
+    # is undecided at 64 bits)
+    x = field_make(10, 2).theta() - 3
+    y = field_make(10, 2).theta() - Fraction(math.isqrt(10 << 180), 1 << 90)
+    real_bounds = FieldDescriptor.theta_power_bounds
 
-    monkeypatch.setattr(FieldElement, "ball", lambda self, prec=64: Ball())
-    with pytest.raises(_Interrupt):
-        (F10.theta() - 3).sign()
+    def bounds(self, p):
+        if p > 64:
+            raise _Interrupt
+        return real_bounds(self, p)
+
+    monkeypatch.setattr(FieldDescriptor, "theta_power_bounds", bounds)
+    for call in (y.sign, y.floor):
+        with pytest.raises(_Interrupt):
+            call()
+    monkeypatch.setattr(exactreal, "_int_nthroot", _raise_interrupt)
+    for call in (x.sign, x.floor):
+        with pytest.raises(_Interrupt):
+            call()
 
 
 @pytest.mark.parametrize("expected", [1, -1])
 def test_sign_check_converts_nothing(F10, monkeypatch, expected):
-    # the check used to compare an interval with 0, converting the 0; an
-    # interrupt there surfaced as "'>' not supported between 'ivmpf' and 'int'"
+    # sign and floor are decided by integer arithmetic alone: any use of an
+    # mpmath enclosure or conversion raises here
     x = (F10.theta() - 3) * expected
-    ball = x.ball(64)
-    monkeypatch.setattr(FieldElement, "ball", lambda self, prec=64: ball)
+    monkeypatch.setattr(FieldElement, "ball", _raise_interrupt)
     monkeypatch.setattr(type(iv), "convert", _raise_interrupt)
     assert x.sign() == expected
+    assert x.floor() == (0 if expected > 0 else -1)
 
 
 def _raise_interrupt(*args, **kwargs):
     raise _Interrupt
+
+
+def test_floor_above_two_to_the_53():
+    # the endpoints of a 53-bit rounded enclosure gave ...773 and ...358
+    third = Fraction(1, 3)
+    assert field_make(2, 2).element([third, 2 ** 52]).floor() == 6369051672525772
+    assert field_make(10, 2).element([third, 2 ** 52]).floor() == 14241632491976357
+
+
+def test_theta_power_bounds():
+    F = field_make(7, 3)
+    for p in (64, 128, 1024):
+        bounds = F.theta_power_bounds(p)
+        assert bounds[0] == (1 << p, 1 << p)
+        for j, (lo, hi) in enumerate(bounds[1:], start=1):
+            assert hi == lo + 1
+            assert lo ** 3 < 7 ** j << (3 * p) < hi ** 3
+        assert F.theta_power_bounds(p) is bounds
+
+
+_QUADRATIC = [2, 3, 5, 10, 7 * 11 * 13]
+_coord = st.fractions(min_value=-(1 << 70), max_value=1 << 70, max_denominator=1 << 40)
+
+
+@st.composite
+def _quadratic(draw):
+    """(n, a, b) with b != 0; a is often within 2^-bits of -b*sqrt(n) + an integer."""
+    n = draw(st.sampled_from(_QUADRATIC))
+    b = draw(_coord.filter(bool))
+    a = draw(_coord)
+    bits = draw(st.sampled_from([0, 60, 200, 700]))
+    if bits:
+        # a = -(b sqrt(n) rounded down to 2^-bits) + small integer shift
+        root = math.isqrt(b.numerator ** 2 * n << (2 * bits))
+        near = Fraction(root if b > 0 else -root - 1, b.denominator << bits)
+        a = draw(st.integers(-2, 2)) - near + draw(st.sampled_from([0, Fraction(1, 3)]))
+    return n, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic())
+def test_quadratic_sign_and_floor_against_integer_formulas(case):
+    n, a, b = case
+    x = field_make(n, 2).element([a, b])
+    # sign of a + b sqrt(n): compare a^2 with b^2 n when the signs differ
+    if a * b >= 0:
+        sign = 1 if a + b > 0 else -1
+    else:
+        sign = 1 if (a * a > b * b * n) == (a > 0) else -1
+    assert x.sign() == sign
+    # x = (A + B sqrt(n)) / D; floor(B sqrt(n)) from isqrt, never exact
+    den = math.lcm(a.denominator, b.denominator)
+    A, B = int(a * den), int(b * den)
+    root = math.isqrt(B * B * n)
+    floor_b = root if B > 0 else -root - 1
+    assert x.floor() == (A + floor_b) // den
+
+
+@st.composite
+def _cubic(draw):
+    n = draw(st.sampled_from([2, 3, 5, 12, 100]))
+    q1, q2 = draw(_coord), draw(_coord)
+    q0 = draw(_coord)
+    bits = draw(st.sampled_from([0, 100, 900]))
+    if bits:
+        with mp.workprec(3000):
+            th = mpmath.cbrt(n)
+            rest = _mpq(q1) * th + _mpq(q2) * th * th
+            q0 = draw(st.integers(-2, 2)) - Fraction(int(mpmath.floor(rest * 2 ** bits)), 1 << bits)
+    return n, (q0, q1, q2)
+
+
+def _mpq(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cubic())
+def test_cubic_sign_and_floor_against_3000_bits(case):
+    n, coeffs = case
+    x = field_make(n, 3).element(coeffs)
+    assume(not x.is_rational)
+    with mp.workprec(3000):
+        th = mpmath.cbrt(n)
+        val = _mpq(coeffs[0]) + _mpq(coeffs[1]) * th + _mpq(coeffs[2]) * th * th
+        floor = int(mpmath.floor(val))
+        assume(min(val - floor, floor + 1 - val) >= mpmath.mpf(2) ** -2000)
+        sign = 1 if val > 0 else -1
+    assert x.sign() == sign
+    assert x.floor() == floor

@@ -44,6 +44,24 @@ def test_erdos_params_irrational_lower_bound():
     assert c > 0 and F.rational(c) <= exact
 
 
+def test_erdos_params_c_is_a_lower_bound_for_every_quadratic_lambda():
+    # lambda = s sqrt(n): a c rounded to nearest exceeded the exact
+    # constant in 655 of these 1,308 cases
+    cases = 0
+    for n in range(2, 120):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        F = field_make(n, 2)
+        for s in (1, Fraction(3, 2), 2, 3):
+            lam = s * F.theta()
+            for m in (1, 2, 3):
+                _, c = erdos_params(lam, m)
+                exact = (lam - 1) ** 2 / (20 * (m + 2) ** 2 * lam ** 3)
+                assert c > 0 and F.rational(c) <= exact, (n, s, m)
+                cases += 1
+    assert cases == 1308
+
+
 def test_admissibility_check():
     adm = check_admissibility(2, 1, 3, Fraction(1, 1440))
     assert adm == {"base": True, "induction": True}
@@ -125,3 +143,17 @@ def test_verify_detects_tampering():
 def test_construction_rejects_bad_lambda():
     with pytest.raises(InvalidLambda):
         erdos_construct(Fraction(1, 2), [0], 1)
+
+
+@pytest.mark.parametrize("n, targets, depth", [
+    (3, [0, Fraction(1, 2)], 23),
+    (3, [Fraction(1, 5)], 22),
+    (5, [Fraction(2, 5), Fraction(4, 5)], 24),
+])
+def test_deep_quadratic_certificates(n, targets, depth):
+    # floors of endpoints above 2^53 went wrong here: the construction ran
+    # for seconds or longer through wrong k-ranges
+    cert = erdos_construct(field_make(n, 2).theta(), targets, depth)
+    rep = erdos_verify(cert)
+    assert rep.certified and rep.structure_ok
+    assert cert.depth == depth

@@ -7,11 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from gen_instances import instance_batch
 from refinable.errors import DescriptorMismatch, ZeroPolynomial
-from refinable.exactreal import QQ, field_make
-from refinable.qtrig import BinomialDivisionWitness, QTrigPoly, combine, geometric
+from refinable.exactreal import QQ, _iv_prec, field_make
+from refinable.qtrig import (
+    BinomialDivisionWitness,
+    QTrigPoly,
+    _unit_exponential,
+    combine,
+    geometric,
+)
 from refinable.refinery import _prepare
 
 
@@ -319,3 +326,17 @@ def test_to_text(F10):
     th = F10.theta()
     P = QTrigPoly(F10, {F10.zero(): Fraction(1, 10), th / 2: Fraction(-1, 2)})
     assert P.to_text() == "1/10*E(0) - 1/2*E(1/2*t)"
+
+
+@pytest.mark.parametrize("prec", [53, 80, 200, 1000])
+def test_unit_exponential_matches_interval_cos_and_sin(prec):
+    # the reference: separate iv.cos and iv.sin, bit for bit
+    rng = random.Random(prec)
+    with _iv_prec(prec):
+        for _ in range(200):
+            a = rng.uniform(-50, 50)
+            x = iv.mpf([a, a + rng.choice([0, 1e-9, 0.3, 2.0])])
+            ang = 2 * iv.pi * x
+            got = _unit_exponential(x)
+            assert got.re._mpi_ == iv.cos(ang)._mpi_
+            assert got.im._mpi_ == (-iv.sin(ang))._mpi_
