@@ -229,6 +229,9 @@ def _coerce_pair(a: "FieldElement", b) -> tuple["FieldElement", "FieldElement"]:
     raise TypeError(f"cannot combine FieldElement with {type(b).__name__}")
 
 
+_RATIONAL_TYPES = frozenset((int, bool, Fraction))
+
+
 class FieldElement:
     """An element q_0 + q_1 theta + ... + q_{k-1} theta^{k-1} of Q(theta)."""
 
@@ -289,7 +292,17 @@ class FieldElement:
 
     # -- arithmetic -------------------------------------------------------
 
+    # An int, bool or Fraction operand acts on the coordinates directly:
+    # the result equals the one through ``desc.rational(other)``,
+    # coordinate for coordinate, without building the lifted element.
+    # The exact type test keeps the FieldElement-operand path free of the
+    # ABC instance check that ``isinstance(other, Fraction)`` makes; other
+    # int or Fraction subclasses still go through ``_coerce_pair``.
+
     def __add__(self, other) -> "FieldElement":
+        if type(other) in _RATIONAL_TYPES:
+            cs = self.coeffs
+            return FieldElement(self.desc, (cs[0] + other, *cs[1:]))
         a, b = _coerce_pair(self, other)
         return FieldElement(a.desc, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -299,13 +312,21 @@ class FieldElement:
         return FieldElement(self.desc, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other) -> "FieldElement":
+        if type(other) in _RATIONAL_TYPES:
+            cs = self.coeffs
+            return FieldElement(self.desc, (cs[0] - other, *cs[1:]))
         a, b = _coerce_pair(self, other)
         return FieldElement(a.desc, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other) -> "FieldElement":
+        if type(other) in _RATIONAL_TYPES:
+            cs = self.coeffs
+            return FieldElement(self.desc, (other - cs[0], *(-x for x in cs[1:])))
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "FieldElement":
+        if type(other) in _RATIONAL_TYPES:
+            return FieldElement(self.desc, tuple(x * other for x in self.coeffs))
         a, b = _coerce_pair(self, other)
         k, n = a.desc.k, a.desc.n
         if k == 1:
@@ -454,20 +475,16 @@ class FieldElement:
     # -- order ----------------------------------------------------------
 
     def __lt__(self, other) -> bool:
-        a, b = _coerce_pair(self, other)
-        return (a - b).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        a, b = _coerce_pair(self, other)
-        return (a - b).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        a, b = _coerce_pair(self, other)
-        return (a - b).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other) -> bool:
-        a, b = _coerce_pair(self, other)
-        return (a - b).sign() >= 0
+        return (self - other).sign() >= 0
 
     # -- text form --------------------------------------------------------
 

@@ -204,24 +204,30 @@ class ErdosCertificate:
 
 
 def _removed_intervals(lo: FieldElement, hi: FieldElement,
-                       scale: FieldElement, targets: Sequence[Fraction],
+                       scale: FieldElement, scale_inv: FieldElement,
+                       targets: Sequence[Fraction],
                        c: Fraction) -> list[tuple[FieldElement, FieldElement]]:
-    """Open intervals ((k + r - c)/scale_inv ...) of the form
-    (k + r - c) * scale < x < (k + r + c) * scale intersecting [lo, hi].
+    """The open intervals ((k + r - c) * scale, (k + r + c) * scale), for
+    each target r and integer k, that meet [lo, hi]; by target, then by
+    increasing k.
 
-    ``scale`` multiplies the residue lattice, i.e. the removed set is
-    { (k + r +/- c) * scale }.
+    ``scale`` > 0 and ``scale_inv`` = 1/scale.  In the coordinate
+    y = x * scale_inv the interval for k is (k + r - c, k + r + c) and
+    [lo, hi] is [Lo, Hi] = [lo * scale_inv, hi * scale_inv].  Scaling by
+    a positive number keeps order, so the filter b > lo and a < hi reads
+    k + r + c > Lo and k + r - c < Hi, i.e.
+
+        floor(Lo - r - c) + 1  <=  k  <=  ceil(Hi - r + c) - 1.
+
+    Two floors per target decide the range; no k needs a comparison.
     """
     out = []
+    lo_s, hi_s = lo * scale_inv, hi * scale_inv
     for r in targets:
-        # k range:  (k + r + c) scale > lo  and  (k + r - c) scale < hi
-        k_lo = ((lo / scale) - r - c).floor()
-        k_hi = ((hi / scale) - r + c).floor() + 1
-        for k in range(k_lo, k_hi + 1):
-            a = (k + r - c) * scale
-            b = (k + r + c) * scale
-            if b > lo and a < hi:
-                out.append((a, b))
+        k_first = (lo_s - r - c).floor() + 1
+        k_last = -(r - c - hi_s).floor() - 1  # ceil(y) = -floor(-y)
+        for k in range(k_first, k_last + 1):
+            out.append(((k + r - c) * scale, (k + r + c) * scale))
     return out
 
 
@@ -241,7 +247,7 @@ def _gaps(lo: FieldElement, hi: FieldElement,
             break
     if cur < hi:
         gaps.append((cur, hi))
-    return [(a, b) for a, b in gaps if b >= a]
+    return gaps
 
 
 def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
@@ -272,9 +278,10 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
     one = desc.one()
     zero = desc.zero()
     ell0 = _sqrt_lower_bound(2 * lam_e * c)
+    lam_inv = lam_e.inverse()  # the construction's only field inverse
 
     # base: remove lambda * S_c from (0, 1)
-    removed = _removed_intervals(zero, one, lam_e, targets_q, c)
+    removed = _removed_intervals(zero, one, lam_e, lam_inv, targets_q, c)
     ell = desc.rational(ell0)
     base = None
     for a, b in _gaps(zero, one, removed):
@@ -295,15 +302,17 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
 
     intervals = [base]
     cur = base
-    lam_pow = desc.one()  # lambda^n tracker, n = gM at loop entry
+    lam_pow = one  # lambda^n, n = gM at loop entry
+    lam_neg_pow = one  # lambda^(-n): the removed set is S_c lambda^(-n)
+    lam_inv_g = lam_inv ** g
     for M in range(depth):
         removed = []
         for _n in range(g * M, g * (M + 1)):
-            scale = desc.one() / lam_pow  # lambda^(-n): S_c lambda^(-n)
-            removed.extend(_removed_intervals(cur[0], cur[1], scale,
-                                              targets_q, c))
+            removed.extend(_removed_intervals(cur[0], cur[1], lam_neg_pow,
+                                              lam_pow, targets_q, c))
             lam_pow = lam_pow * lam_e
-        ell = ell / lam_e ** g
+            lam_neg_pow = lam_neg_pow * lam_inv
+        ell = ell * lam_inv_g
         chosen = None
         for a, b in _gaps(cur[0], cur[1], removed):
             if (b - a) >= ell:

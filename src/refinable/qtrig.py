@@ -103,10 +103,12 @@ class QTrigPoly:
 
     Immutable after construction.  Terms are kept sorted by the real
     value of the exponent (an exact comparison; ties are impossible
-    because exponents are pairwise distinct field elements).
+    because exponents are pairwise distinct field elements).  The first
+    ``eval_ball`` fills a cache of the term enclosures per working
+    precision; a poly never evaluated keeps it ``None``.
     """
 
-    __slots__ = ("desc", "terms", "_sorted")
+    __slots__ = ("desc", "terms", "_sorted", "_ball_cache")
 
     def __init__(self, desc: FieldDescriptor,
                  terms: Mapping[FieldElement, Fraction]):
@@ -122,6 +124,7 @@ class QTrigPoly:
         self.desc = desc
         self.terms = {d: c for d, c in clean.items() if c != 0}
         self._sorted: Optional[tuple[FieldElement, ...]] = None
+        self._ball_cache: Optional[dict[int, tuple]] = None
 
     @staticmethod
     def _from_clean(desc: FieldDescriptor,
@@ -132,6 +135,7 @@ class QTrigPoly:
         out.desc = desc
         out.terms = terms
         out._sorted = None
+        out._ball_cache = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -239,31 +243,49 @@ class QTrigPoly:
         ``w`` may be an exact real (int, Fraction, FieldElement), a float
         (taken exactly as a dyadic rational), a complex number, or an
         (re, im) pair of exact reals.
+
+        The exponent and coefficient enclosures and the sum of
+        |coefficients| depend only on the working precision, so they are
+        computed once per precision and kept on the poly; every call
+        still does the same interval operations in the same order.
         """
         re_w, im_w = _split_input(w, self.desc)
         target = None
         wp = prec + 16
         while True:
             with _iv_prec(wp):
+                terms, coeff_mag = self._term_balls(wp)
                 acc = ComplexBall.exact()
-                mag = iv.mpf(0)
                 u = _to_ball(re_w)
                 v = _to_ball(im_w) if im_w is not None else None
-                for d, c in self.terms.items():
-                    db = d.ball(wp) if isinstance(d, FieldElement) else _iv_fraction(d)
+                mag = coeff_mag if v is None else iv.mpf(0)
+                for db, cf in terms:
                     term = _unit_exponential(db * u)
-                    cf = _iv_fraction(c)
                     if v is not None:
                         growth = iv.exp(2 * iv.pi * db * v)
                         term = ComplexBall(term.re * growth, term.im * growth)
                         mag += abs(cf) * growth.b
-                    else:
-                        mag += abs(cf)
                     acc = acc + ComplexBall(term.re * cf, term.im * cf)
                 target = max(1.0, float(mag.b)) * 2.0 ** (1 - prec)
                 if acc.radius() <= target or wp > prec + 4096:
                     return acc
             wp *= 2
+
+    def _term_balls(self, wp: int):
+        """(((exponent ball, coefficient ball), ...), sum of |coefficient
+        balls|) at precision ``wp``, which must be ``iv.prec``; cached per
+        ``wp``."""
+        cache = self._ball_cache
+        if cache is None:
+            cache = self._ball_cache = {}
+        hit = cache.get(wp)
+        if hit is None:
+            terms = tuple((d.ball(wp), _iv_fraction(c)) for d, c in self.terms.items())
+            mag = iv.mpf(0)
+            for _, cf in terms:
+                mag += abs(cf)
+            hit = cache[wp] = (terms, mag)
+        return hit
 
     def eval_f64(self, w: np.ndarray) -> np.ndarray:
         """Fast float path: values at an array of real points.

@@ -245,10 +245,6 @@ class GridFunction:
     def integral(self) -> float:
         return float(_trapz(self.samples, dx=self.h))
 
-    def sup_distance(self, other: "GridFunction") -> float:
-        """Max abs difference, sampled on this function's grid."""
-        return float(np.max(np.abs(self.samples - other(self.x))))
-
     def to_csv(self, path: Optional[str] = None) -> str:
         """The samples as CSV text (a header comment, then "x,f" rows),
         also written to ``path`` when one is given."""

@@ -286,3 +286,34 @@ def test_cubic_sign_and_floor_against_3000_bits(case):
         sign = 1 if val > 0 else -1
     assert x.sign() == sign
     assert x.floor() == floor
+
+
+_small = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+_rational_operand = st.one_of(
+    st.integers(-40, 40), _small, st.booleans(), st.just(0), st.just(Fraction(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 1), (10, 2), (7, 3)]),
+       st.lists(_small, min_size=3, max_size=3), _rational_operand)
+def test_rational_operands_match_the_lifted_form(nk, coords, q):
+    desc = field_make(*nk)
+    x = desc.element(coords[:desc.k])
+    lifted = desc.rational(q)
+    pairs = [
+        (x + q, x + lifted), (q + x, lifted + x),
+        (x - q, x - lifted), (q - x, lifted - x),
+        (x * q, x * lifted), (q * x, lifted * x),
+    ]
+    if q:
+        pairs.append((x / q, x / lifted))
+    for got, want in pairs:
+        assert got.desc is desc
+        assert got.coeffs == want.coeffs and got == want
+        assert hash(got) == hash(want)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(x, op)(q) == getattr(x, op)(lifted)
+    if not q:
+        with pytest.raises(DivisionByZero):
+            x / q

@@ -1,14 +1,19 @@
 """Orbit avoidance certificates: parameters, construction, verification."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refinable.errors import InvalidLambda
-from refinable.exactreal import field_make
+from refinable.exactreal import QQ, FieldElement, field_make
 from refinable.powermod import (
     ErdosCertificate,
+    _removed_intervals,
     check_admissibility,
     dist_to_int,
     erdos_construct,
@@ -157,3 +162,113 @@ def test_deep_quadratic_certificates(n, targets, depth):
     rep = erdos_verify(cert)
     assert rep.certified and rep.structure_ok
     assert cert.depth == depth
+
+
+# -- interval removal --------------------------------------------------------
+
+
+def _removed_intervals_by_division(lo, hi, scale, targets, c):
+    """The division-based removal the construction used before: every k
+    from floor(lo/scale - r - c) to floor(hi/scale - r + c) + 1, filtered
+    by b > lo and a < hi."""
+    out = []
+    for r in targets:
+        k_lo = ((lo / scale) - r - c).floor()
+        k_hi = ((hi / scale) - r + c).floor() + 1
+        for k in range(k_lo, k_hi + 1):
+            a = (k + r - c) * scale
+            b = (k + r + c) * scale
+            if b > lo and a < hi:
+                out.append((a, b))
+    return out
+
+
+_NON_SQUARES = [n for n in range(2, 145) if math.isqrt(n) ** 2 != n]
+
+
+def _fraction(draw, lo, hi, den):
+    """A fraction p/q in [lo, hi] with q <= den."""
+    q = draw(st.integers(1, den))
+    return Fraction(draw(st.integers(math.ceil(lo * q), math.floor(hi * q))), q)
+
+
+@st.composite
+def _removal_case(draw):
+    if draw(st.booleans()):
+        lam = QQ.rational(_fraction(draw, Fraction(1001, 1000), 12, 50))
+    else:
+        lam = field_make(draw(st.sampled_from(_NON_SQUARES)), 2).theta()
+    targets = sorted({_fraction(draw, 0, Fraction(4, 5), 5)
+                      for _ in range(draw(st.integers(1, 3)))})
+    _, c = erdos_params(lam, len(targets))
+    # the removed set is S_c * lambda^(-n); n = -1 is the base step's lambda * S_c
+    n = draw(st.integers(-1, 30))
+    scale = lam ** -n
+    # lo in (0, 1), irrational when lambda is: a convex combination of a
+    # rational and frac(lambda); [lo, hi] spans at most 20 lattice periods
+    w = _fraction(draw, 0, 1, 100)
+    lo = _fraction(draw, 0, 1, 1000) * (1 - w) + w * (lam - lam.floor())
+    hi = lo + _fraction(draw, 0, 20, 1000) * scale
+    assume(lo > 0 and hi < 1 and lo < hi)
+    return lo, hi, scale, targets, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_removal_case())
+def test_removed_intervals_match_the_division_reference(case):
+    lo, hi, scale, targets, c = case
+    got = _removed_intervals(lo, hi, scale, scale.inverse(), targets, c)
+    want = _removed_intervals_by_division(lo, hi, scale, targets, c)
+    assert got == want
+    assert [(a.coeffs, b.coeffs) for a, b in got] == \
+        [(a.coeffs, b.coeffs) for a, b in want]
+
+
+def test_construction_inverts_a_bounded_number_of_times(monkeypatch):
+    inverse = FieldElement.inverse
+    calls = [0]
+
+    def counting(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    counts = {}
+    for depth in (2, 20):
+        calls[0] = 0
+        erdos_construct(field_make(3, 2).theta(), [0, Fraction(1, 2)], depth)
+        counts[depth] = calls[0]
+    # one for erdos_params' c, one for lambda^-1
+    assert counts[20] == counts[2] <= 2
+
+
+_GOLDEN_TASKS = [
+    (2, [0], 8),
+    (3, [0, Fraction(1, 2)], 10),
+    (Fraction(5, 2), [Fraction(1, 3)], 8),
+    (Fraction(7, 3), [0, Fraction(1, 2)], 6),
+    (10, [Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)], 6),
+    ((3, 2, 1), [0, Fraction(1, 2)], 23),
+    ((3, 2, 1), [Fraction(1, 5)], 22),
+    ((5, 2, 1), [Fraction(2, 5), Fraction(4, 5)], 24),
+    ((2, 2, 1), [0], 20),
+    ((7, 2, 1), [Fraction(1, 3), Fraction(2, 3)], 20),
+    ((10, 2, Fraction(3, 2)), [Fraction(1, 4)], 20),
+    ((10, 3, 1), [0, Fraction(1, 3)], 10),
+]
+
+
+def test_erdos_certificates_golden():
+    # (n, k, s) stands for lambda = s * n^(1/k)
+    h = hashlib.sha256()
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        cert = erdos_construct(lam, targets, depth)
+        rep = erdos_verify(cert)
+        assert rep.certified
+        h.update(cert.to_json().encode())
+        h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "1ccef206209297d6f6c43ca9f4217af377712e12ff286e7782956e427134c82b"

@@ -11,10 +11,13 @@ from mpmath import iv
 
 from gen_instances import instance_batch
 from refinable.errors import DescriptorMismatch, ZeroPolynomial
-from refinable.exactreal import QQ, _iv_prec, field_make
+from refinable.exactreal import QQ, _iv_fraction, _iv_prec, field_make
 from refinable.qtrig import (
     BinomialDivisionWitness,
+    ComplexBall,
     QTrigPoly,
+    _split_input,
+    _to_ball,
     _unit_exponential,
     combine,
     geometric,
@@ -340,3 +343,86 @@ def test_unit_exponential_matches_interval_cos_and_sin(prec):
             got = _unit_exponential(x)
             assert got.re._mpi_ == iv.cos(ang)._mpi_
             assert got.im._mpi_ == (-iv.sin(ang))._mpi_
+
+
+def _eval_ball_uncached(P, w, prec):
+    """``eval_ball`` without the per-precision cache: every exponent and
+    coefficient is enclosed again on every call."""
+    re_w, im_w = _split_input(w, P.desc)
+    wp = prec + 16
+    while True:
+        with _iv_prec(wp):
+            acc = ComplexBall.exact()
+            mag = iv.mpf(0)
+            u = _to_ball(re_w)
+            v = _to_ball(im_w) if im_w is not None else None
+            for d, c in P.terms.items():
+                db = d.ball(wp)
+                term = _unit_exponential(db * u)
+                cf = _iv_fraction(c)
+                if v is not None:
+                    growth = iv.exp(2 * iv.pi * db * v)
+                    term = ComplexBall(term.re * growth, term.im * growth)
+                    mag += abs(cf) * growth.b
+                else:
+                    mag += abs(cf)
+                acc = acc + ComplexBall(term.re * cf, term.im * cf)
+            target = max(1.0, float(mag.b)) * 2.0 ** (1 - prec)
+            if acc.radius() <= target or wp > prec + 4096:
+                return acc
+        wp *= 2
+
+
+def _endpoints(ball):
+    return ball.re._mpi_, ball.im._mpi_
+
+
+def test_eval_ball_cache_is_bit_identical(F10, counterexample_mask):
+    th = F10.theta()
+    # real rational and irrational points, a point 10^20 periods out (the
+    # first working precision is too short there and escalates), a
+    # complex float and an exact (re, im) pair
+    points = [Fraction(3, 7), th / 3 + 5, 10 ** 20 * th + Fraction(1, 3),
+              0.3 + 0.7j, (th, Fraction(-1, 5))]
+    warm = QTrigPoly(F10, counterexample_mask.terms)
+    for w in (Fraction(1, 9), th, 0.1 - 0.2j):
+        for prec in (40, 64, 200):
+            warm.eval_ball(w, prec)
+    for w in points:
+        for prec in (48, 64, 120):
+            want = _endpoints(_eval_ball_uncached(counterexample_mask, w, prec))
+            fresh = QTrigPoly(F10, counterexample_mask.terms)
+            assert _endpoints(fresh.eval_ball(w, prec)) == want
+            assert _endpoints(warm.eval_ball(w, prec)) == want
+    escalated = QTrigPoly(F10, counterexample_mask.terms)
+    escalated.eval_ball(points[2], 64)
+    assert len(escalated._ball_cache) > 1
+
+
+def test_eval_ball_same_for_every_way_of_building(F10, counterexample_mask):
+    P = counterexample_mask
+    built = [
+        QTrigPoly(F10, P.terms),
+        P * QTrigPoly.constant(F10),
+        P.shift(0),
+        P.scale(1),
+    ]
+    assert all(Q.terms == P.terms and list(Q.terms) == list(P.terms) for Q in built)
+    for w in (Fraction(2, 5), F10.theta() / 7, 0.25 + 0.5j):
+        want = _endpoints(_eval_ball_uncached(P, w, 64))
+        for Q in built:
+            assert _endpoints(Q.eval_ball(w, 64)) == want
+
+
+def test_eval_ball_cache_stays_empty_until_evaluated(F10):
+    th = F10.theta()
+    P = QTrigPoly(F10, {F10.zero(): 1, th / 2: Fraction(2, 3)})
+    Q = QTrigPoly.binomial(F10, th)
+    made = [P, Q, P * Q, P + Q, -P, P.scale(3), P.shift(th),
+            (P * Q).divide_binomial(th), geometric(F10, 3, th),
+            QTrigPoly.zero(F10), QTrigPoly.constant(F10),
+            QTrigPoly.monomial(F10, th)]
+    assert all(R._ball_cache is None for R in made)
+    P.eval_ball(Fraction(1, 3), 64)
+    assert set(P._ball_cache) == {80}
+    assert all(R._ball_cache is None for R in made[1:])
