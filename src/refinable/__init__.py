@@ -21,10 +21,8 @@ from .errors import (
 )
 from .exactreal import (
     QQ,
-    Classification,
     FieldDescriptor,
     FieldElement,
-    classify,
     field_make,
     int_ratio,
     parse_element,

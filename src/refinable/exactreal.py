@@ -1,38 +1,48 @@
 """Exact arithmetic in the real field Q(theta), theta the positive real
 k-th root of an integer n >= 2.
 
-Elements are stored as coordinate vectors (q_0, ..., q_{k-1}) of exact
-rationals with respect to the power basis 1, theta, ..., theta^{k-1};
-multiplication reduces via theta^k = n.  The representation is unique
+An element x = q_0 + q_1 theta + ... + q_{k-1} theta^{k-1} is stored as
+integer numerators (N_0, ..., N_{k-1}) over one common denominator D,
+x = (sum_j N_j theta^j) / D, in the canonical form D > 0 and
+gcd(N_0, ..., N_{k-1}, D) = 1 (the layout of FLINT's ``nf_elem``).
+Multiplication reduces via theta^k = n.  The power basis is a basis
 because x^k - n is kept irreducible (n must not be a perfect p-th power
-for any prime p dividing k), so zero tests, equality, rationality and
-integrality are decided exactly from the coordinates and never
-numerically.
+for any prime p dividing k), so together with the canonical form every
+element has exactly one (N, D): zero tests, equality, rationality and
+integrality compare integers and are never numerical.
+
+Sums and products are formed as ``fractions.Fraction`` forms them, one
+coordinate vector at a time: a sum brings both operands to the lcm of
+their denominators, and a product cancels the gcd of each numerator
+vector with the other denominator before it multiplies, so the only
+gcds taken are against a denominator.  The per-coordinate rationals
+q_j = N_j / D are available as ``coeffs`` (built on first use).
 
 Sign and floor of an irrational element are decided with integer
-arithmetic only: the coordinates are cleared to one denominator D, so
-x * D = sum_j N_j theta^j with integers N_j, and each theta^j * 2^p is
-enclosed between floor(theta^j * 2^p) and that plus one (an integer
-k-th root).  The directed sums give integers lo <= x * D * 2^p <= hi of
-width at most sum_j |N_j|, while |x| * D * 2^p doubles with p; p starts
-at 64 and doubles until the enclosure decides.  Zero and rational
-elements are decided from the coordinates, so the loop always ends.
+arithmetic only.  Each theta^j * 2^p is enclosed between
+floor(theta^j * 2^p) and that plus one (an integer k-th root).  The
+directed sums give integers lo <= x * D * 2^p <= hi of width at most
+sum_j |N_j|, while |x| * D * 2^p doubles with p; p starts at 64 and
+doubles until the enclosure decides.  Zero and rational elements are
+decided from N_0 and D, so the loop always ends.
 
 Values are immutable; every operation is a pure function.  The float
 and complex values a caller asks for (``ball``, ``approx``, ``float``)
-come from mpmath interval arithmetic, which temporarily adjusts the
-process-global mpmath interval precision; enclosures stay valid under
-concurrent precision changes (outward rounding is
-precision-independent), only their width is affected.
+come from mpmath interval arithmetic on the coordinates q_j, which
+temporarily adjusts the process-global mpmath interval precision;
+enclosures stay valid under concurrent precision changes (outward
+rounding is precision-independent), only their width is affected.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 import mpmath
@@ -112,7 +122,7 @@ class FieldDescriptor:
     For k = 1 the field is Q itself and the radicand plays no role.
     """
 
-    __slots__ = ("n", "k", "_theta_cache", "_power_bounds")
+    __slots__ = ("n", "k", "_zeros", "_theta_f64", "_theta_cache", "_power_bounds")
 
     def __init__(self, n: int, k: int):
         if k < 1:
@@ -127,6 +137,8 @@ class FieldDescriptor:
                 )
         self.n = n
         self.k = k
+        self._zeros = (0,) * (k - 1)
+        self._theta_f64 = tuple(n ** (j / k) for j in range(1, k))
         self._theta_cache: dict[int, object] = {}
         self._power_bounds: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -183,14 +195,20 @@ class FieldDescriptor:
     # -- element constructors ------------------------------------------
 
     def element(self, coeffs: Sequence[RationalLike]) -> "FieldElement":
+        """The element sum_j coeffs[j] * theta^j (missing coordinates 0)."""
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.k:
             raise ValueError(f"expected at most {self.k} coordinates")
-        cs += [Fraction(0)] * (self.k - len(cs))
-        return FieldElement(self, tuple(cs))
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*(c.denominator for c in cs))
+        num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        return FieldElement(self, num + (0,) * (self.k - len(num)), den)
 
     def rational(self, q: RationalLike) -> "FieldElement":
-        return self.element([Fraction(q)])
+        if type(q) is not int:
+            q = Fraction(q)
+            return FieldElement(self, (q.numerator, *self._zeros), q.denominator)
+        return FieldElement(self, (q, *self._zeros), 1)
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -214,15 +232,27 @@ def field_make(n: int, k: int) -> FieldDescriptor:
 QQ = field_make(2, 1)
 
 
+def _canonical(desc: FieldDescriptor, num, den: int) -> "FieldElement":
+    """The element num / den for integers num (length k) and den != 0."""
+    if den < 0:
+        num = [-x for x in num]
+        den = -den
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return FieldElement(desc, tuple(num), den)
+
+
 def _coerce_pair(a: "FieldElement", b) -> tuple["FieldElement", "FieldElement"]:
     """Lift rationals / degree-1 elements into the richer field."""
     if isinstance(b, FieldElement):
-        if a.desc == b.desc:
+        if a.desc is b.desc or a.desc == b.desc:
             return a, b
         if b.desc.is_rational_field:
-            return a, a.desc.rational(b.coeffs[0])
+            return a, FieldElement(a.desc, (b.num[0], *a.desc._zeros), b.den)
         if a.desc.is_rational_field:
-            return b.desc.rational(a.coeffs[0]), b
+            return FieldElement(b.desc, (a.num[0], *b.desc._zeros), a.den), b
         raise DescriptorMismatch(f"cannot mix {a.desc} and {b.desc}")
     if isinstance(b, (int, Fraction)):
         return a, a.desc.rational(b)
@@ -233,28 +263,48 @@ _RATIONAL_TYPES = frozenset((int, bool, Fraction))
 
 
 class FieldElement:
-    """An element q_0 + q_1 theta + ... + q_{k-1} theta^{k-1} of Q(theta)."""
+    """An element (N_0 + N_1 theta + ... + N_{k-1} theta^{k-1}) / D of
+    Q(theta).
 
-    __slots__ = ("desc", "coeffs", "_hash")
+    ``num`` is the tuple of integers N_j and ``den`` the integer D, in the
+    canonical form D > 0 and gcd(N_0, ..., N_{k-1}, D) = 1, so equal
+    elements of one field have equal ``num`` and ``den``; zero is
+    ((0, ..., 0), 1).  The constructor takes that form as given: build
+    elements through ``FieldDescriptor.element``/``rational`` or
+    arithmetic.  ``coeffs`` is the read-only tuple of coordinates
+    q_j = N_j / D as ``Fraction``s.
+    """
 
-    def __init__(self, desc: FieldDescriptor, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("desc", "num", "den", "_coeffs", "_hash")
+
+    def __init__(self, desc: FieldDescriptor, num: tuple[int, ...], den: int):
         self.desc = desc
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._coeffs: Optional[tuple[Fraction, ...]] = None
         self._hash: Optional[int] = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = self._coeffs = tuple(Fraction(x, den) for x in self.num)
+        return cs
 
     # -- exact structure ------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     @property
     def is_integer(self) -> bool:
-        return self.is_rational and self.coeffs[0].denominator == 1
+        return self.den == 1 and not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -262,131 +312,199 @@ class FieldElement:
         return self.coeffs[0]
 
     def as_integer(self) -> int:
-        q = self.as_fraction()
-        if q.denominator != 1:
+        if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return q.numerator
+        return self.num[0]
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
+        if type(other) is FieldElement and other.desc is self.desc:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            # an int has denominator 1; both sides are in lowest terms
+            return (not any(self.num[1:]) and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, FieldElement):
             return NotImplemented
         try:
             a, b = _coerce_pair(self, other)
         except DescriptorMismatch:
             return False
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self.is_rational:
-                h = hash(self.coeffs[0])
+        h = self._hash
+        if h is None:
+            num = self.num
+            if any(num[1:]):
+                h = hash((num, self.den))
             else:
-                h = hash((self.desc, self.coeffs))
+                h = _rational_hash(num[0], self.den)
             self._hash = h
-        return self._hash
+        return h
 
     # -- arithmetic -------------------------------------------------------
 
-    # An int, bool or Fraction operand acts on the coordinates directly:
-    # the result equals the one through ``desc.rational(other)``,
-    # coordinate for coordinate, without building the lifted element.
-    # The exact type test keeps the FieldElement-operand path free of the
-    # ABC instance check that ``isinstance(other, Fraction)`` makes; other
-    # int or Fraction subclasses still go through ``_coerce_pair``.
+    # An int, bool or Fraction operand acts on the numerators directly: the
+    # result equals the one through ``desc.rational(other)`` without
+    # building the lifted element.  The exact type test keeps the
+    # FieldElement-operand path free of the ABC instance check that
+    # ``isinstance(other, Fraction)`` makes; other int or Fraction
+    # subclasses still go through ``_coerce_pair``.
+
+    def _add_rational(self, p: int, q: int) -> "FieldElement":
+        """self + p/q for p/q in lowest terms, q > 0."""
+        num, den = self.num, self.den
+        if q == 1:
+            # no prime of den divides every numerator: still canonical
+            return FieldElement(self.desc, (num[0] + p * den, *num[1:]), den)
+        return FieldElement(self.desc, *_sum(num, den, (p, *self.desc._zeros), q))
+
+    def _mul_rational(self, p: int, q: int) -> "FieldElement":
+        """self * p/q for p/q in lowest terms, q > 0."""
+        num, den = self.num, self.den
+        g = gcd(q, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            q //= g
+        g = gcd(den, p)
+        if g != 1:
+            p //= g
+            den //= g
+        return FieldElement(self.desc, tuple([x * p for x in num]), den * q)
 
     def __add__(self, other) -> "FieldElement":
-        if type(other) in _RATIONAL_TYPES:
-            cs = self.coeffs
-            return FieldElement(self.desc, (cs[0] + other, *cs[1:]))
-        a, b = _coerce_pair(self, other)
-        return FieldElement(a.desc, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a = self
+        if type(other) is not FieldElement or other.desc is not a.desc:
+            if type(other) in _RATIONAL_TYPES:
+                return a._add_rational(other.numerator, other.denominator)
+            a, other = _coerce_pair(a, other)
+        return FieldElement(a.desc, *_sum(a.num, a.den, other.num, other.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.desc, tuple(-x for x in self.coeffs))
+        return FieldElement(self.desc, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other) -> "FieldElement":
-        if type(other) in _RATIONAL_TYPES:
-            cs = self.coeffs
-            return FieldElement(self.desc, (cs[0] - other, *cs[1:]))
-        a, b = _coerce_pair(self, other)
-        return FieldElement(a.desc, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        a = self
+        if type(other) is not FieldElement or other.desc is not a.desc:
+            if type(other) in _RATIONAL_TYPES:
+                return a._add_rational(-other.numerator, other.denominator)
+            a, other = _coerce_pair(a, other)
+        return FieldElement(a.desc, *_sum(a.num, a.den,
+                                          [-x for x in other.num], other.den))
 
     def __rsub__(self, other) -> "FieldElement":
         if type(other) in _RATIONAL_TYPES:
-            cs = self.coeffs
-            return FieldElement(self.desc, (other - cs[0], *(-x for x in cs[1:])))
+            return (-self)._add_rational(other.numerator, other.denominator)
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "FieldElement":
-        if type(other) in _RATIONAL_TYPES:
-            return FieldElement(self.desc, tuple(x * other for x in self.coeffs))
-        a, b = _coerce_pair(self, other)
-        k, n = a.desc.k, a.desc.n
+        a = self
+        if type(other) is not FieldElement or other.desc is not a.desc:
+            if type(other) in _RATIONAL_TYPES:
+                return a._mul_rational(other.numerator, other.denominator)
+            a, other = _coerce_pair(a, other)
+        desc = a.desc
+        an, ad, bn, bd = a.num, a.den, other.num, other.den
+        if other is not a:
+            # cancel across the operands first, as Fraction._mul does
+            g = gcd(bd, *an)
+            if g != 1:
+                an = [x // g for x in an]
+                bd //= g
+            g = gcd(ad, *bn)
+            if g != 1:
+                bn = [x // g for x in bn]
+                ad //= g
+        den = ad * bd
+        k = desc.k
         if k == 1:
-            return FieldElement(a.desc, (a.coeffs[0] * b.coeffs[0],))
-        # convolve, then fold theta^(k+j) = n * theta^j
-        out = [Fraction(0)] * k
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                t = i + j
-                if t < k:
-                    out[t] += x * y
-                else:
-                    out[t - k] += n * x * y
-        return FieldElement(a.desc, tuple(out))
+            return FieldElement(desc, (an[0] * bn[0],), den)
+        if k == 2:
+            a0, a1 = an
+            b0, b1 = bn
+            if not a1 or not b1:
+                # a rational factor keeps the cancelled form canonical
+                return FieldElement(desc, (a0 * b0, a0 * b1 + a1 * b0), den)
+            num = [a0 * b0 + desc.n * a1 * b1, a0 * b1 + a1 * b0]
+        else:
+            # convolve, then fold theta^(k+j) = n * theta^j
+            num = [0] * (2 * k - 1)
+            for i, x in enumerate(an):
+                if x:
+                    for j, y in enumerate(bn):
+                        if y:
+                            num[i + j] += x * y
+            n = desc.n
+            num = [x + n * y for x, y in zip(num, num[k:])] + [num[k - 1]]
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        return FieldElement(desc, tuple(num), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse, via the k x k multiplication matrix."""
-        if self.is_zero:
+        """Multiplicative inverse: D / N(theta) with N(theta)^-1 from the
+        integer multiplication matrix of N(theta)."""
+        num, den = self.num, self.den
+        if not any(num):
             raise DivisionByZero("inverse of zero")
         desc = self.desc
         k = desc.k
-        if k == 1:
-            return FieldElement(desc, (1 / self.coeffs[0],))
-        # columns: coordinates of self * theta^j
-        cols = []
-        cur = self
-        theta = desc.theta()
-        for _ in range(k):
-            cols.append(cur.coeffs)
-            cur = cur * theta
-        # solve sum_j x_j * (self * theta^j) = 1 by Gaussian elimination
-        aug = [[cols[j][i] for j in range(k)] + [Fraction(1 if i == 0 else 0)]
+        if not any(num[1:]):
+            n0 = num[0]
+            if n0 < 0:
+                return FieldElement(desc, (-den, *desc._zeros), -n0)
+            return FieldElement(desc, (den, *desc._zeros), n0)
+        if k == 2:
+            # (a + b theta)^-1 = (a - b theta) / (a^2 - n b^2)
+            a, b = num
+            return _canonical(desc, (den * a, -den * b), a * a - desc.n * b * b)
+        # columns: numerators of N(theta) * theta^j; solve M x = e_0 by
+        # fraction-free Gauss-Jordan, each row kept primitive
+        cols = [num]
+        for _ in range(k - 1):
+            c = cols[-1]
+            cols.append((desc.n * c[-1], *c[:-1]))
+        aug = [[cols[j][i] for j in range(k)] + [1 if i == 0 else 0]
                for i in range(k)]
         for col in range(k):
-            piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+            piv = next((r for r in range(col, k) if aug[r][col]), None)
             if piv is None:
                 raise DivisionByZero("singular multiplication matrix")
             aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [v * inv_p for v in aug[col]]
+            prow = aug[col]
+            p = prow[col]
             for r in range(k):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return FieldElement(desc, tuple(aug[i][k] for i in range(k)))
+                f = aug[r][col]
+                if r != col and f:
+                    row = [p * v - f * w for v, w in zip(aug[r], prow)]
+                    g = gcd(*row)
+                    aug[r] = [v // g for v in row]
+        # aug is diagonal now: x_i = aug[i][k] / aug[i][i]
+        lcd = math.lcm(*(row[i] for i, row in enumerate(aug)))
+        return _canonical(desc, [den * row[k] * (lcd // row[i])
+                                 for i, row in enumerate(aug)], lcd)
 
     def __truediv__(self, other) -> "FieldElement":
-        a, b = _coerce_pair(self, other)
-        if b.is_zero:
+        if type(other) in _RATIONAL_TYPES:
+            p, q = other.numerator, other.denominator
+            a = self
+        else:
+            a, b = _coerce_pair(self, other)
+            if any(b.num[1:]):
+                return a * b.inverse()
+            p, q = b.num[0], b.den
+        if not p:
             raise DivisionByZero("division by zero element")
-        if b.is_rational:
-            q = b.coeffs[0]
-            return FieldElement(a.desc, tuple(c / q for c in a.coeffs))
-        return a * b.inverse()
+        # a / (p/q) = a * (q/p)
+        return a._mul_rational(-q, -p) if p < 0 else a._mul_rational(q, p)
 
     def __rtruediv__(self, other) -> "FieldElement":
         a, b = _coerce_pair(self, other)  # a=self lifted, b=other lifted
@@ -428,34 +546,43 @@ class FieldElement:
 
     def __float__(self) -> float:
         if self.is_rational:
-            return float(self.coeffs[0])
+            return self.num[0] / self.den
         return float(self.approx(64))
+
+    def _f64_key(self) -> float:
+        """A float near the value, for presorting only: not correctly
+        rounded, and inf or nan when the numerators are huge.  Raises
+        OverflowError when a coordinate exceeds the float range."""
+        num, den = self.num, self.den
+        x = num[0] / den
+        for n_j, t in zip(num[1:], self.desc._theta_f64):
+            if n_j:
+                x += n_j / den * t
+        return x
 
     def _enclosures(self) -> Iterator[tuple[int, int, int]]:
         """Integers (lo, hi, D << p) with lo <= x * D * 2^p <= hi, for
-        p = 64, 128, ...; D is the common denominator of the coordinates.
-        The width hi - lo stays at most sum |N_j| as p doubles."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        p = 64, 128, ...  The width hi - lo stays at most sum |N_j| as p
+        doubles."""
+        num, den = self.num, self.den
         p = _SIGN_START_PREC
         while True:
             lo = hi = 0
-            for num, (t_lo, t_hi) in zip(nums, self.desc.theta_power_bounds(p)):
-                if num > 0:
-                    lo += num * t_lo
-                    hi += num * t_hi
-                elif num < 0:
-                    lo += num * t_hi
-                    hi += num * t_lo
+            for n_j, (t_lo, t_hi) in zip(num, self.desc.theta_power_bounds(p)):
+                if n_j > 0:
+                    lo += n_j * t_lo
+                    hi += n_j * t_hi
+                elif n_j < 0:
+                    lo += n_j * t_hi
+                    hi += n_j * t_lo
             yield lo, hi, den << p
             p *= 2
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; never decided numerically for zero."""
-        if self.is_zero:
-            return 0
-        if self.is_rational:
-            return 1 if self.coeffs[0] > 0 else -1
+        if not any(self.num[1:]):
+            n0 = self.num[0]
+            return (n0 > 0) - (n0 < 0)
         for lo, hi, _ in self._enclosures():
             if lo > 0:
                 return 1
@@ -464,9 +591,8 @@ class FieldElement:
 
     def floor(self) -> int:
         """Exact floor."""
-        if self.is_rational:
-            q = self.coeffs[0]
-            return q.numerator // q.denominator
+        if not any(self.num[1:]):
+            return self.num[0] // self.den
         for lo, hi, scale in self._enclosures():
             f = lo // scale
             if f == hi // scale:
@@ -517,6 +643,42 @@ class FieldElement:
         return f"FieldElement({self.to_text(with_field=True)!r})"
 
 
+def _rational_hash(p: int, q: int) -> int:
+    """hash(Fraction(p, q)) for p/q in lowest terms, q > 0, by the rule
+    for numeric hashes that ``Fraction.__hash__`` follows."""
+    if q == 1:
+        return hash(p)
+    try:
+        h = hash(hash(abs(p)) * pow(q, -1, sys.hash_info.modulus))
+    except ValueError:  # q is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _sum(an, ad: int, bn, bd: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) of an/ad + bn/bd, both canonical: Fraction._add with a
+    numerator vector (the gcd of the result divides gcd(ad, bd))."""
+    if ad == bd:
+        num = tuple(map(add, an, bn))
+        if ad == 1:
+            return num, 1
+        g = gcd(ad, *num)
+        if g == 1:
+            return num, ad
+        return tuple([x // g for x in num]), ad // g
+    g = gcd(ad, bd)
+    if g == 1:
+        return tuple([x * bd + y * ad for x, y in zip(an, bn)]), ad * bd
+    s = ad // g
+    t = bd // g
+    num = [x * t + y * s for x, y in zip(an, bn)]
+    g2 = gcd(g, *num)
+    if g2 == 1:
+        return tuple(num), s * bd
+    return tuple([x // g2 for x in num]), s * (bd // g2)
+
+
 _TERM_RE = re.compile(
     r"""^(?:
         (?P<coef>[0-9]+(?:/[0-9]+)?)                    # bare rational
@@ -562,27 +724,7 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
         if j >= desc.k:
             raise ValueError(f"power t^{j} exceeds field degree {desc.k}")
         coeffs[j] += -c if neg else c
-    return FieldElement(desc, tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Exact structural flags plus a numeric approximation."""
-
-    is_zero: bool
-    is_integer: bool
-    sign: int
-    approx: object  # mpmath mpf
-
-
-def classify(a: FieldElement, prec: int = 64) -> Classification:
-    """Exact zero/integer tests, exact sign, numeric value at ~prec bits."""
-    return Classification(
-        is_zero=a.is_zero,
-        is_integer=a.is_integer,
-        sign=a.sign(),
-        approx=a.approx(prec),
-    )
+    return desc.element(coeffs)
 
 
 def int_ratio(a: FieldElement, b: FieldElement) -> Optional[int]:
@@ -592,5 +734,5 @@ def int_ratio(a: FieldElement, b: FieldElement) -> Optional[int]:
         raise DivisionByZero("ratio against zero element")
     r = a / b
     if r.is_integer:
-        return r.as_integer()
+        return r.num[0]
     return None

@@ -389,6 +389,7 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
     failures: list[str] = []
 
     # structure
+    lam_g = lam ** cert.g if len(cert.intervals) > 1 else None
     for M, (a, b) in enumerate(cert.intervals):
         if not b - a > 0:
             failures.append(f"I_{M} empty")
@@ -401,8 +402,7 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
             pa, pb = cert.intervals[M - 1]
             if not (a >= pa and b <= pb):
                 failures.append(f"I_{M} not nested in I_{M - 1}")
-            if (b - a) * lam ** cert.g != (cert.intervals[M - 1][1]
-                                           - cert.intervals[M - 1][0]):
+            if (b - a) * lam_g != pb - pa:
                 failures.append(f"length law fails at I_{M}")
     a, b = cert.intervals[-1]
     if not (cert.xi >= a and cert.xi <= b):

@@ -170,9 +170,19 @@ class QTrigPoly:
         return len(self.terms)
 
     def exponents(self) -> tuple[FieldElement, ...]:
-        """Exponents sorted increasingly by real value."""
+        """Exponents sorted increasingly by real value.
+
+        A presort by a float approximation puts nearly every pair in
+        order, so the exact sort after it makes about one comparison per
+        term; the exact sort alone decides the result, which is unique
+        because exponents are distinct.
+        """
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.terms))
+            try:
+                near = sorted(self.terms, key=FieldElement._f64_key)
+            except OverflowError:
+                near = self.terms
+            self._sorted = tuple(sorted(near))
         return self._sorted
 
     def items(self) -> list[tuple[FieldElement, Fraction]]:
@@ -311,11 +321,12 @@ class QTrigPoly:
         """
         classes: dict[tuple, list[FieldElement]] = {}
         for d in self.exponents():
-            classes.setdefault(_class_key(d.coeffs), []).append(d)
+            classes.setdefault(_class_key(d), []).append(d)
         entries = []
         for cls in classes.values():
             rep = cls[0]  # exponents() is sorted, so first = smallest
-            offsets = [(d.coeffs[0] - rep.coeffs[0]).numerator for d in cls]
+            # one class shares its denominator (see _class_key)
+            offsets = [(d.num[0] - rep.num[0]) // rep.den for d in cls]
             poly = [Fraction(0)] * (max(offsets) + 1)
             for d, off in zip(cls, offsets):
                 poly[off] = self.terms[d]
@@ -372,14 +383,14 @@ class QTrigPoly:
         the witness and the term order of the quotient.
         """
         m_inv = m.inverse()
-        classes: dict[tuple, tuple[FieldElement, Fraction, dict[int, Fraction]]] = {}
+        classes: dict[tuple, tuple[FieldElement, int, dict[int, Fraction]]] = {}
         for d, c in self.terms.items():
-            q = (d * m_inv).coeffs
+            q = d * m_inv
             cls = classes.get(key := _class_key(q))
             if cls is None:
-                classes[key] = (d, q[0], {0: c})
+                classes[key] = (d, q.num[0], {0: c})
             else:
-                cls[2][(q[0] - cls[1]).numerator] = c
+                cls[2][(q.num[0] - cls[1]) // q.den] = c
         out: dict[FieldElement, Fraction] = {}
         for base, _, offsets in classes.values():
             total = sum(offsets.values(), Fraction(0))
@@ -419,10 +430,12 @@ class QTrigPoly:
         return f"QTrigPoly({self.to_text()})"
 
 
-def _class_key(q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """(frac(q_0), q_1, ...): equal iff the two elements differ by an integer."""
-    q0 = q[0]
-    return (q0 - q0.numerator // q0.denominator, *q[1:])
+def _class_key(q: FieldElement) -> tuple[int, ...]:
+    """(N_0 mod D, N_1, ..., N_{k-1}, D) of q = N / D: equal iff the two
+    elements differ by an integer.  Adding an integer t to q gives
+    (N_0 + tD, N_1, ...) / D, still canonical, so a class shares D."""
+    num, den = q.num, q.den
+    return (num[0] % den, *num[1:], den)
 
 
 @dataclass(frozen=True)

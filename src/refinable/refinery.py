@@ -606,9 +606,9 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
         dm, nm = [], []
         for other in range(n):
             ratio = cols[other] / cols[j]
-            dm.append(ratio.as_fraction().denominator if ratio.is_rational else None)
+            dm.append(ratio.den if ratio.is_rational else None)
             ratio_n = lam_e * cols[other] / cols[j]
-            nm.append(ratio_n.as_fraction().denominator if ratio_n.is_rational else None)
+            nm.append(ratio_n.den if ratio_n.is_rational else None)
         den_mod.append(dm)
         num_mod.append(nm)
     for j in range(n):
@@ -705,8 +705,8 @@ class MvQTrigPoly:
         inv = v[i0].inverse()
         classes: dict[tuple, tuple[tuple, int, dict[int, Fraction]]] = {}
         for d, c in self.terms.items():
-            q0 = (d[i0] * inv).coeffs[0]
-            t = q0.numerator // q0.denominator
+            q0 = d[i0] * inv
+            t = q0.num[0] // q0.den
             rep = tuple(x - t * y for x, y in zip(d, v))
             cls = classes.get(rep)
             if cls is None:

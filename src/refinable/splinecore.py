@@ -334,8 +334,7 @@ def boxspline_ft(spec: BoxSplineSpec, xi: Sequence[ExactScalar],
 def _longdouble(e) -> np.longdouble:
     if isinstance(e, FieldElement):
         if e.is_rational:
-            q = e.coeffs[0]
-            return np.longdouble(q.numerator) / np.longdouble(q.denominator)
+            return np.longdouble(e.num[0]) / np.longdouble(e.den)
         import mpmath
 
         return np.longdouble(mpmath.nstr(e.approx(96), 24))

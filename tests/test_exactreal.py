@@ -10,13 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
+from fraction_field import RefElement
 from refinable import exactreal
 from refinable.errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 from refinable.exactreal import (
     QQ,
     FieldDescriptor,
     FieldElement,
-    classify,
     field_make,
     int_ratio,
     parse_element,
@@ -50,14 +50,14 @@ def test_arithmetic_examples(F10):
         th / F10.zero()
 
 
-def test_classify_examples(F10):
+def test_zero_integer_and_sign_examples(F10):
     th = F10.theta()
-    c0 = classify(F10.zero())
-    assert c0.is_zero and c0.sign == 0
-    assert classify(th - 3).sign == 1
+    z = F10.zero()
+    assert z.is_zero and z.sign() == 0
+    assert (th - 3).sign() == 1
     assert (5 / th - th / 2).is_zero
-    c = classify(5 / th - th / 2)
-    assert c.is_zero and c.is_integer and c.sign == 0
+    c = 5 / th - th / 2
+    assert c.is_zero and c.is_integer and c.sign() == 0
 
 
 def test_int_ratio_examples(F10):
@@ -317,3 +317,64 @@ def test_rational_operands_match_the_lifted_form(nk, coords, q):
     if not q:
         with pytest.raises(DivisionByZero):
             x / q
+
+
+# coordinates: often zero (rational elements and the k = 2 shortcuts),
+# sometimes integers, sometimes with large numerators and denominators
+_coordinate = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(min_value=-(1 << 90), max_value=1 << 90, max_denominator=1 << 70),
+)
+_FIELDS = [(2, 1), (3, 2), (10, 2), (12, 2), (2, 3), (7, 3), (12, 3)]
+
+
+def _assert_same(got, want: RefElement):
+    assert got.desc is want.desc
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    # the stored form is canonical: one positive denominator, no common factor
+    assert len(got.num) == got.desc.k and all(type(x) is int for x in got.num)
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    assert [Fraction(x, got.den) for x in got.num] == list(want.coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FIELDS), st.lists(_coordinate, min_size=3, max_size=3),
+       st.lists(_coordinate, min_size=3, max_size=3))
+def test_arithmetic_matches_the_fraction_coordinate_reference(nk, xs, ys):
+    desc = field_make(*nk)
+    x, y = desc.element(xs[:desc.k]), desc.element(ys[:desc.k])
+    rx, ry = RefElement(desc, xs[:desc.k]), RefElement(desc, ys[:desc.k])
+    _assert_same(x, rx)
+    _assert_same(x + y, rx + ry)
+    _assert_same(x - y, rx - ry)
+    _assert_same(x * y, rx * ry)
+    _assert_same(x * x, rx * rx)
+    _assert_same(-x, -rx)
+    assert (x == y) == (rx == ry) and x == desc.element(xs[:desc.k])
+    for z, rz in ((x, rx), (y, ry)):
+        if rz.is_zero:
+            with pytest.raises(DivisionByZero):
+                z.inverse()
+            with pytest.raises(DivisionByZero):
+                x / z
+        else:
+            _assert_same(z.inverse(), rz.inverse())
+            _assert_same(x / z, rx / rz)
+        assert z.sign() == rz.sign()
+        assert z.floor() == rz.floor()
+        assert z.is_zero == rz.is_zero
+        assert parse_element(z.to_text(), desc) == z
+        assert parse_element(z.to_text(with_field=True), desc) == z
+        if z.is_rational:
+            # a rational element hashes and compares as the equal Fraction / int
+            q = rz.coeffs[0]
+            assert z == q and hash(z) == hash(q)
+            assert z.is_integer == (q.denominator == 1)
+            if q.denominator == 1:
+                assert z == int(q) and hash(z) == hash(int(q))
+        else:
+            assert not z.is_integer and z != rz.coeffs[0]
+

@@ -426,3 +426,41 @@ def test_eval_ball_cache_stays_empty_until_evaluated(F10):
     P.eval_ball(Fraction(1, 3), 64)
     assert set(P._ball_cache) == {80}
     assert all(R._ball_cache is None for R in made[1:])
+
+
+_tiny = Fraction(1, 1 << 60)
+_SORT_FIELDS = [field_make(2, 1), field_make(10, 2), field_make(7, 2), field_make(5, 3)]
+
+
+def _exponent_set(rng: random.Random, desc) -> list:
+    """Random exponents, each often paired with a neighbour about 2^-60
+    away, which the float presort cannot tell apart, and sometimes two
+    with a huge coordinate, which the float key cannot hold
+    (OverflowError, inf or nan)."""
+    out = []
+    for _ in range(rng.randint(1, 12)):
+        d = desc.element([Fraction(rng.randint(-240, 240), rng.randint(1, 12))
+                          for _ in range(desc.k)])
+        out.append(d)
+        near = rng.choice(["none", "rational", "shift"])
+        if near == "rational" and desc.k > 1:
+            # d - theta + a rational within 2^-60 of theta, on either side
+            root = desc.theta_power_bounds(60)[1][0]
+            out.append(d - desc.theta() + Fraction(root + rng.randint(0, 1), 1 << 60))
+        elif near == "shift":
+            out.append(d + rng.choice([_tiny, -_tiny, 3 * _tiny]))
+    if rng.random() < 0.5:
+        big = rng.choice([10 ** 400, 10 ** 308])
+        out.append(desc.element([big, -big, big][:desc.k]))
+        out.append(desc.element([big, big, -big][:desc.k]))
+    rng.shuffle(out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SORT_FIELDS), st.randoms(use_true_random=False))
+def test_exponents_order_equals_the_exact_sort(desc, rng):
+    exps = _exponent_set(rng, desc)
+    P = QTrigPoly(desc, {d: Fraction(i + 1) for i, d in enumerate(exps)})
+    assert P.exponents() == tuple(sorted(P.terms))
+    assert P.exponents() == tuple(sorted(P.terms, key=lambda d: d.approx(400)))
