@@ -28,10 +28,10 @@ decided from N_0 and D, so the loop always ends.
 
 Values are immutable; every operation is a pure function.  The float
 and complex values a caller asks for (``ball``, ``approx``, ``float``)
-come from mpmath interval arithmetic on the coordinates q_j, which
-temporarily adjusts the process-global mpmath interval precision;
-enclosures stay valid under concurrent precision changes (outward
-rounding is precision-independent), only their width is affected.
+come from mpmath interval arithmetic on the coordinates q_j.  It runs
+on raw ``mpmath.libmp`` interval tuples (lo, hi) at an explicit
+precision, the same ``mpi_*`` calls the ``iv`` context's operators make,
+so it neither reads nor changes the process-global ``iv.prec``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,19 @@ from typing import Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    mpi_sqrt,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
 
 from .errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 
@@ -67,11 +79,30 @@ def _iv_prec(prec: int) -> Iterator[None]:
         iv.prec = old
 
 
+_MPI_ZERO = (fzero, fzero)
+
+
+def _mpi_int(n: int, prec: int) -> tuple:
+    """Raw interval of the integer n at ``prec`` bits: ``iv.mpf(n)._mpi_``
+    at ``iv.prec == prec``, which rounds n outward when it is wider."""
+    lo = from_int(n, prec, round_floor)
+    if n.bit_length() <= prec:
+        return lo, lo
+    return lo, from_int(n, prec, round_ceiling)
+
+
+def _mpi_fraction(q: Fraction, prec: int) -> tuple:
+    """Raw interval of the rational q at ``prec`` bits: the numerator and
+    denominator intervals divided, as ``_iv_fraction`` does in the ``iv``
+    context, so the endpoints are the same bits."""
+    if q.denominator == 1:
+        return _mpi_int(q.numerator, prec)
+    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
+
+
 def _iv_fraction(q: Fraction):
     """Exact rational -> enclosing interval at the current precision."""
-    if q.denominator == 1:
-        return iv.mpf(q.numerator)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    return iv.make_mpf(_mpi_fraction(q, iv.prec))
 
 
 def _mpf_to_fraction(raw) -> Fraction:
@@ -163,18 +194,20 @@ class FieldDescriptor:
     def is_rational_field(self) -> bool:
         return self.k == 1
 
-    def theta_ball(self):
-        """Enclosure of theta at the current interval precision."""
-        prec = iv.prec
+    def theta_mpi(self, prec: int) -> tuple:
+        """Raw interval of theta at ``prec`` bits, cached per precision: the
+        bits of ``iv.sqrt(iv.mpf(n))`` for k = 2 and of
+        ``iv.exp(iv.log(iv.mpf(n)) / k)`` for k >= 3 at ``iv.prec == prec``."""
         cached = self._theta_cache.get(prec)
         if cached is not None:
             return cached
+        n = _mpi_int(self.n, prec)
         if self.k == 1:
-            val = iv.mpf(self.n)
+            val = n
         elif self.k == 2:
-            val = iv.sqrt(iv.mpf(self.n))
+            val = mpi_sqrt(n, prec)
         else:
-            val = iv.exp(iv.log(iv.mpf(self.n)) / self.k)
+            val = mpi_exp(mpi_div(mpi_log(n, prec), _mpi_int(self.k, prec), prec), prec)
         self._theta_cache[prec] = val
         return val
 
@@ -530,13 +563,24 @@ class FieldElement:
     # -- numerics ---------------------------------------------------------
 
     def ball(self, prec: int = 64):
-        """Outward-rounded enclosure of the real value at ~prec bits."""
-        with _iv_prec(prec + 8 + 2 * self.desc.k):
-            th = self.desc.theta_ball()
-            acc = iv.mpf(0)
-            for c in reversed(self.coeffs):
-                acc = acc * th + _iv_fraction(c)
-            return acc
+        """Outward-rounded enclosure of the real value at ~prec bits (an
+        ``iv`` interval; see ``ball_mpi``)."""
+        return iv.make_mpf(self.ball_mpi(prec))
+
+    def ball_mpi(self, prec: int) -> tuple:
+        """Raw interval of the value at ~prec bits.
+
+        Horner over the coordinates at wp = prec + 8 + 2k bits with
+        ``mpi_mul``/``mpi_add``: the same calls, in the same order, as
+        ``acc = acc * th + _iv_fraction(c)`` on ``iv`` intervals at
+        ``iv.prec == wp``, so the endpoints are the same bits.
+        """
+        wp = prec + 8 + 2 * self.desc.k
+        th = self.desc.theta_mpi(wp)
+        acc = _MPI_ZERO
+        for c in reversed(self.coeffs):
+            acc = mpi_add(mpi_mul(acc, th, wp), _mpi_fraction(c, wp), wp)
+        return acc
 
     def approx(self, prec: int = 64):
         """Arbitrary-precision midpoint approximation (mpmath mpf)."""

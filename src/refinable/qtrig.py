@@ -17,6 +17,7 @@ dilation powers) are kept outside the term map by the callers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +25,29 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import mpi_cos_sin, mpi_neg
+from mpmath.libmp import (
+    mpf_pi,
+    mpi_abs,
+    mpi_add,
+    mpi_cos_sin,
+    mpi_exp,
+    mpi_mul,
+    mpi_neg,
+    round_ceiling,
+    round_floor,
+    to_float,
+)
 
 from . import polyq
 from .errors import DescriptorMismatch, ZeroPolynomial
 from .exactreal import (
+    _MPI_ZERO,
     FieldDescriptor,
     FieldElement,
     _iv_fraction,
     _iv_prec,
+    _mpi_fraction,
+    _mpi_int,
     iv_endpoints,
 )
 
@@ -90,12 +105,19 @@ class ComplexBall:
         return f"ComplexBall({self.mid()} +/- {self.radius():.3g})"
 
 
-def _unit_exponential(phase_ball) -> ComplexBall:
-    """Enclosure of exp(-2 pi i x) for a real interval x (in turns)."""
-    ang = 2 * iv.pi * phase_ball
-    # one mpi_cos_sin: iv.cos and iv.sin would each compute both
-    cos, sin = mpi_cos_sin(ang._mpi_, iv.prec)
-    return ComplexBall(iv.make_mpf(cos), iv.make_mpf(mpi_neg(sin, iv.prec)))
+@functools.lru_cache(maxsize=64)
+def _two_pi(prec: int) -> tuple:
+    """Raw interval of 2 pi at ``prec`` bits: the bits of ``2 * iv.pi``."""
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    return mpi_mul(_mpi_int(2, prec), pi, prec)
+
+
+def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
+    """Raw (re, im) intervals of exp(-2 pi i x) for a raw interval x (in
+    turns): the bits of ``iv.cos(ang)`` and ``-iv.sin(ang)`` with
+    ``ang = 2 * iv.pi * x``, from one ``mpi_cos_sin``."""
+    cos, sin = mpi_cos_sin(mpi_mul(two_pi, phase, prec), prec)
+    return cos, mpi_neg(sin, prec)
 
 
 class QTrigPoly:
@@ -254,46 +276,57 @@ class QTrigPoly:
         (taken exactly as a dyadic rational), a complex number, or an
         (re, im) pair of exact reals.
 
-        The exponent and coefficient enclosures and the sum of
-        |coefficients| depend only on the working precision, so they are
-        computed once per precision and kept on the poly; every call
-        still does the same interval operations in the same order.
+        The term loop runs on raw ``mpmath.libmp`` interval tuples at the
+        working precision wp.  Each step is the ``mpi_*`` call that the
+        ``iv`` operator it stands for makes (``a * b`` on ``iv`` intervals
+        is ``mpi_mul(a, b, iv.prec)``), in the same order, so the
+        endpoints are the bits the ``iv`` form of this loop gives at
+        ``iv.prec == wp``; the sum is wrapped in a ``ComplexBall`` once.
+        A real point and a complex one share the loop: only the latter
+        has a growth factor exp(2 pi d v).
         """
         re_w, im_w = _split_input(w, self.desc)
-        target = None
         wp = prec + 16
         while True:
             with _iv_prec(wp):
                 terms, coeff_mag = self._term_balls(wp)
-                acc = ComplexBall.exact()
-                u = _to_ball(re_w)
-                v = _to_ball(im_w) if im_w is not None else None
-                mag = coeff_mag if v is None else iv.mpf(0)
+                two_pi = _two_pi(wp)
+                u = _to_mpi(re_w, wp)
+                v = _to_mpi(im_w, wp) if im_w is not None else None
+                mag = coeff_mag if v is None else _MPI_ZERO
+                re = im = _MPI_ZERO
                 for db, cf in terms:
-                    term = _unit_exponential(db * u)
+                    t_re, t_im = _unit_exponential_mpi(two_pi, mpi_mul(db, u, wp), wp)
                     if v is not None:
-                        growth = iv.exp(2 * iv.pi * db * v)
-                        term = ComplexBall(term.re * growth, term.im * growth)
-                        mag += abs(cf) * growth.b
-                    acc = acc + ComplexBall(term.re * cf, term.im * cf)
-                target = max(1.0, float(mag.b)) * 2.0 ** (1 - prec)
+                        growth = mpi_exp(mpi_mul(mpi_mul(two_pi, db, wp), v, wp), wp)
+                        t_re = mpi_mul(t_re, growth, wp)
+                        t_im = mpi_mul(t_im, growth, wp)
+                        g_hi = growth[1]
+                        mag = mpi_add(mag, mpi_mul(mpi_abs(cf, wp), (g_hi, g_hi), wp), wp)
+                    re = mpi_add(re, mpi_mul(t_re, cf, wp), wp)
+                    im = mpi_add(im, mpi_mul(t_im, cf, wp), wp)
+                acc = ComplexBall(iv.make_mpf(re), iv.make_mpf(im))
+                target = max(1.0, to_float(mag[1])) * 2.0 ** (1 - prec)
                 if acc.radius() <= target or wp > prec + 4096:
                     return acc
             wp *= 2
 
     def _term_balls(self, wp: int):
-        """(((exponent ball, coefficient ball), ...), sum of |coefficient
-        balls|) at precision ``wp``, which must be ``iv.prec``; cached per
-        ``wp``."""
+        """(((exponent interval, coefficient interval), ...), sum of
+        |coefficient intervals|) as raw intervals at precision ``wp``,
+        cached per ``wp``.  They are the bits of ``d.ball(wp)``,
+        ``_iv_fraction(c)`` and the running ``iv`` sum of ``abs(cf)``
+        at ``iv.prec == wp``."""
         cache = self._ball_cache
         if cache is None:
             cache = self._ball_cache = {}
         hit = cache.get(wp)
         if hit is None:
-            terms = tuple((d.ball(wp), _iv_fraction(c)) for d, c in self.terms.items())
-            mag = iv.mpf(0)
+            terms = tuple((d.ball_mpi(wp), _mpi_fraction(c, wp))
+                          for d, c in self.terms.items())
+            mag = _MPI_ZERO
             for _, cf in terms:
-                mag += abs(cf)
+                mag = mpi_add(mag, mpi_abs(cf, wp), wp)
             hit = cache[wp] = (terms, mag)
         return hit
 
@@ -510,7 +543,8 @@ def _exactify(x, desc: FieldDescriptor):
     raise TypeError(f"unsupported evaluation point {type(x).__name__}")
 
 
-def _to_ball(x):
+def _to_mpi(x, prec: int) -> tuple:
+    """Raw interval of an exact real from ``_split_input`` at ``prec``."""
     if isinstance(x, FieldElement):
-        return x.ball(iv.prec)
-    return _iv_fraction(x)
+        return x.ball_mpi(prec)
+    return _mpi_fraction(x, prec)

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from gen_instances import instance_batch
+from refinable import exactreal
 from refinable.errors import DescriptorMismatch, ZeroPolynomial
-from refinable.exactreal import QQ, _iv_fraction, _iv_prec, field_make
+from refinable.exactreal import QQ, FieldElement, _iv_prec, field_make
 from refinable.qtrig import (
     BinomialDivisionWitness,
     ComplexBall,
     QTrigPoly,
     _split_input,
-    _to_ball,
-    _unit_exponential,
+    _two_pi,
+    _unit_exponential_mpi,
     combine,
     geometric,
 )
@@ -333,31 +334,74 @@ def test_to_text(F10):
 
 @pytest.mark.parametrize("prec", [53, 80, 200, 1000])
 def test_unit_exponential_matches_interval_cos_and_sin(prec):
-    # the reference: separate iv.cos and iv.sin, bit for bit
+    # the reference: 2 * iv.pi * x, then separate iv.cos and iv.sin, bit
+    # for bit
     rng = random.Random(prec)
     with _iv_prec(prec):
+        assert _two_pi(prec) == (2 * iv.pi)._mpi_
         for _ in range(200):
             a = rng.uniform(-50, 50)
             x = iv.mpf([a, a + rng.choice([0, 1e-9, 0.3, 2.0])])
             ang = 2 * iv.pi * x
-            got = _unit_exponential(x)
-            assert got.re._mpi_ == iv.cos(ang)._mpi_
-            assert got.im._mpi_ == (-iv.sin(ang))._mpi_
+            re, im = _unit_exponential_mpi(_two_pi(prec), x._mpi_, prec)
+            assert re == iv.cos(ang)._mpi_
+            assert im == (-iv.sin(ang))._mpi_
+
+
+# The reference evaluation below works on ``iv`` interval objects
+# throughout and shares no arithmetic with ``eval_ball``'s raw loop.
+
+def _unit_exponential(phase_ball) -> ComplexBall:
+    """Enclosure of exp(-2 pi i x) for a real interval x (in turns)."""
+    ang = 2 * iv.pi * phase_ball
+    return ComplexBall(iv.cos(ang), -iv.sin(ang))
+
+
+def _to_ball(x):
+    if isinstance(x, FieldElement):
+        return _iv_ball(x, iv.prec)
+    return _iv_fraction(x)
+
+
+def _iv_fraction(q: Fraction):
+    """Exact rational -> interval at ``iv.prec``, by ``iv`` division."""
+    if q.denominator == 1:
+        return iv.mpf(q.numerator)
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _iv_theta(desc):
+    if desc.k == 1:
+        return iv.mpf(desc.n)
+    if desc.k == 2:
+        return iv.sqrt(iv.mpf(desc.n))
+    return iv.exp(iv.log(iv.mpf(desc.n)) / desc.k)
+
+
+def _iv_ball(x, prec):
+    """``FieldElement.ball`` in the ``iv`` Horner form."""
+    with _iv_prec(prec + 8 + 2 * x.desc.k):
+        th = _iv_theta(x.desc)
+        acc = iv.mpf(0)
+        for c in reversed(x.coeffs):
+            acc = acc * th + _iv_fraction(c)
+        return acc
 
 
 def _eval_ball_uncached(P, w, prec):
-    """``eval_ball`` without the per-precision cache: every exponent and
-    coefficient is enclosed again on every call."""
+    """``eval_ball`` on ``iv`` interval objects, without the per-precision
+    cache: every exponent and coefficient is enclosed again on every
+    call."""
     re_w, im_w = _split_input(w, P.desc)
     wp = prec + 16
     while True:
         with _iv_prec(wp):
-            acc = ComplexBall.exact()
+            acc = ComplexBall(iv.mpf(0), iv.mpf(0))
             mag = iv.mpf(0)
             u = _to_ball(re_w)
             v = _to_ball(im_w) if im_w is not None else None
             for d, c in P.terms.items():
-                db = d.ball(wp)
+                db = _iv_ball(d, wp)
                 term = _unit_exponential(db * u)
                 cf = _iv_fraction(c)
                 if v is not None:
@@ -426,6 +470,103 @@ def test_eval_ball_cache_stays_empty_until_evaluated(F10):
     P.eval_ball(Fraction(1, 3), 64)
     assert set(P._ball_cache) == {80}
     assert all(R._ball_cache is None for R in made[1:])
+
+
+_EVAL_FIELDS = [QQ, field_make(10, 2), field_make(5, 3)]
+_non_dyadic = st.builds(Fraction, st.integers(-40, 40),
+                        st.sampled_from([1, 3, 5, 7, 10, 12, 21]))
+
+
+@st.composite
+def _eval_case(draw):
+    """A poly with non-dyadic coefficients in one of the fields, a point
+    of any accepted kind (sometimes 10^6 or 10^20 periods out, where the
+    first working precision is too short) and a target precision."""
+    desc = draw(st.sampled_from(_EVAL_FIELDS))
+
+    def element():
+        return desc.element([draw(_non_dyadic) for _ in range(desc.k)])
+
+    terms = {element(): draw(_non_dyadic.filter(bool))
+             for _ in range(draw(st.integers(1, 5)))}
+    far = draw(st.sampled_from([1, 1, 10 ** 6, 10 ** 20]))
+    kind = draw(st.sampled_from(["int", "Fraction", "FieldElement",
+                                 "float", "complex", "pair"]))
+    if kind == "int":
+        w = far * draw(st.integers(-50, 50))
+    elif kind == "Fraction":
+        w = far * draw(_non_dyadic)
+    elif kind == "FieldElement":
+        w = far * element()
+    elif kind == "float":
+        w = far * draw(st.floats(-50, 50))
+    elif kind == "complex":
+        w = complex(far * draw(st.floats(-50, 50)), draw(st.floats(-2, 2)))
+    else:
+        w = (far * element(), draw(_non_dyadic) / 20)
+    return QTrigPoly(desc, terms), w, draw(st.sampled_from([24, 53, 64, 120, 300]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_eval_case())
+def test_eval_ball_matches_the_interval_object_reference(case):
+    P, w, prec = case
+    want = _endpoints(_eval_ball_uncached(P, w, prec))
+    assert _endpoints(P.eval_ball(w, prec)) == want
+    assert _endpoints(P.eval_ball(w, prec)) == want  # from the cache
+
+
+_wide = st.one_of(st.integers(-(1 << 20), 1 << 20),
+                  st.integers(-(1 << 400), 1 << 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_EVAL_FIELDS), st.lists(_wide, min_size=3, max_size=3),
+       st.one_of(st.integers(1, 1 << 20), st.integers(1, 1 << 400)),
+       st.sampled_from([1, 24, 53, 64, 200]))
+def test_raw_enclosures_match_the_interval_object_forms(desc, nums, den, prec):
+    # numerators and denominators up to 400 bits, wider than the working
+    # precision, where iv.mpf(p) itself rounds outward
+    for q in [Fraction(nums[0], den), Fraction(nums[1]), Fraction(0)]:
+        with _iv_prec(prec):
+            want = _iv_fraction(q)._mpi_
+            assert exactreal._iv_fraction(q)._mpi_ == want
+        assert exactreal._mpi_fraction(q, prec) == want
+    for coords in ([Fraction(n, den) for n in nums[:desc.k]], [0] * desc.k,
+                   [-abs(Fraction(nums[0], den))] + [0] * (desc.k - 1)):
+        x = desc.element(coords)
+        want = _iv_ball(x, prec)._mpi_
+        assert x.ball_mpi(prec) == want
+        assert x.ball(prec)._mpi_ == want
+
+
+def test_eval_ball_and_ball_restore_the_interval_precision(F10, monkeypatch):
+    P = QTrigPoly(F10, {F10.zero(): 1, F10.theta() / 2: Fraction(2, 3)})
+    with _iv_prec(77):
+        P.eval_ball(F10.theta() * 10 ** 20, 64)  # escalates
+        assert iv.prec == 77
+        P.eval_ball((F10.theta(), Fraction(1, 3)), 120)
+        assert iv.prec == 77
+        F10.theta().ball(300)
+        assert iv.prec == 77
+        with pytest.raises(TypeError):
+            P.eval_ball("0.5", 64)
+        assert iv.prec == 77
+        with pytest.raises(TypeError):
+            P.eval_ball((Fraction(1, 2), "0.5"), 64)
+        assert iv.prec == 77
+
+        # an error raised from inside the working-precision block
+        def mismatch(self, prec):
+            raise DescriptorMismatch("enclosure from a different field")
+
+        monkeypatch.setattr(FieldElement, "ball_mpi", mismatch)
+        with pytest.raises(DescriptorMismatch):
+            QTrigPoly(F10, P.terms).eval_ball(Fraction(1, 3), 64)
+        assert iv.prec == 77
+        with pytest.raises(DescriptorMismatch):
+            P.eval_ball(F10.theta(), 64)
+        assert iv.prec == 77
 
 
 _tiny = Fraction(1, 1 << 60)
