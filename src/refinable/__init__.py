@@ -27,7 +27,7 @@ from .exactreal import (
     int_ratio,
     parse_element,
 )
-from .qtrig import ComplexBall, QTrigPoly, StdDecomposition, combine, geometric
+from .qtrig import ComplexBall, ExponentVector, QTrigPoly, StdDecomposition, geometric
 from .powermod import (
     ErdosCertificate,
     VerifyReport,

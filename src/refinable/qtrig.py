@@ -2,14 +2,16 @@
 
 A quasi-trigonometric polynomial is a finite sum
 
-    P(w) = sum_j  c_j * E(d_j, w),        E(d, w) = exp(-2 pi i d w),
+    P(w) = sum_j  c_j * E(d_j, w),        E(d, w) = exp(-2 pi i d . w),
 
-with rational coefficients c_j and exponents d_j in a fixed real field
-Q(theta).  Exponent equality is exact, so terms merge and cancel
-exactly; products, standard decompositions into integer-congruence
-classes, component gcds, and divisibility by binomials 1 - E(m, w) are
-all computed symbolically.  Evaluation returns outward-rounded complex
-enclosures.
+with rational coefficients c_j and exponents d_j in Q(theta)^s for a
+fixed real field Q(theta): a ``FieldElement`` for s = 1, an
+``ExponentVector`` of s field elements for s >= 2.  Exponent equality is
+exact, so terms merge and cancel exactly; products, shifts and
+divisibility by binomials 1 - E(m, w) are computed symbolically for
+every s.  For s = 1 there are also standard decompositions into
+integer-congruence classes, component gcds, and evaluation to
+outward-rounded complex enclosures.
 
 Coefficients are restricted to Q; scalar field-element factors (such as
 dilation powers) are kept outside the term map by the callers.
@@ -21,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from mpmath import iv
@@ -51,7 +53,64 @@ from .exactreal import (
     iv_endpoints,
 )
 
-ExponentLike = Union[FieldElement, int, Fraction]
+
+class ExponentVector(tuple):
+    """An exponent in Q(theta)^s, s >= 2: a tuple of field elements with
+    elementwise + and -, and multiplication by a scalar.  Equality,
+    hashing and the lexicographic order are the tuple's."""
+
+    __slots__ = ()
+
+    @property
+    def desc(self) -> FieldDescriptor:
+        return self[0].desc
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self)
+
+    def __add__(self, other: "ExponentVector") -> "ExponentVector":
+        return ExponentVector([a + b for a, b in zip(self, other)])
+
+    def __sub__(self, other: "ExponentVector") -> "ExponentVector":
+        return ExponentVector([a - b for a, b in zip(self, other)])
+
+    def __neg__(self) -> "ExponentVector":
+        return ExponentVector([-a for a in self])
+
+    def __mul__(self, x) -> "ExponentVector":
+        return ExponentVector([a * x for a in self])
+
+    __rmul__ = __mul__  # never the tuple's repetition
+
+    def _f64_key(self) -> tuple[float, ...]:
+        return tuple([a._f64_key() for a in self])
+
+    def to_text(self) -> str:
+        return "(" + ", ".join(a.to_text() for a in self) + ")"
+
+    __str__ = to_text
+
+
+Exponent = Union[FieldElement, ExponentVector]
+ExponentLike = Union[Exponent, int, Fraction, tuple]
+
+
+def _exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
+    """x as an exponent: a tuple becomes an ExponentVector, and int and
+    Fraction values are lifted into ``desc``."""
+    if isinstance(x, (FieldElement, ExponentVector)):
+        return x
+    if isinstance(x, tuple):
+        return ExponentVector([_exponent(desc, a) for a in x])
+    return desc.rational(Fraction(x))
+
+
+def _zero_exponent(desc: FieldDescriptor, like: Optional[Exponent]) -> Exponent:
+    """The zero exponent of ``like``'s dimension (a scalar for None)."""
+    if isinstance(like, ExponentVector):
+        return ExponentVector([desc.zero()] * len(like))
+    return desc.zero()
 
 
 class ComplexBall:
@@ -123,21 +182,23 @@ def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
 class QTrigPoly:
     """Finite exact map exponent -> nonzero rational coefficient.
 
-    Immutable after construction.  Terms are kept sorted by the real
-    value of the exponent (an exact comparison; ties are impossible
-    because exponents are pairwise distinct field elements).  The first
-    ``eval_ball`` fills a cache of the term enclosures per working
-    precision; a poly never evaluated keeps it ``None``.
+    Exponents are all scalars (s = 1) or all ``ExponentVector``s of one
+    length s >= 2.  Immutable after construction.  ``exponents()`` sorts
+    exactly: by real value for s = 1, lexicographically for s >= 2 (ties
+    are impossible because exponents are pairwise distinct).
+    ``eval_ball``, ``eval_f64``, ``standard_decomposition`` and
+    ``component_gcd`` take s = 1 only.  The first ``eval_ball`` fills a
+    cache of the term enclosures per working precision; a poly never
+    evaluated keeps it ``None``.
     """
 
     __slots__ = ("desc", "terms", "_sorted", "_ball_cache")
 
     def __init__(self, desc: FieldDescriptor,
-                 terms: Mapping[FieldElement, Fraction]):
-        clean: dict[FieldElement, Fraction] = {}
+                 terms: Mapping[ExponentLike, Fraction]):
+        clean: dict[Exponent, Fraction] = {}
         for d, c in terms.items():
-            if not isinstance(d, FieldElement):
-                d = desc.rational(Fraction(d))
+            d = _exponent(desc, d)
             if d.desc != desc:
                 raise DescriptorMismatch("exponent from a different field")
             c = Fraction(c)
@@ -145,12 +206,12 @@ class QTrigPoly:
                 clean[d] = clean.get(d, Fraction(0)) + c
         self.desc = desc
         self.terms = {d: c for d, c in clean.items() if c != 0}
-        self._sorted: Optional[tuple[FieldElement, ...]] = None
+        self._sorted: Optional[tuple[Exponent, ...]] = None
         self._ball_cache: Optional[dict[int, tuple]] = None
 
     @staticmethod
     def _from_clean(desc: FieldDescriptor,
-                    terms: dict[FieldElement, Fraction]) -> "QTrigPoly":
+                    terms: dict[Exponent, Fraction]) -> "QTrigPoly":
         """Wrap a map already in normal form (exponents of ``desc``, each
         once, nonzero Fraction coefficients) without re-checking it."""
         out = object.__new__(QTrigPoly)
@@ -167,20 +228,17 @@ class QTrigPoly:
         return QTrigPoly(desc, {})
 
     @staticmethod
-    def constant(desc: FieldDescriptor, c: Fraction = Fraction(1)) -> "QTrigPoly":
-        return QTrigPoly(desc, {desc.zero(): Fraction(c)})
-
-    @staticmethod
-    def monomial(desc: FieldDescriptor, exponent: ExponentLike,
-                 coeff: Fraction = Fraction(1)) -> "QTrigPoly":
-        e = exponent if isinstance(exponent, FieldElement) else desc.rational(exponent)
-        return QTrigPoly(desc, {e: Fraction(coeff)})
+    def constant(desc: FieldDescriptor, c: Fraction = Fraction(1),
+                 like: Optional[Exponent] = None) -> "QTrigPoly":
+        """c * E(0, w), with the zero exponent of ``like``'s dimension
+        (a scalar when ``like`` is None)."""
+        return QTrigPoly(desc, {_zero_exponent(desc, like): Fraction(c)})
 
     @staticmethod
     def binomial(desc: FieldDescriptor, m: ExponentLike) -> "QTrigPoly":
         """1 - E(m, w)."""
-        e = m if isinstance(m, FieldElement) else desc.rational(m)
-        return QTrigPoly(desc, {desc.zero(): Fraction(1), e: Fraction(-1)})
+        e = _exponent(desc, m)
+        return QTrigPoly(desc, {_zero_exponent(desc, e): Fraction(1), e: Fraction(-1)})
 
     # -- structure --------------------------------------------------------
 
@@ -191,8 +249,9 @@ class QTrigPoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def exponents(self) -> tuple[FieldElement, ...]:
-        """Exponents sorted increasingly by real value.
+    def exponents(self) -> tuple[Exponent, ...]:
+        """Exponents sorted increasingly: by real value, or
+        lexicographically for vectors.
 
         A presort by a float approximation puts nearly every pair in
         order, so the exact sort after it makes about one comparison per
@@ -200,19 +259,20 @@ class QTrigPoly:
         because exponents are distinct.
         """
         if self._sorted is None:
-            try:
-                near = sorted(self.terms, key=FieldElement._f64_key)
-            except OverflowError:
-                near = self.terms
+            near = self.terms
+            if near:
+                try:
+                    near = sorted(near, key=type(next(iter(near)))._f64_key)
+                except OverflowError:
+                    pass
             self._sorted = tuple(sorted(near))
         return self._sorted
 
-    def items(self) -> list[tuple[FieldElement, Fraction]]:
+    def items(self) -> list[tuple[Exponent, Fraction]]:
         return [(d, self.terms[d]) for d in self.exponents()]
 
     def coefficient(self, d: ExponentLike) -> Fraction:
-        e = d if isinstance(d, FieldElement) else self.desc.rational(d)
-        return self.terms.get(e, Fraction(0))
+        return self.terms.get(_exponent(self.desc, d), Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
         """The exact value at w = 0."""
@@ -247,7 +307,7 @@ class QTrigPoly:
 
     def __mul__(self, other: "QTrigPoly") -> "QTrigPoly":
         self._check(other)
-        out: dict[FieldElement, Fraction] = {}
+        out: dict[Exponent, Fraction] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 d = d1 + d2
@@ -262,10 +322,21 @@ class QTrigPoly:
 
     def shift(self, delta: ExponentLike) -> "QTrigPoly":
         """Multiply by E(delta, w): every exponent shifts by delta."""
-        e = delta if isinstance(delta, FieldElement) else self.desc.rational(delta)
+        e = _exponent(self.desc, delta)
         # an exponent lifted into another field must fail the descriptor check
         make = QTrigPoly._from_clean if e.desc == self.desc else QTrigPoly
         return make(self.desc, {d + e: c for d, c in self.terms.items()})
+
+    def substitute(self, probe: Sequence[int]) -> "QTrigPoly":
+        """The univariate slice w -> z * probe of a poly with vector
+        exponents: each exponent d becomes probe . d."""
+        out: dict[FieldElement, Fraction] = {}
+        for d, c in self.terms.items():
+            e = self.desc.zero()
+            for w0, x in zip(probe, d):
+                e = e + w0 * x
+            out[e] = out.get(e, Fraction(0)) + c
+        return QTrigPoly(self.desc, out)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -386,15 +457,14 @@ class QTrigPoly:
 
     # -- divisibility --------------------------------------------------------
 
-    def divide_binomial(self, m: FieldElement) -> Optional["QTrigPoly"]:
+    def divide_binomial(self, m: ExponentLike) -> Optional["QTrigPoly"]:
         """Exact quotient P / (1 - E(m, w)), or None if not divisible.
 
         Terms are grouped into residue classes of exponents modulo m*Z;
         P is divisible iff every class has coefficient sum zero, and the
         quotient comes out of per-class cumulative sums.
         """
-        if not isinstance(m, FieldElement):
-            m = self.desc.rational(m)
+        m = _exponent(self.desc, m)
         if m.is_zero:
             raise ZeroPolynomial("binomial divisor with m = 0")
         if self.is_zero:
@@ -404,27 +474,45 @@ class QTrigPoly:
             return None
         return verdict
 
-    def _divide_binomial_classes(self, m: FieldElement):
+    def _divide_binomial_classes(self, m: Exponent):
         """Either the quotient or a witness for the failing class.
 
-        Exponents d and d' share a class iff q = d/m and q' = d'/m differ
-        by an integer, i.e. agree in every coordinate but the first and
-        in the fractional part of the first.  So each term is keyed by
-        (frac(q_0), q_1, ..., q_{k-1}), one multiplication by m^-1, and
-        its offset in the class is q_0 - q_0(base).  Classes keep
-        first-seen order with the first-seen term as base, which fixes
-        the witness and the term order of the quotient.
+        Exponents d and d' share a class iff d - d' lies in m*Z.  Let m_i
+        be the first nonzero coordinate of m (m itself for a scalar) and
+        q = d_i/m_i.  Then d and d' share a class iff q - q' is an
+        integer, i.e. q and q' agree in every coordinate but the first
+        and in the fractional part of the first, and, for a vector, the
+        other coordinates of d - t*m agree at t = floor(q_0).  So each
+        term is keyed by (frac(q_0), q_1, ..., q_{k-1}) plus those other
+        coordinates, at one multiplication by m_i^-1, and its offset in
+        the class is q_0 - q_0(base).  Classes keep first-seen order with
+        the first-seen term as base, which fixes the witness and the term
+        order of the quotient.  Scalar or vector is decided once per call.
         """
-        m_inv = m.inverse()
-        classes: dict[tuple, tuple[FieldElement, int, dict[int, Fraction]]] = {}
-        for d, c in self.terms.items():
-            q = d * m_inv
-            cls = classes.get(key := _class_key(q))
-            if cls is None:
-                classes[key] = (d, q.num[0], {0: c})
-            else:
-                cls[2][(q.num[0] - cls[1]) // q.den] = c
-        out: dict[FieldElement, Fraction] = {}
+        classes: dict[tuple, tuple[Exponent, int, dict[int, Fraction]]] = {}
+        if isinstance(m, FieldElement):
+            m_inv = m.inverse()
+            for d, c in self.terms.items():
+                q = d * m_inv
+                cls = classes.get(key := _class_key(q))
+                if cls is None:
+                    classes[key] = (d, q.num[0], {0: c})
+                else:
+                    cls[2][(q.num[0] - cls[1]) // q.den] = c
+        else:
+            i0 = next(i for i, x in enumerate(m) if not x.is_zero)
+            others = [(i, x) for i, x in enumerate(m) if i != i0]
+            m_inv = m[i0].inverse()
+            for d, c in self.terms.items():
+                q = d[i0] * m_inv
+                t = q.num[0] // q.den
+                key = (*_class_key(q), *[d[i] - x * t for i, x in others])
+                cls = classes.get(key)
+                if cls is None:
+                    classes[key] = (d, q.num[0], {0: c})
+                else:
+                    cls[2][(q.num[0] - cls[1]) // q.den] = c
+        out: dict[Exponent, Fraction] = {}
         for base, _, offsets in classes.values():
             total = sum(offsets.values(), Fraction(0))
             if total != 0:
@@ -476,8 +564,8 @@ class BinomialDivisionWitness:
     """A residue class with nonzero coefficient sum: the exact reason a
     binomial division failed."""
 
-    base: FieldElement
-    divisor: FieldElement
+    base: Exponent
+    divisor: Exponent
     class_sum: Fraction
     offsets: dict[int, Fraction]
 
@@ -503,20 +591,11 @@ class StdDecomposition:
         return QTrigPoly(self.desc, out)
 
 
-def combine(P: QTrigPoly, Q: QTrigPoly, op: str) -> QTrigPoly:
-    """Exact sum or product (the spec-level combine operation)."""
-    if op == "add":
-        return P + Q
-    if op == "mul":
-        return P * Q
-    raise ValueError(f"unknown op {op!r}")
-
-
 def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:
     """sum_{t=0}^{p-1} E(t*m, w), the quotient (1 - E(pm)) / (1 - E(m))."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    e = m if isinstance(m, FieldElement) else desc.rational(m)
+    e = _exponent(desc, m)
     if e.is_zero:
         raise ZeroPolynomial("geometric factor with m = 0")
     return QTrigPoly(desc, {e * t: Fraction(1) for t in range(p)})

@@ -8,10 +8,13 @@ the exact sequential division
 
 carried out binomial by binomial over residue classes of exponents: it
 is unconditionally complete, and a failure yields a residue class with
-nonzero coefficient sum as an independently checkable witness.  Only an
-integer dilation of an integer matrix takes the classical
-integer-dilation mask instead; a non-integer matrix under an integer
-dilation goes through the general division like every other instance.
+nonzero coefficient sum as an independently checkable witness.  One
+division and one re-multiplication check serve every s >= 1: columns
+and exponents are scalars for s = 1 and ``ExponentVector``s in
+Q(theta)^s otherwise.  Only an integer dilation of an integer matrix
+takes the classical integer-dilation mask instead; a non-integer matrix
+under an integer dilation goes through the general division like every
+other instance.
 The structural view (per-column integer relations lambda m = p m_0,
 cycles whose multiplier product is an exact power of lambda, chain
 partitions (m_0, lambda m_0, ..., lambda^{k-1} m_0)) is a report
@@ -53,7 +56,13 @@ from .exactreal import (
     iv_endpoints,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
-from .qtrig import BinomialDivisionWitness, ComplexBall, QTrigPoly
+from .qtrig import (
+    BinomialDivisionWitness,
+    ComplexBall,
+    ExponentVector,
+    QTrigPoly,
+    _zero_exponent,
+)
 from .splinecore import BoxSplineSpec, MaskSpec, integer_dilation_box_mask
 
 ExactScalar = Union[int, Fraction, FieldElement]
@@ -68,13 +77,6 @@ def _coords(c) -> tuple:
     return c if isinstance(c, tuple) else (c,)
 
 
-def _colmap(f, *cols):
-    """f applied coordinate by coordinate to scalar or vector columns."""
-    if isinstance(cols[0], tuple):
-        return tuple(map(f, *cols))
-    return f(*cols)
-
-
 def _lead(c) -> Optional[int]:
     """Index of the first nonzero coordinate of a column (None if zero)."""
     return next((i for i, x in enumerate(_coords(c)) if not x.is_zero), None)
@@ -84,9 +86,10 @@ def _prepare(A: Sequence, lam: ExactScalar) -> tuple[FieldElement, tuple, tuple,
     """Lift lambda and the columns into one field and normalize signs.
 
     A column is a scalar (Q(theta)) or a tuple of coordinates
-    (Q(theta)^s).  Returns (lambda, lifted columns, normalized columns,
-    shift): a column whose first nonzero coordinate is negative is
-    negated.  1 - E(-m, w) = -E(-m, w) (1 - E(m, w)), so flipping a sign
+    (Q(theta)^s), lifted to an ``ExponentVector``.  Returns (lambda,
+    lifted columns, normalized columns, shift): a column whose first
+    nonzero coordinate is negative is negated.
+    1 - E(-m, w) = -E(-m, w) (1 - E(m, w)), so flipping a sign
     multiplies the mask by E(-(lambda-1) m, w): the true translations
     are the normalized ones minus the returned shift.
     """
@@ -97,21 +100,23 @@ def _prepare(A: Sequence, lam: ExactScalar) -> tuple[FieldElement, tuple, tuple,
                      if isinstance(x, FieldElement)), QQ)
 
     def lift(x):
+        if isinstance(x, tuple):
+            return ExponentVector([lift(a) for a in x])
         return x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
 
     lam_e = lift(lam)
-    cols = tuple(_colmap(lift, a) for a in A)
+    cols = tuple(lift(a) for a in A)
     if not lam_e > 1:
         raise InvalidLambda("dilation must be > 1")
     norm = []
-    shift = _colmap(lambda x: x.desc.zero(), cols[0])
+    shift = _zero_exponent(desc, cols[0])
     for c in cols:
         i0 = _lead(c)
         if i0 is None:
             raise ValueError("directions must be nonzero")
         if _coords(c)[i0].sign() < 0:
-            c = _colmap(lambda x: -x, c)
-            shift = _colmap(lambda t, x: t + (lam_e - 1) * x, shift, c)
+            c = -c
+            shift = shift + c * (lam_e - 1)
         norm.append(c)
     return lam_e, cols, tuple(norm), shift
 
@@ -159,33 +164,62 @@ class MaskWitness:
         }
 
 
-def mask_construct_detailed(A: Sequence[ExactScalar], lam: ExactScalar
-                            ) -> tuple[Optional[MaskSpec], Optional[MaskWitness],
-                                       FieldElement]:
+def _mask_division(cols: Sequence, lam: FieldElement
+                   ) -> tuple[Optional[QTrigPoly], Optional[int],
+                              Optional[BinomialDivisionWitness]]:
     """Expand prod (1 - E(lambda m_j)) and divide out each (1 - E(m_j)).
 
-    Returns (mask, witness, translation_shift): exactly one of mask and
-    witness is set.  On success the quotient has rational coefficient
-    sum equal to lambda^n exactly, and H is the quotient normalized to
-    H(0) = 1.
+    Columns are lifted and sign-normalized, scalars or vectors.  Returns
+    (H, None, None) with H the quotient normalized to H(0) = 1, or
+    (None, j, witness) for the first column j whose division fails.  The
+    quotient's rational coefficient sum is lambda^n exactly.
     """
-    lam_e, _, cols, shift = _prepare(A, lam)
-    desc = lam_e.desc
-    num = QTrigPoly.constant(desc)
+    desc = lam.desc
+    num = QTrigPoly.constant(desc, like=cols[0])
     for m in cols:
-        num = num * QTrigPoly.binomial(desc, lam_e * m)
+        num = num * QTrigPoly.binomial(desc, m * lam)
     quotient = num
     for idx, m in enumerate(cols):
         verdict = quotient._divide_binomial_classes(m)
         if isinstance(verdict, BinomialDivisionWitness):
-            return None, MaskWitness(idx, m, verdict), shift
+            return None, idx, verdict
         quotient = verdict
     total = quotient.coefficient_sum()
-    lam_n = lam_e ** len(cols)
+    lam_n = lam ** len(cols)
     if not (lam_n.is_rational and lam_n.as_fraction() == total):
         raise CycleInconsistency(
             f"quotient sum {total} != lambda^n = {lam_n}")  # unreachable
-    return MaskSpec(lam_e, quotient.scale(1 / total)), None, shift
+    return quotient.scale(1 / total), None, None
+
+
+def _mask_identity(cols: Sequence, lam: FieldElement, H: QTrigPoly) -> bool:
+    """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)
+    on lifted, sign-normalized columns, scalars or vectors."""
+    lam_n = lam ** len(cols)
+    if not lam_n.is_rational:
+        return False
+    # one binomial at a time: P * (1 - E(m)) = P - E(m) P
+    num = QTrigPoly.constant(lam.desc, like=cols[0])
+    rhs = H.scale(lam_n.as_fraction())
+    for m in cols:
+        num = num - num.shift(m * lam)
+        rhs = rhs - rhs.shift(m)
+    return num == rhs
+
+
+def mask_construct_detailed(A: Sequence[ExactScalar], lam: ExactScalar
+                            ) -> tuple[Optional[MaskSpec], Optional[MaskWitness],
+                                       FieldElement]:
+    """The mask of B(x|A) under lambda by sequential binomial division.
+
+    Returns (mask, witness, translation_shift): exactly one of mask and
+    witness is set.  H is the quotient normalized to H(0) = 1.
+    """
+    lam_e, _, cols, shift = _prepare(A, lam)
+    H, idx, inner = _mask_division(cols, lam_e)
+    if H is None:
+        return None, MaskWitness(idx, cols[idx], inner), shift
+    return MaskSpec(lam_e, H), None, shift
 
 
 def mask_construct(A: Sequence[ExactScalar], lam: ExactScalar) -> Optional[MaskSpec]:
@@ -198,16 +232,7 @@ def verify_mask_identity(A: Sequence[ExactScalar], lam: ExactScalar,
                          mask: MaskSpec) -> bool:
     """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)."""
     lam_e, _, cols, _ = _prepare(A, lam)
-    lam_n = lam_e ** len(cols)
-    if not lam_n.is_rational:
-        return False
-    # one binomial at a time: P * (1 - E(m)) = P - E(m) P
-    num = QTrigPoly.constant(lam_e.desc)
-    rhs = mask.H.scale(lam_n.as_fraction())
-    for m in cols:
-        num = num - num.shift(lam_e * m)
-        rhs = rhs - rhs.shift(m)
-    return num == rhs
+    return _mask_identity(cols, lam_e, mask.H)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +292,7 @@ def _column_ratio(a, b) -> Optional[int]:
 
 def _column_relations(cols: Sequence, lam: FieldElement) -> ConditionBResult:
     """condition_B on lifted, sign-normalized columns."""
-    lam_cols = [_colmap(lambda x: lam * x, m) for m in cols]
+    lam_cols = [m * lam for m in cols]
     relations = []
     violations = []
     for i, m0 in enumerate(cols):
@@ -391,7 +416,7 @@ def _chain_walk(cols: Sequence, lam_e: FieldElement,
         acc *= p
         cumulative.append(acc)
         lam_pow = lam_pow * lam_e
-        sub.append(_colmap(lambda x: x * acc / lam_pow, v))
+        sub.append(v * acc * lam_pow.inverse())
     for a, b in zip(cumulative, cumulative[1:]):
         if b % a != 0:
             raise CycleInconsistency(f"multiplier divisibility fails: {a} | {b}")
@@ -596,7 +621,10 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
     least the denominator multiplicity #{j' : m_j' w in Z\\0}.  The
     multiplicity tests reduce to exact divisibility: m_j' (I/m_j) in Z
     iff den(m_j'/m_j) | I when the ratio is rational (never, otherwise).
-    Signs are symmetric, so positive I suffice.
+    Signs are symmetric, so positive I suffice.  Both multiplicities are
+    periodic in I with period the lcm of column j's finite denominators,
+    so I stops at that lcm: a failure at I recurs at ((I - 1) mod lcm) + 1,
+    and the first failing (j, I) is the one the full range gives.
     """
     lam_e, _, cols, _ = _prepare(A, lam)
     n = len(cols)
@@ -612,7 +640,8 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
         den_mod.append(dm)
         num_mod.append(nm)
     for j in range(n):
-        for I in range(1, bound + 1):
+        period = math.lcm(*(q for q in den_mod[j] + num_mod[j] if q is not None))
+        for I in range(1, min(bound, period) + 1):
             den_mult = sum(1 for q in den_mod[j] if q is not None and I % q == 0)
             num_mult = sum(1 for q in num_mod[j] if q is not None and I % q == 0)
             if num_mult < den_mult:
@@ -625,134 +654,20 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
     return CoverageReport(True, bound, None)
 
 # ---------------------------------------------------------------------------
-# multivariate quasi-trigonometric polynomials (vector exponents)
+# s-variate masks
 
-
-class MvQTrigPoly:
-    """Finite sum of c * exp(-2 pi i w . d) with vector exponents d in
-    Q(theta)^s and rational coefficients; just enough algebra for the
-    s-variate mask division."""
-
-    __slots__ = ("desc", "s", "terms")
-
-    def __init__(self, desc: FieldDescriptor, s: int,
-                 terms: dict[tuple, Fraction]):
-        clean: dict[tuple, Fraction] = {}
-        for d, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                clean[d] = clean.get(d, Fraction(0)) + c
-        self.desc = desc
-        self.s = s
-        self.terms = {d: c for d, c in clean.items() if c != 0}
-
-    @staticmethod
-    def constant(desc: FieldDescriptor, s: int) -> "MvQTrigPoly":
-        zero = tuple(desc.zero() for _ in range(s))
-        return MvQTrigPoly(desc, s, {zero: Fraction(1)})
-
-    @staticmethod
-    def binomial(desc: FieldDescriptor, v: tuple) -> "MvQTrigPoly":
-        zero = tuple(desc.zero() for _ in range(len(v)))
-        return MvQTrigPoly(desc, len(v), {zero: Fraction(1), v: Fraction(-1)})
-
-    def __mul__(self, other: "MvQTrigPoly") -> "MvQTrigPoly":
-        out: dict[tuple, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                d = tuple(a + b for a, b in zip(d1, d2))
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return MvQTrigPoly(self.desc, self.s, out)
-
-    def scale(self, q: Fraction) -> "MvQTrigPoly":
-        return MvQTrigPoly(self.desc, self.s,
-                           {d: c * q for d, c in self.terms.items()})
-
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MvQTrigPoly):
-            return NotImplemented
-        return self.s == other.s and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("MvQTrigPoly is unhashable")
-
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        return [(d, self.terms[d]) for d in sorted(self.terms)]
-
-    def substitute(self, probe: Sequence[int]) -> QTrigPoly:
-        """The univariate slice w -> z * probe: exponents become probe . d."""
-        out: dict[FieldElement, Fraction] = {}
-        for d, c in self.terms.items():
-            e = self.desc.zero()
-            for w0, x in zip(probe, d):
-                e = e + w0 * x
-            out[e] = out.get(e, Fraction(0)) + c
-        return QTrigPoly(self.desc, out)
-
-    def divide_binomial(self, v: tuple):
-        """Quotient by 1 - E(v, .) or an MvMaskWitness.
-
-        Residue classes are exponent differences in v*Z.  With q = d_i/v_i
-        on the first nonzero coordinate i of v, each term is keyed by its
-        class representative d - floor(q_0) v, and its offset in the class
-        is floor(q_0) - floor(q_0(base)).  Classes keep first-seen order
-        with the first-seen term as base.
-        """
-        i0 = next(i for i, x in enumerate(v) if not x.is_zero)
-        inv = v[i0].inverse()
-        classes: dict[tuple, tuple[tuple, int, dict[int, Fraction]]] = {}
-        for d, c in self.terms.items():
-            q0 = d[i0] * inv
-            t = q0.num[0] // q0.den
-            rep = tuple(x - t * y for x, y in zip(d, v))
-            cls = classes.get(rep)
-            if cls is None:
-                classes[rep] = (d, t, {0: c})
-            else:
-                cls[2][t - cls[1]] = c
-        out: dict[tuple, Fraction] = {}
-        for base, _, offsets in classes.values():
-            total = sum(offsets.values(), Fraction(0))
-            if total != 0:
-                return MvDivisionWitness(base=base, divisor=v, class_sum=total)
-            lo, hi = min(offsets), max(offsets)
-            acc = Fraction(0)
-            for t in range(lo, hi):
-                acc += offsets.get(t, Fraction(0))
-                if acc != 0:
-                    key = tuple(b + t * vi for b, vi in zip(base, v))
-                    out[key] = acc
-        return MvQTrigPoly(self.desc, self.s, out)
-
-
-@dataclass(frozen=True)
-class MvDivisionWitness:
-    base: tuple
-    divisor: tuple
-    class_sum: Fraction
-
-    def describe(self) -> str:
-        base = ", ".join(x.to_text() for x in self.base)
-        div = ", ".join(x.to_text() for x in self.divisor)
-        return (f"class of exponent ({base}) modulo ({div})*Z has "
-                f"coefficient sum {self.class_sum} != 0")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "class_base": [x.to_text() for x in self.base],
-            "divisor": [x.to_text() for x in self.divisor],
-            "class_sum": str(self.class_sum),
-        }
+MvQTrigPoly = QTrigPoly  # the former s-variate type's name, which tools still look up
 
 
 @dataclass(frozen=True)
 class MvMaskWitness:
+    """Why an s-variate division failed: the column, and the failing
+    residue class of the s-variate division or, with ``probe`` set, of
+    the univariate slice along that probe."""
+
     column_index: int
     column: tuple
-    inner: MvDivisionWitness
+    inner: BinomialDivisionWitness
     probe: Optional[tuple[int, ...]] = None
 
     def describe(self) -> str:
@@ -765,7 +680,11 @@ class MvMaskWitness:
             "column_index": self.column_index,
             "column": [x.to_text() for x in self.column],
             "probe": None if self.probe is None else list(self.probe),
-            "inner": self.inner.to_jsonable(),
+            "inner": {
+                "class_base": [x.to_text() for x in _coords(self.inner.base)],
+                "divisor": [x.to_text() for x in _coords(self.inner.divisor)],
+                "class_sum": str(self.inner.class_sum),
+            },
         }
 
 
@@ -774,14 +693,14 @@ class MultivariateMaskSpec:
     """An s-variate mask: dilation lambda plus H with vector exponents."""
 
     lam: FieldElement
-    H: MvQTrigPoly
+    H: QTrigPoly
 
     @property
     def s(self) -> int:
-        return self.H.s
+        return len(self.H.exponents()[0])
 
     def translations(self) -> list[tuple]:
-        return [d for d, _ in self.H.sorted_terms()]
+        return list(self.H.exponents())
 
     def to_jsonable(self) -> dict:
         desc = self.lam.desc
@@ -793,7 +712,7 @@ class MultivariateMaskSpec:
                 {"coefficient": str(c),
                  "exponent": [x.to_text() for x in d],
                  "exponent_decimal": [f"{float(x):.17g}" for x in d]}
-                for d, c in self.H.sorted_terms()
+                for d, c in self.H.items()
             ],
         }
 
@@ -870,10 +789,12 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
     integer-dilation mask.  Every other instance, including a
     non-integer matrix under an integer dilation, goes through the
     general division: integer probe vectors slice the instance to
-    univariate ones (each must be refinable), and the s-variate mask is
-    built by the same exact binomial division with vector exponents and
-    checked by re-multiplication.  Slices of the s-variate mask must
-    reproduce the univariate masks exactly.  The column relations
+    univariate ones (each must be refinable, else the slice's witness is
+    the report's), and the s-variate mask comes from the division and
+    binomial-by-binomial identity check that mask_construct_detailed and
+    verify_mask_identity use, run on QTrigPoly with vector exponents.
+    Slices of the s-variate mask must reproduce the univariate masks
+    exactly.  The column relations
     lambda m = p m_0 and the cycle/chain report come from the relation
     search and chain walk that condition_B and chain_structure use.
     """
@@ -900,55 +821,29 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
         mask_w, witness_w, shift_w = mask_construct_detailed(
             _slice_directions(cols, w0), lam_e)
         if mask_w is None:
-            mv_wit = MvMaskWitness(
-                column_index=witness_w.column_index,
-                column=cols[witness_w.column_index],
-                inner=MvDivisionWitness(
-                    base=(witness_w.inner.base,),
-                    divisor=(witness_w.inner.divisor,),
-                    class_sum=witness_w.inner.class_sum),
-                probe=w0)
+            witness = MvMaskWitness(witness_w.column_index,
+                                    cols[witness_w.column_index],
+                                    witness_w.inner, probe=w0)
             return RefinabilityReport(
                 refinable=False, lam=lam_e, columns=spec.columns,
                 normalized_columns=cols, translation_shift=shift,
-                mask=None, witness=mv_wit, condition_flags=flags,
+                mask=None, witness=witness, condition_flags=flags,
                 chains=None, identity_checked=False,
                 notes=(f"slice along probe {w0} is not refinable",))
         slice_masks.append((w0, mask_w, shift_w))
 
-    # s-variate mask by exact division
-    num = MvQTrigPoly.constant(desc, spec.s)
-    for col in cols:
-        num = num * MvQTrigPoly.binomial(desc, _colmap(lambda x: lam_e * x, col))
-    quotient = num
-    witness = None
-    for idx, col in enumerate(cols):
-        verdict = quotient.divide_binomial(col)
-        if isinstance(verdict, MvDivisionWitness):
-            witness = MvMaskWitness(idx, col, verdict)
-            break
-        quotient = verdict
-    if witness is not None:
+    # s-variate mask by exact division, checked by re-multiplication
+    H, idx, inner = _mask_division(cols, lam_e)
+    if H is None:
         return RefinabilityReport(
             refinable=False, lam=lam_e, columns=spec.columns,
             normalized_columns=cols, translation_shift=shift, mask=None,
-            witness=witness, condition_flags=flags, chains=None,
-            identity_checked=False,
+            witness=MvMaskWitness(idx, cols[idx], inner),
+            condition_flags=flags, chains=None, identity_checked=False,
             notes=("slices succeeded but the s-variate division failed",))
-
-    total = quotient.coefficient_sum()
-    lam_n = lam_e ** spec.n
-    if not (lam_n.is_rational and lam_n.as_fraction() == total):
-        raise CycleInconsistency("s-variate quotient sum != lambda^n")
-    H = quotient.scale(1 / total)
-    mask = MultivariateMaskSpec(lam_e, H)
-
-    # exact identity by re-multiplication
-    den = MvQTrigPoly.constant(desc, spec.s)
-    for col in cols:
-        den = den * MvQTrigPoly.binomial(desc, col)
-    if (H * den).scale(total) != num:
+    if not _mask_identity(cols, lam_e, H):
         raise CycleInconsistency("s-variate mask identity failed")
+    mask = MultivariateMaskSpec(lam_e, H)
 
     # slice consistency: substitution gives the unnormalized slice mask,
     # i.e. the univariate mask with its sign-normalization shift undone

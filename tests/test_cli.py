@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,21 @@ def test_mvcheck_cli(capsys, tmp_path):
     code, data = run_json(capsys, ["mvcheck", "--instance", str(path)])
     assert code == 0
     assert data["report"]["chains"]["cycles"] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("instance, code, digest", [
+    (MV, 0, "8ebb0bb5c5caf48daf1cf20092adb2ba84ef62d1e4434b861ba702998d81c906"),
+    ({**MV, "columns": MV["columns"][:3] + [["0", "1/7"]]}, 1,
+     "0486efbeb19e02597c99410f2b894caf74575f14ed6eddb100a16db9d49a9586"),
+])
+def test_mvcheck_output_golden(capsys, tmp_path, monkeypatch, instance, code, digest):
+    # the stdout of an accepted and a rejected s-variate check, byte for
+    # byte; a relative path keeps the echoed configuration fixed
+    monkeypatch.chdir(tmp_path)
+    Path("mv.json").write_text(json.dumps(instance))
+    assert run(["mvcheck", "--instance", "mv.json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_factorize_cli(capsys, counter_file):

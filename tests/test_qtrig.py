@@ -1,4 +1,4 @@
-"""Quasi-trigonometric polynomial algebra: exact combine, evaluation,
+"""Quasi-trigonometric polynomial algebra: exact ring operations, evaluation,
 standard decomposition, component gcd, binomial divisibility."""
 
 import random
@@ -16,11 +16,11 @@ from refinable.exactreal import QQ, FieldElement, _iv_prec, field_make
 from refinable.qtrig import (
     BinomialDivisionWitness,
     ComplexBall,
+    ExponentVector,
     QTrigPoly,
     _split_input,
     _two_pi,
     _unit_exponential_mpi,
-    combine,
     geometric,
 )
 from refinable.refinery import _prepare
@@ -36,15 +36,15 @@ def counterexample_mask(F10):
     th = F10.theta()
     H = QTrigPoly.zero(F10)
     for i in range(5):
-        H = H + QTrigPoly.monomial(F10, F10.rational(i), Fraction(1, 10))
-        H = H + QTrigPoly.monomial(F10, F10.rational(i) + th / 2, Fraction(1, 10))
+        H = H + QTrigPoly(F10, {F10.rational(i): Fraction(1, 10)})
+        H = H + QTrigPoly(F10, {F10.rational(i) + th / 2: Fraction(1, 10)})
     return H
 
 
 def test_combine_examples(F10):
     one_plus = QTrigPoly(F10, {F10.zero(): 1, F10.one(): 1})
     one_minus = QTrigPoly.binomial(F10, 1)
-    prod = combine(one_plus, one_minus, "mul")
+    prod = one_plus * one_minus
     assert prod == QTrigPoly(F10, {F10.zero(): 1, F10.rational(2): -1})
 
     th = F10.theta()
@@ -465,7 +465,7 @@ def test_eval_ball_cache_stays_empty_until_evaluated(F10):
     made = [P, Q, P * Q, P + Q, -P, P.scale(3), P.shift(th),
             (P * Q).divide_binomial(th), geometric(F10, 3, th),
             QTrigPoly.zero(F10), QTrigPoly.constant(F10),
-            QTrigPoly.monomial(F10, th)]
+            QTrigPoly(F10, {th: 1})]
     assert all(R._ball_cache is None for R in made)
     P.eval_ball(Fraction(1, 3), 64)
     assert set(P._ball_cache) == {80}
@@ -605,3 +605,93 @@ def test_exponents_order_equals_the_exact_sort(desc, rng):
     P = QTrigPoly(desc, {d: Fraction(i + 1) for i, d in enumerate(exps)})
     assert P.exponents() == tuple(sorted(P.terms))
     assert P.exponents() == tuple(sorted(P.terms, key=lambda d: d.approx(400)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SORT_FIELDS), st.randoms(use_true_random=False))
+def test_vector_exponents_order_equals_the_exact_sort(desc, rng):
+    # lead coordinates from a short list, so that many pairs tie there
+    tail = _exponent_set(rng, desc)
+    lead = [rng.choice(tail[:3]) for _ in tail]
+    P = QTrigPoly(desc, {(a, b): Fraction(i + 1) for i, (a, b) in enumerate(zip(lead, tail))})
+    assert all(type(d) is ExponentVector for d in P.terms)
+    assert P.exponents() == tuple(sorted(tuple(d) for d in P.terms))
+
+
+# -- vector exponents (s >= 2) -------------------------------------------------
+
+_F2 = field_make(2, 2)
+_coord = st.builds(lambda a, b: _F2.rational(a) + _F2.theta() * b, _small, _small)
+
+
+@st.composite
+def _vector_poly(draw, s):
+    terms = draw(st.lists(st.tuples(st.tuples(*[_coord] * s), st.integers(-3, 3)),
+                          min_size=1, max_size=5))
+    return QTrigPoly(_F2, {d: c for d, c in terms})
+
+
+@st.composite
+def _vector_case(draw):
+    s = draw(st.sampled_from([2, 3]))
+    v = ExponentVector(draw(st.tuples(*[_coord] * s)))
+    probe = draw(st.tuples(*[st.integers(-3, 3)] * s))
+    return draw(_vector_poly(s)), v, probe
+
+
+@settings(max_examples=80, deadline=None)
+@given(_vector_case())
+def test_vector_division_roundtrip_property(case):
+    P, v, _ = case
+    if v.is_zero:
+        return
+    assert (P * QTrigPoly.binomial(_F2, v)).divide_binomial(v) == P
+
+
+@settings(max_examples=80, deadline=None)
+@given(_vector_case())
+def test_vector_division_commutes_with_slicing(case):
+    # (P / (1 - E(v))) sliced along w0 is the slice of P divided by
+    # 1 - E(w0 . v)
+    R, v, w0 = case
+    dot = sum((p * x for p, x in zip(w0, v)), _F2.zero())
+    if dot.is_zero:
+        return
+    P = R * QTrigPoly.binomial(_F2, v)
+    assert P.divide_binomial(v).substitute(w0) == P.substitute(w0).divide_binomial(dot)
+
+
+@pytest.mark.parametrize("terms, v, base, class_sum", [
+    ({(0, 0): 1, (1, "t"): 2, ("t", 0): -1}, (1, "t"), (0, 0), 3),
+    ({(0, 0): 1, (0, "2t"): -1, (0, "t/2"): 3, (1, "t/2"): -1}, (0, "t"), (0, "t/2"), 3),
+    ({(0, 0, 0): 1, ("1/2", 0, "t"): -1, (1, 0, "2t"): 1, ("t", 1, 1): 2},
+     ("1/2", 0, "t"), (0, 0, 0), 1),
+])
+def test_vector_division_witnesses(terms, v, base, class_sum):
+    # the failing class: its first-seen term and its coefficient sum
+    th = _F2.theta()
+    value = {"t": th, "2t": 2 * th, "t/2": th / 2, "1/2": Fraction(1, 2)}
+
+    def vec(xs):
+        return ExponentVector([_F2.rational(0) + value.get(x, x) for x in xs])
+
+    P = QTrigPoly(_F2, {vec(d): c for d, c in terms.items()})
+    witness = P._divide_binomial_classes(vec(v))
+    assert isinstance(witness, BinomialDivisionWitness)
+    assert (witness.base, witness.divisor, witness.class_sum) == (vec(base), vec(v), class_sum)
+    assert P.divide_binomial(vec(v)) is None
+
+
+def test_vector_exponent_arithmetic():
+    th = _F2.theta()
+    a = ExponentVector([_F2.one(), th])
+    b = ExponentVector([th, _F2.rational(2)])
+    assert a + b == (1 + th, th + 2) and a - b == (1 - th, th - 2)
+    assert -a == (-1, -th) and a * th == (th, 2) and 3 * a == (3, 3 * th)
+    assert a.desc == _F2 and not a.is_zero and (a - a).is_zero
+    assert a.to_text() == "(1, t)"
+    P = QTrigPoly(_F2, {(1, th): 2, (0, 0): 1})
+    assert P.shift((1, 0)) == QTrigPoly(_F2, {(2, th): 2, (1, 0): 1})
+    assert P.coefficient((1, th)) == 2 and P.coefficient_sum() == 3
+    assert QTrigPoly.binomial(_F2, a) == QTrigPoly(_F2, {(0, 0): 1, a: -1})
+    assert QTrigPoly.constant(_F2, 5, like=a) == QTrigPoly(_F2, {(0, 0): 5})

@@ -23,6 +23,7 @@ from refinable.splinecore import BoxSplineSpec, MaskSpec, bspline_mask
 from refinable.refinery import (
     ChainStructure,
     _cyclotomic_poly,
+    _prepare,
     chain_structure,
     condition_B,
     counterexample_instance,
@@ -225,6 +226,36 @@ def test_division_coverage_agreement_sample():
         assert (mask is not None) == rep.consistent, (A, lam, rep.uncovered)
 
 
+def _coverage_full_range(A, lam, bound):
+    """Reference: the first uncovered (column, I) over every 1 <= I <= bound."""
+    lam_e, _, cols, _ = _prepare(A, lam)
+    for j, m in enumerate(cols):
+        dens = [(o / m).den if (o / m).is_rational else None for o in cols]
+        nums = [(lam_e * o / m).den if (lam_e * o / m).is_rational else None
+                for o in cols]
+        for I in range(1, bound + 1):
+            den_mult = sum(1 for q in dens if q is not None and I % q == 0)
+            num_mult = sum(1 for q in nums if q is not None and I % q == 0)
+            if num_mult < den_mult:
+                return j, I, den_mult, num_mult
+    return None
+
+
+@pytest.mark.parametrize("seed", [777, 101])
+def test_coverage_scan_stops_at_the_period(seed):
+    # the scan up to the lcm of each column's denominators finds the
+    # same first uncovered point as the scan over the whole bound
+    for A, lam in instance_batch(200, seed=seed):
+        k = minimal_integer_power(lam)
+        bound = 20 * len(A) * (lam ** k).as_integer()
+        rep = coverage_oracle(A, lam, bound)
+        want = _coverage_full_range(A, lam, bound)
+        got = None if rep.consistent else tuple(
+            rep.uncovered[key] for key in ("column", "I", "denominator_multiplicity",
+                                           "numerator_multiplicity"))
+        assert got == want, (A, lam)
+
+
 # -- multivariate ----------------------------------------------------------------
 
 
@@ -310,6 +341,59 @@ def test_multivariate_sqrt2_rejection():
     rep = multivariate_decide(spec, F2.theta())
     assert not rep.refinable
     assert not rep.condition_flags["B"]
+
+
+def _unimodular_block_product(rng, accepted):
+    """A chain (r e_i, r lambda e_i) per unit vector e_i under lambda =
+    sqrt(n), broken unless ``accepted``, then mapped by a unimodular
+    integer matrix so that the lead coordinate of a column is not
+    always the first."""
+    s = rng.choice([2, 2, 3])
+    desc = field_make(rng.choice([2, 3] if s == 3 else [2, 3, 5]), 2)
+    lam = desc.theta()
+    cols = []
+    for i in range(s):
+        r = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        e = [desc.rational(int(i == j)) for j in range(s)]
+        cols += [[x * r for x in e], [x * r * lam for x in e]]
+    if not accepted:
+        how = rng.randint(0, 2)
+        if how == 0:
+            cols[rng.randrange(len(cols))] = [x * Fraction(8, 7) for x in cols[0]]
+        elif how == 1:
+            cols = cols[:-1]
+        else:
+            cols.append([x * (1 + lam) / 3 for x in rng.choice(cols)])
+    U = [[int(i == j) for j in range(s)] for i in range(s)]
+    for _ in range(2):
+        i, j = rng.sample(range(s), 2)
+        t = rng.choice([-1, 1, 2])
+        U[i] = [a + t * b for a, b in zip(U[i], U[j])]
+    cols = [[sum((u * x for u, x in zip(row, col)), desc.zero()) for row in U]
+            for col in cols]
+    return BoxSplineSpec(desc, cols), lam
+
+
+def test_multivariate_reports_golden():
+    # s = 2 and s = 3 reports pinned byte for byte: seeded unimodular
+    # images of block products, two instances whose slices all divide but
+    # whose s-variate division fails, an integer dilation of a rational
+    # matrix and the integer delegation
+    rng = random.Random(5)
+    cases = [_unimodular_block_product(rng, i % 2 == 0) for i in range(12)]
+    F2 = field_make(2, 2)
+    th = F2.theta()
+    for cols in ([[th, th / 2], [2 * th, 2 * th], [2, -2], [1, -1]],
+                 [[th / 2, -th / 2], [Fraction(1, 2), Fraction(-1, 2)], [th, 0], [2, 4]]):
+        cases.append((BoxSplineSpec(F2, cols), th))
+    cases.append((BoxSplineSpec(QQ, [[Fraction(1, 2), 0, 0], [0, 1, 0], [1, 1, 1]]), 2))
+    cases.append((BoxSplineSpec(QQ, [[1, 0], [0, 1], [1, 1]]), 2))
+    reports = [multivariate_decide(spec, lam).to_jsonable() for spec, lam in cases]
+    notes = [r["notes"][0] for r in reports]
+    assert sum("slices succeeded" in n for n in notes) == 2
+    assert sum("is not refinable" in n for n in notes) == 6
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "4f6a80a84a22768f83728b46c3711cc611b2b97603d728415e17698f4c3a54c1"
 
 
 # -- decay probe -----------------------------------------------------------------
