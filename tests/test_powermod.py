@@ -272,3 +272,19 @@ def test_erdos_certificates_golden():
         h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
     assert h.hexdigest() == \
         "1ccef206209297d6f6c43ca9f4217af377712e12ff286e7782956e427134c82b"
+
+
+def test_erdos_verify_midpoint_scan_golden():
+    # extra_n = 40 reaches the midpoint-orbit scan beyond the guarantee;
+    # depth 1 leaves most of those 40 steps outside it
+    h = hashlib.sha256()
+    for lam, targets, depth in _GOLDEN_TASKS[1::2]:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        for d in (1, depth):
+            rep = erdos_verify(erdos_construct(lam, targets, d), extra_n=40)
+            assert rep.certified
+            h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "6a1b4e21c1595753a8b1be32ada239ef5dd22509c360d1fb681ba5e502625e32"

@@ -559,3 +559,23 @@ def test_random_instances_identity_and_structure():
             rejected += 1
             assert rep.witness is not None
     assert accepted and rejected
+
+
+def test_decide_univariate_reports_golden():
+    # every fourth dilation is shifted by 1/2, so that no power of it is an
+    # integer (condition A fails); the mix holds accepted instances and
+    # rejected ones with and without condition B
+    h = hashlib.sha256()
+    kinds = set()
+    for i, (A, lam) in enumerate(instance_batch(80, seed=515)):
+        if i % 4 == 3:
+            lam = lam + Fraction(1, 2)
+        rep = decide_univariate(A, lam).to_jsonable()
+        flags = rep["condition_flags"]
+        kinds.add((rep["verdict"], flags["A"], flags["B"]))
+        h.update(json.dumps(rep, sort_keys=True).encode())
+    assert kinds == {("refinable", True, True), ("not_refinable", True, False),
+                     ("not_refinable", False, False)}
+    assert h.hexdigest() == \
+        "02a0851b2acb1c9555daa6a051a394aae02fe72f111cd7010a68fcf293e6cf04"
+
