@@ -35,9 +35,8 @@ from .errors import (
     RefinableError,
     RootIsolationFailure,
 )
-from .exactreal import FieldDescriptor, FieldElement, QQ, field_make, parse_element
+from .exactreal import FieldDescriptor, QQ, field_make, parse_element
 from .powermod import (
-    ErdosCertificate,
     check_admissibility,
     erdos_construct,
     erdos_params,
@@ -51,7 +50,6 @@ from .splinecore import (
     cascade_solve,
     convolution_factorization_check,
     fourier_product_f64,
-    integer_dilation_box_mask,
 )
 from .refinery import (
     counterexample_instance,

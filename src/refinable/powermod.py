@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionFailure, InvalidLambda
-from .exactreal import QQ, FieldDescriptor, FieldElement, field_make
+from .exactreal import QQ, FieldElement, field_make
 
 ExactReal = Union[int, Fraction, FieldElement]
 
@@ -423,19 +423,8 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
                 failures.append(f"distance bound fails at n={n}, r={r}")
 
     # empirical scan of the midpoint orbit beyond the guarantee
-    emp_min: Optional[ExactReal] = None
-    first_violation: Optional[int] = None
-    x = cert.xi
-    for n in range(0, max(extra_n, 0) + 1):
-        for r in cert.targets:
-            dist = dist_to_int(x - r)
-            if emp_min is None or dist < emp_min:
-                emp_min = dist
-            if first_violation is None and dist < cert.c:
-                first_violation = n
-        x = x * lam
-        x = x - x.floor()  # keep coordinates small: orbit modulo 1
-
+    emp_min, first_violation = orbit_distance_scan(
+        lam, cert.xi, cert.targets, cert.c, max(extra_n, 0))
     emp_min_f = float("nan") if emp_min is None else float(emp_min)
     emp_min_s = "" if emp_min is None else str(emp_min)
     return VerifyReport(

@@ -20,6 +20,12 @@ cycles whose multiplier product is an exact power of lambda, chain
 partitions (m_0, lambda m_0, ..., lambda^{k-1} m_0)) is a report
 layered on top, not the decider; one relation search and one chain walk
 serve scalar columns (s = 1) and vector columns (s >= 2) alike.
+Both deciders prepare their columns once and call the same private
+stages on them directly: ``_mask_division``, ``_column_relations``,
+``_chain_walk`` and ``_mask_identity``.  The public wrappers
+``mask_construct_detailed``, ``condition_B``, ``chain_structure`` and
+``verify_mask_identity`` prepare their own input and are for outside
+callers.
 
 Also here: the polynomial divisibility test Q(z) | Q(z^m) for
 integer-dilation spline masks, an independent zero-lattice coverage
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 import mpmath
 from mpmath import iv, mp
@@ -48,7 +54,6 @@ from .errors import (
     RootIsolationFailure,
 )
 from .exactreal import (
-    FieldDescriptor,
     FieldElement,
     QQ,
     _iv_prec,
@@ -59,11 +64,11 @@ from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
     BinomialDivisionWitness,
     ComplexBall,
-    ExponentVector,
     QTrigPoly,
+    _exponent,
     _zero_exponent,
 )
-from .splinecore import BoxSplineSpec, MaskSpec, integer_dilation_box_mask
+from .splinecore import BoxSplineSpec, MaskSpec, _rank, integer_dilation_box_mask
 
 ExactScalar = Union[int, Fraction, FieldElement]
 
@@ -99,13 +104,8 @@ def _prepare(A: Sequence, lam: ExactScalar) -> tuple[FieldElement, tuple, tuple,
         desc = next((x.desc for a in A for x in _coords(a)
                      if isinstance(x, FieldElement)), QQ)
 
-    def lift(x):
-        if isinstance(x, tuple):
-            return ExponentVector([lift(a) for a in x])
-        return x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
-
-    lam_e = lift(lam)
-    cols = tuple(lift(a) for a in A)
+    lam_e = _exponent(desc, lam)
+    cols = tuple(_exponent(desc, a) for a in A)
     if not lam_e > 1:
         raise InvalidLambda("dilation must be > 1")
     norm = []
@@ -339,26 +339,32 @@ class ChainStructure:
         }
 
 
+def _successor_walk(successor: Sequence[int], start: int,
+                     stop: Collection[int] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Walk i -> successor[i] from ``start`` until an index repeats or
+    lies in ``stop``.  Returns (the indices walked, the cycle entered,
+    beginning where the walk enters it, or () when the walk ran into
+    ``stop``)."""
+    seen: dict[int, int] = {}  # index -> position on the walk
+    i = start
+    while i not in seen and i not in stop:
+        seen[i] = len(seen)
+        i = successor[i]
+    walk = tuple(seen)
+    return walk, (walk[seen[i]:] if i in seen else ())
+
+
 def _all_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of a successor map, each rotated to start at its
     smallest index, listed by that index."""
-    n = len(successor)
     cycles = []
-    seen_global: set[int] = set()
-    for start in range(n):
-        if start in seen_global:
-            continue
-        seen: dict[int, int] = {}
-        i = start
-        while i not in seen and i not in seen_global:
-            seen[i] = len(seen)
-            i = successor[i]
-        if i in seen:  # new cycle
-            order = sorted(seen, key=seen.get)
-            cyc = order[seen[i]:]
+    walked: set[int] = set()
+    for start in range(len(successor)):
+        walk, cyc = _successor_walk(successor, start, walked)
+        walked.update(walk)
+        if cyc:
             lo = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[lo:] + cyc[:lo]))
-        seen_global.update(seen)
+            cycles.append(cyc[lo:] + cyc[:lo])
     cycles.sort()
     return tuple(cycles)
 
@@ -384,16 +390,8 @@ def _chain_walk(cols: Sequence, lam_e: FieldElement,
         raise RefinabilityError(
             f"per-column relation fails at columns {condb.violations}")
 
-    # walk successors from column 0 until an index repeats
     successor = tuple(condb.successor(i).target for i in range(len(cols)))
-    seen: dict[int, int] = {}
-    order = []
-    i = 0
-    while i not in seen:
-        seen[i] = len(order)
-        order.append(i)
-        i = successor[i]
-    cycle = tuple(order[seen[i]:])
+    _, cycle = _successor_walk(successor, 0)
     multipliers = tuple(condb.successor(j).p for j in cycle)
     l = len(cycle)
     prod = 1
@@ -527,31 +525,37 @@ class RefinabilityReport:
 
 
 def decide_univariate(A: Sequence[ExactScalar], lam: ExactScalar) -> RefinabilityReport:
-    """Full univariate decision: division verdict + structural report."""
-    lam_e, cols, norm_cols, shift = _prepare(A, lam)
-    mask, witness, _ = mask_construct_detailed(norm_cols, lam_e)
+    """Full univariate decision: division verdict + structural report.
 
-    k = minimal_integer_power(lam_e)
-    condb = condition_B(norm_cols, lam_e)
-    flags: dict = {"A": k is not None, "B": condb.ok, "C": None, "D": None}
+    The columns are prepared once; the division, the relation search,
+    the chain walk and the identity check all run on them.
+    """
+    lam_e, cols, norm_cols, shift = _prepare(A, lam)
+    H, idx, inner = _mask_division(norm_cols, lam_e)
+    mask = witness = None
+    if H is None:
+        witness = MaskWitness(idx, norm_cols[idx], inner)
+    else:
+        mask = MaskSpec(lam_e, H)
+
+    condb = _column_relations(norm_cols, lam_e)
+    flags: dict = {"A": minimal_integer_power(lam_e) is not None,
+                   "B": condb.ok, "C": None, "D": None}
     chains = None
     notes = []
     if condb.ok:
-        chains = chain_structure(norm_cols, lam_e)
+        chains = _chain_walk(norm_cols, lam_e, condb)
         flags["C"] = bool(chains.subvector)
         flags["D"] = chains.partition is not None
-    identity = False
-    if mask is not None:
-        identity = verify_mask_identity(norm_cols, lam_e, mask)
-        if not identity:
-            raise CycleInconsistency("mask identity failed after division")
+    if mask is not None and not _mask_identity(norm_cols, lam_e, H):
+        raise CycleInconsistency("mask identity failed after division")
     if mask is not None and not condb.ok:
         notes.append("division accepted but a per-column relation is missing")
     return RefinabilityReport(
         refinable=mask is not None,
         lam=lam_e, columns=cols, normalized_columns=norm_cols,
         translation_shift=shift, mask=mask, witness=witness,
-        condition_flags=flags, chains=chains, identity_checked=identity,
+        condition_flags=flags, chains=chains, identity_checked=mask is not None,
         notes=tuple(notes),
     )
 
@@ -621,10 +625,13 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
     least the denominator multiplicity #{j' : m_j' w in Z\\0}.  The
     multiplicity tests reduce to exact divisibility: m_j' (I/m_j) in Z
     iff den(m_j'/m_j) | I when the ratio is rational (never, otherwise).
-    Signs are symmetric, so positive I suffice.  Both multiplicities are
-    periodic in I with period the lcm of column j's finite denominators,
-    so I stops at that lcm: a failure at I recurs at ((I - 1) mod lcm) + 1,
-    and the first failing (j, I) is the one the full range gives.
+    Signs are symmetric, so positive I suffice.  The first uncovered I
+    of column j divides the lcm L of the denominators den(m_j'/m_j):
+    with g = gcd(I, L), every such denominator divides I iff it divides
+    g, so the denominator multiplicity at g equals the one at I, while
+    the numerator multiplicity at g is no larger (a divisor of g divides
+    I).  A failure at I is thus a failure at g <= I, so I stops at L and
+    the first failing (j, I) is the one the full range gives.
     """
     lam_e, _, cols, _ = _prepare(A, lam)
     n = len(cols)
@@ -640,7 +647,7 @@ def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
         den_mod.append(dm)
         num_mod.append(nm)
     for j in range(n):
-        period = math.lcm(*(q for q in den_mod[j] + num_mod[j] if q is not None))
+        period = math.lcm(*(q for q in den_mod[j] if q is not None))
         for I in range(1, min(bound, period) + 1):
             den_mult = sum(1 for q in den_mod[j] if q is not None and I % q == 0)
             num_mult = sum(1 for q in num_mod[j] if q is not None and I % q == 0)
@@ -736,33 +743,17 @@ def _probe_vectors(s: int):
             raise ProbeExhaustion("no admissible probes with sup-norm <= 1000")
 
 
-def _rank_of_int_vectors(vecs: list[tuple[int, ...]], s: int) -> int:
-    rows = [[Fraction(x) for x in v] for v in vecs]
-    rank = 0
-    for col in range(s):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, ...]]:
     """s linearly independent integer probes avoiding every hyperplane
     w . m_j = 0 (exact test), plus the requested spares."""
     chosen: list[tuple[int, ...]] = []
-    independent: list[tuple[int, ...]] = []
+    independent: list[tuple[FieldElement, ...]] = []  # over QQ
     for w0 in _probe_vectors(spec.s):
         if any(dot.is_zero for dot in _slice_directions(spec.columns, w0)):
             continue
-        if _rank_of_int_vectors(independent + [w0], spec.s) > len(independent):
-            independent.append(w0)
+        v = tuple(QQ.rational(x) for x in w0)
+        if _rank(independent + [v], spec.s) > len(independent):
+            independent.append(v)
             chosen.append(w0)
         elif len(independent) == spec.s and len(chosen) < spec.s + spares:
             chosen.append(w0)
@@ -791,12 +782,12 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityRe
     general division: integer probe vectors slice the instance to
     univariate ones (each must be refinable, else the slice's witness is
     the report's), and the s-variate mask comes from the division and
-    binomial-by-binomial identity check that mask_construct_detailed and
-    verify_mask_identity use, run on QTrigPoly with vector exponents.
-    Slices of the s-variate mask must reproduce the univariate masks
-    exactly.  The column relations
-    lambda m = p m_0 and the cycle/chain report come from the relation
-    search and chain walk that condition_B and chain_structure use.
+    binomial-by-binomial identity check, run on QTrigPoly with vector
+    exponents.  Slices of the s-variate mask must reproduce the
+    univariate masks exactly.  Like decide_univariate, it prepares the
+    columns once and calls the private stages directly:
+    _mask_division, _mask_identity, _column_relations (the relations
+    lambda m = p m_0) and _chain_walk (the cycle/chain report).
     """
     desc = spec.desc
     lam_e, _, cols, shift = _prepare(spec.columns, lam)
@@ -1079,17 +1070,7 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     # provisional margin request: refine enclosures against the constant
     # for the final target count (root count is known after isolation)
     D0, roots = _mask_unit_circle_roots(mask, Fraction(1, 10 ** 9))
-    targets: list[Fraction] = []
-    deltas: list[Fraction] = []
-    for r in roots:
-        t = r.value % 1
-        if r.exact:
-            if t not in targets:
-                targets.append(t)
-                deltas.append(Fraction(0))
-        else:
-            targets.append(t)
-            deltas.append(r.delta)
+    targets, deltas = _root_targets(roots)
     if not targets:
         # H has no real zeros: eps0 is the certified minimum of |H| on a
         # period, along the trivial orbit floor; report directly
@@ -1105,13 +1086,7 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     if max_delta * 4 > c:
         # re-isolate with tighter enclosures
         D0, roots = _mask_unit_circle_roots(mask, c / (4 * max(1, D0)))
-        targets, deltas = [], []
-        for r in roots:
-            t = r.value % 1
-            if r.exact and t in targets:
-                continue
-            targets.append(t)
-            deltas.append(r.delta)
+        targets, deltas = _root_targets(roots)
         max_delta = max(deltas)
     margin = c - max_delta
     depth = -(-(J + 1) // g)  # ceil
@@ -1127,6 +1102,20 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
         xi0_text=xi0.to_text(), xi0=float(xi0), epsilon0=eps0,
         obstruction_k=max(0, _log_ratio_ceil(eps0, lam)), J=J,
         certificate=cert)
+
+
+def _root_targets(roots: Sequence[MaskRoot]) -> tuple[list[Fraction], list[Fraction]]:
+    """The roots reduced modulo 1 as orbit targets, with their enclosure
+    radii; an exact root whose residue is already a target adds none."""
+    targets: list[Fraction] = []
+    deltas: list[Fraction] = []
+    for r in roots:
+        t = r.value % 1
+        if r.exact and t in targets:
+            continue
+        targets.append(t)
+        deltas.append(r.delta)
+    return targets, deltas
 
 
 def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,

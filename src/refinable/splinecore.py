@@ -74,7 +74,7 @@ class BoxSplineSpec:
         self.desc = desc
         self.s = s
         self.columns = tuple(cols)
-        if _rank(cols, s, desc) != s:
+        if _rank(cols, s) != s:
             raise RankDeficient(f"direction matrix has rank < {s}")
 
     @staticmethod
@@ -98,7 +98,8 @@ class BoxSplineSpec:
         return f"BoxSplineSpec(s={self.s}, columns=[{cols}])"
 
 
-def _rank(cols, s: int, desc: FieldDescriptor) -> int:
+def _rank(cols, s: int) -> int:
+    """Rank of the s x n matrix with the field-element columns ``cols``."""
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
     rank = 0
     col = 0

@@ -142,6 +142,15 @@ def test_chain_structure_examples(counter, F10):
     assert cs3.l == 1 and cs3.k == 1 and cs3.cycle == (0,)
 
 
+def test_chain_cycle_starts_where_the_walk_from_column_0_enters():
+    # column 0 lies off the cycle; the walk 0 -> 2 -> 1 -> 2 enters it at 2
+    F6 = field_make(6, 2)
+    th = F6.theta()
+    ch = chain_structure([F6.rational(Fraction(1, 2)), F6.one(), th], th)
+    assert ch.successor == (2, 2, 1)
+    assert ch.cycle == (2, 1)
+    assert ch.cycles == ((1, 2),)
+
 def test_chain_structure_requires_B(F10):
     F2 = field_make(2, 2)
     with pytest.raises(RefinabilityError):
@@ -448,6 +457,13 @@ def test_decay_fractional_translations():
     assert rep.epsilon0 > 0
 
 
+def test_decay_targets_keep_one_copy_of_each_exact_residue():
+    # D0 = 2: the exact roots 1/2 and 3/2 of H share the residue 1/2
+    rep = decay_probe(decide_univariate([Fraction(1, 2), 1], 2).mask, J=8)
+    exact = [r.value % 1 for r in rep.roots if r.exact]
+    assert len(exact) > len(set(exact))
+    assert sorted(rep.targets) == sorted(set(exact))
+
 def test_cyclotomic_polys():
     # deg Phi_n = phi(n) and prod_{d | n} Phi_d = z^n - 1
     cache = {}
@@ -579,3 +595,21 @@ def test_decide_univariate_reports_golden():
     assert h.hexdigest() == \
         "02a0851b2acb1c9555daa6a051a394aae02fe72f111cd7010a68fcf293e6cf04"
 
+
+def test_decide_univariate_prepares_once(monkeypatch):
+    import refinable.refinery as refinery
+
+    calls = {"_prepare": 0, "_column_relations": 0}
+    for name in calls:
+        original = getattr(refinery, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(refinery, name, counting)
+    for A, lam in instance_batch(12, seed=202):
+        for name in calls:
+            calls[name] = 0
+        decide_univariate(A, lam)
+        assert calls == {"_prepare": 1, "_column_relations": 1}, (A, lam)
