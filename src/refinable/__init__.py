@@ -27,7 +27,7 @@ from .exactreal import (
     int_ratio,
     parse_element,
 )
-from .qtrig import ComplexBall, ExponentVector, QTrigPoly, StdDecomposition, geometric
+from .qtrig import ComplexBall, ExponentVector, QTrigPoly, geometric
 from .powermod import (
     ErdosCertificate,
     VerifyReport,
@@ -44,16 +44,12 @@ from .splinecore import (
     GridFunction,
     MaskSpec,
     MultivariateMask,
-    boxspline_ft,
     boxspline_ft_f64,
     bspline_mask,
     cascade_solve,
     convolution_factorization_check,
-    count_representations,
-    fourier_product_eval,
     fourier_product_f64,
     integer_dilation_box_mask,
-    spline_time_eval,
 )
 from .refinery import (
     ChainStructure,

@@ -687,6 +687,9 @@ class FieldElement:
         return f"FieldElement({self.to_text(with_field=True)!r})"
 
 
+ExactReal = Union[int, Fraction, FieldElement]
+
+
 def _rational_hash(p: int, q: int) -> int:
     """hash(Fraction(p, q)) for p/q in lowest terms, q > 0, by the rule
     for numeric hashes that ``Fraction.__hash__`` follows."""

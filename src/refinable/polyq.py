@@ -1,7 +1,8 @@
 """Dense polynomials over Q as tuples of Fractions, lowest degree first.
 
-Small exact toolkit used by the divisibility tests and the component-gcd
-computation.  The zero polynomial is the empty tuple.
+Small exact toolkit used by the integer-dilation divisibility test and
+the decay probe's root isolation.  The zero polynomial is the empty
+tuple.
 """
 
 from __future__ import annotations

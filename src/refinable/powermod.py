@@ -35,9 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionFailure, InvalidLambda
-from .exactreal import QQ, FieldElement, field_make
-
-ExactReal = Union[int, Fraction, FieldElement]
+from .exactreal import QQ, ExactReal, FieldElement, field_make
 
 
 def _lift(lam: ExactReal) -> FieldElement:
@@ -444,8 +442,11 @@ def orbit_distance_scan(lam: ExactReal, xi: ExactReal,
                         ) -> tuple[ExactReal, Optional[int]]:
     """Exact scan of min_i ||xi lambda^n - r_i|| for n = 0..n_max.
 
-    Returns (minimum distance, first n violating distance >= c), the
-    independent oracle used to cross-check certificates.
+    The orbit point xi lambda^n is stepped unreduced: reducing it mod 1
+    between steps would scan another sequence unless lambda is an
+    integer.  Returns (minimum distance, first n violating
+    distance >= c), the independent oracle used to cross-check
+    certificates.
     """
     lam_e = _lift(lam)
     xi_e = xi if isinstance(xi, FieldElement) else lam_e.desc.rational(Fraction(xi))
@@ -462,5 +463,4 @@ def orbit_distance_scan(lam: ExactReal, xi: ExactReal,
             if first_violation is None and dist < c:
                 first_violation = n
         x = x * lam_e
-        x = x - x.floor()
     return best, first_violation

@@ -9,9 +9,8 @@ fixed real field Q(theta): a ``FieldElement`` for s = 1, an
 ``ExponentVector`` of s field elements for s >= 2.  Exponent equality is
 exact, so terms merge and cancel exactly; products, shifts and
 divisibility by binomials 1 - E(m, w) are computed symbolically for
-every s.  For s = 1 there are also standard decompositions into
-integer-congruence classes, component gcds, and evaluation to
-outward-rounded complex enclosures.
+every s.  For s = 1 there is also evaluation to outward-rounded
+complex enclosures.
 
 Coefficients are restricted to Q; scalar field-element factors (such as
 dilation powers) are kept outside the term map by the callers.
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
 from mpmath import iv
 from mpmath.libmp import (
     mpf_pi,
@@ -40,7 +38,6 @@ from mpmath.libmp import (
     to_float,
 )
 
-from . import polyq
 from .errors import DescriptorMismatch, ZeroPolynomial
 from .exactreal import (
     _MPI_ZERO,
@@ -106,6 +103,15 @@ def _exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
     return desc.rational(Fraction(x))
 
 
+def _dot(a: Sequence, b: Sequence[FieldElement]) -> FieldElement:
+    """a . b, summed from zero in coordinate order; ``a`` holds ints or
+    field elements, ``b`` field elements."""
+    out = b[0].desc.zero()
+    for x, y in zip(a, b):
+        out = out + x * y
+    return out
+
+
 def _zero_exponent(desc: FieldDescriptor, like: Optional[Exponent]) -> Exponent:
     """The zero exponent of ``like``'s dimension (a scalar for None)."""
     if isinstance(like, ExponentVector):
@@ -128,9 +134,6 @@ class ComplexBall:
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
         return ComplexBall(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "ComplexBall") -> "ComplexBall":
         return ComplexBall(
@@ -186,8 +189,7 @@ class QTrigPoly:
     length s >= 2.  Immutable after construction.  ``exponents()`` sorts
     exactly: by real value for s = 1, lexicographically for s >= 2 (ties
     are impossible because exponents are pairwise distinct).
-    ``eval_ball``, ``eval_f64``, ``standard_decomposition`` and
-    ``component_gcd`` take s = 1 only.  The first ``eval_ball`` fills a
+    ``eval_ball`` takes s = 1 only.  The first ``eval_ball`` fills a
     cache of the term enclosures per working precision; a poly never
     evaluated keeps it ``None``.
     """
@@ -332,9 +334,7 @@ class QTrigPoly:
         exponents: each exponent d becomes probe . d."""
         out: dict[FieldElement, Fraction] = {}
         for d, c in self.terms.items():
-            e = self.desc.zero()
-            for w0, x in zip(probe, d):
-                e = e + w0 * x
+            e = _dot(probe, d)
             out[e] = out.get(e, Fraction(0)) + c
         return QTrigPoly(self.desc, out)
 
@@ -400,60 +400,6 @@ class QTrigPoly:
                 mag = mpi_add(mag, mpi_abs(cf, wp), wp)
             hit = cache[wp] = (terms, mag)
         return hit
-
-    def eval_f64(self, w: np.ndarray) -> np.ndarray:
-        """Fast float path: values at an array of real points.
-
-        Phases are reduced mod 1 in extended precision before the
-        float64 trig call, keeping accuracy ~1e-15 even at large |w|.
-        """
-        w_l = np.asarray(w, dtype=np.longdouble)
-        out = np.zeros(w_l.shape, dtype=np.complex128)
-        for d, c in self.terms.items():
-            phase = np.mod(np.longdouble(float(d)) * w_l, 1.0).astype(np.float64)
-            out += float(c) * np.exp(-2j * np.pi * phase)
-        return out
-
-    # -- standard decomposition -------------------------------------------
-
-    def standard_decomposition(self) -> "StdDecomposition":
-        """Partition terms into classes whose exponents differ by integers.
-
-        The class representative is the smallest exponent of the class,
-        so each class is a genuine polynomial in z = E(1, w) with
-        nonnegative offsets.
-        """
-        classes: dict[tuple, list[FieldElement]] = {}
-        for d in self.exponents():
-            classes.setdefault(_class_key(d), []).append(d)
-        entries = []
-        for cls in classes.values():
-            rep = cls[0]  # exponents() is sorted, so first = smallest
-            # one class shares its denominator (see _class_key)
-            offsets = [(d.num[0] - rep.num[0]) // rep.den for d in cls]
-            poly = [Fraction(0)] * (max(offsets) + 1)
-            for d, off in zip(cls, offsets):
-                poly[off] = self.terms[d]
-            entries.append((rep, polyq.pnorm(poly)))
-        entries.sort(key=lambda e: e[0])
-        return StdDecomposition(self.desc, tuple(entries))
-
-    def component_gcd(self) -> "QTrigPoly":
-        """Gcd over Q[z] of the class polynomials of the standard
-        decomposition, after factoring out their lowest z-powers.
-
-        Normalized so the constant term is 1 and offsets start at 0;
-        returned as a trigonometric polynomial (integer exponents).
-        """
-        if self.is_zero:
-            raise ZeroPolynomial("component gcd of the zero polynomial")
-        g: polyq.Poly = ()
-        for _, poly in self.standard_decomposition().classes:
-            low = next(i for i, c in enumerate(poly) if c != 0)
-            g = polyq.pgcd(g, poly[low:]) if g else polyq.pnorm(poly[low:])
-        g = polyq.pscale(g, 1 / g[0])
-        return QTrigPoly(self.desc,
-                         {self.desc.rational(i): c for i, c in enumerate(g) if c != 0})
 
     # -- divisibility --------------------------------------------------------
 
@@ -572,23 +518,6 @@ class BinomialDivisionWitness:
     def describe(self) -> str:
         return (f"class of exponent {self.base} modulo {self.divisor}*Z has "
                 f"coefficient sum {self.class_sum} != 0")
-
-
-@dataclass(frozen=True)
-class StdDecomposition:
-    """Classes of a standard decomposition: (representative exponent r,
-    polynomial in z = E(1, w)) with P(w) = sum_r E(r, w) * G_r(E(1, w))."""
-
-    desc: FieldDescriptor
-    classes: tuple[tuple[FieldElement, polyq.Poly], ...]
-
-    def reassemble(self) -> QTrigPoly:
-        out: dict[FieldElement, Fraction] = {}
-        for rep, poly in self.classes:
-            for off, c in enumerate(poly):
-                if c != 0:
-                    out[rep + off] = out.get(rep + off, Fraction(0)) + c
-        return QTrigPoly(self.desc, out)
 
 
 def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:

@@ -54,23 +54,22 @@ from .errors import (
     RootIsolationFailure,
 )
 from .exactreal import (
+    ExactReal,
     FieldElement,
     QQ,
     _iv_prec,
     int_ratio,
-    iv_endpoints,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
     BinomialDivisionWitness,
     ComplexBall,
     QTrigPoly,
+    _dot,
     _exponent,
     _zero_exponent,
 )
 from .splinecore import BoxSplineSpec, MaskSpec, _rank, integer_dilation_box_mask
-
-ExactScalar = Union[int, Fraction, FieldElement]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def _lead(c) -> Optional[int]:
     return next((i for i, x in enumerate(_coords(c)) if not x.is_zero), None)
 
 
-def _prepare(A: Sequence, lam: ExactScalar) -> tuple[FieldElement, tuple, tuple, object]:
+def _prepare(A: Sequence, lam: ExactReal) -> tuple[FieldElement, tuple, tuple, object]:
     """Lift lambda and the columns into one field and normalize signs.
 
     A column is a scalar (Q(theta)) or a tuple of coordinates
@@ -207,7 +206,7 @@ def _mask_identity(cols: Sequence, lam: FieldElement, H: QTrigPoly) -> bool:
     return num == rhs
 
 
-def mask_construct_detailed(A: Sequence[ExactScalar], lam: ExactScalar
+def mask_construct_detailed(A: Sequence[ExactReal], lam: ExactReal
                             ) -> tuple[Optional[MaskSpec], Optional[MaskWitness],
                                        FieldElement]:
     """The mask of B(x|A) under lambda by sequential binomial division.
@@ -222,13 +221,13 @@ def mask_construct_detailed(A: Sequence[ExactScalar], lam: ExactScalar
     return MaskSpec(lam_e, H), None, shift
 
 
-def mask_construct(A: Sequence[ExactScalar], lam: ExactScalar) -> Optional[MaskSpec]:
+def mask_construct(A: Sequence[ExactReal], lam: ExactReal) -> Optional[MaskSpec]:
     """The mask of B(x|A) under lambda, or None when not refinable."""
     mask, _, _ = mask_construct_detailed(A, lam)
     return mask
 
 
-def verify_mask_identity(A: Sequence[ExactScalar], lam: ExactScalar,
+def verify_mask_identity(A: Sequence[ExactReal], lam: ExactReal,
                          mask: MaskSpec) -> bool:
     """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)."""
     lam_e, _, cols, _ = _prepare(A, lam)
@@ -269,7 +268,7 @@ class ConditionBResult:
         }
 
 
-def condition_B(A: Sequence, lam: ExactScalar) -> ConditionBResult:
+def condition_B(A: Sequence, lam: ExactReal) -> ConditionBResult:
     """For each column m_0, all columns m with m = p m_0 / lambda, p in Z.
 
     Columns are scalars or vectors (tuples of coordinates).  The first
@@ -369,7 +368,7 @@ def _all_cycles(successor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def chain_structure(A: Sequence, lam: ExactScalar) -> ChainStructure:
+def chain_structure(A: Sequence, lam: ExactReal) -> ChainStructure:
     """Follow successor relations to a cycle; check the multiplier laws.
 
     Columns are scalars or vectors (tuples of coordinates).  The cycle
@@ -524,7 +523,7 @@ class RefinabilityReport:
         }
 
 
-def decide_univariate(A: Sequence[ExactScalar], lam: ExactScalar) -> RefinabilityReport:
+def decide_univariate(A: Sequence[ExactReal], lam: ExactReal) -> RefinabilityReport:
     """Full univariate decision: division verdict + structural report.
 
     The columns are prepared once; the division, the relation search,
@@ -616,7 +615,7 @@ class CoverageReport:
                 "uncovered": self.uncovered}
 
 
-def coverage_oracle(A: Sequence[ExactScalar], lam: ExactScalar,
+def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
                     bound: int) -> CoverageReport:
     """Finite independent check of denominator-zero coverage.
 
@@ -676,11 +675,6 @@ class MvMaskWitness:
     column: tuple
     inner: BinomialDivisionWitness
     probe: Optional[tuple[int, ...]] = None
-
-    def describe(self) -> str:
-        col = ", ".join(x.to_text() for x in self.column)
-        where = f" (probe {self.probe})" if self.probe else ""
-        return f"dividing by 1 - E(({col})) fails{where}: {self.inner.describe()}"
 
     def to_jsonable(self) -> dict:
         return {
@@ -764,16 +758,10 @@ def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, .
 
 def _slice_directions(cols: Sequence[tuple], w0: tuple[int, ...]) -> tuple[FieldElement, ...]:
     """The directions w0 . m_j of the univariate slice w -> z * w0."""
-    out = []
-    for col in cols:
-        dot = col[0].desc.zero()
-        for wi, mi in zip(w0, col):
-            dot = dot + wi * mi
-        out.append(dot)
-    return tuple(out)
+    return tuple(_dot(w0, col) for col in cols)
 
 
-def multivariate_decide(spec: BoxSplineSpec, lam: ExactScalar) -> RefinabilityReport:
+def multivariate_decide(spec: BoxSplineSpec, lam: ExactReal) -> RefinabilityReport:
     """Refinability of B(x|M) for an s-variate direction matrix.
 
     Integer dilations of integer matrices delegate to the exact
@@ -1078,7 +1066,7 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
         cert = erdos_construct(lam, [Fraction(1, 2)], 0)
         return DecayReport(D0=D0, roots=(), targets=(), margin=Fraction(0),
                            xi0_text="1", xi0=1.0, epsilon0=eps0,
-                           obstruction_k=max(0, _log_ratio_ceil(eps0, lam)),
+                           obstruction_k=_log_ratio_ceil(eps0, lam),
                            J=J, certificate=cert)
 
     g, c = erdos_params(lam, len(targets))
@@ -1094,13 +1082,10 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     xi0 = cert.xi
 
     eps0 = _orbit_abs_floor(mask, xi0, D0, J, prec)
-    if eps0 <= 0:
-        raise RootIsolationFailure(
-            "certified orbit floor is not positive")  # pragma: no cover
     return DecayReport(
         D0=D0, roots=tuple(roots), targets=tuple(targets), margin=margin,
         xi0_text=xi0.to_text(), xi0=float(xi0), epsilon0=eps0,
-        obstruction_k=max(0, _log_ratio_ceil(eps0, lam)), J=J,
+        obstruction_k=_log_ratio_ceil(eps0, lam), J=J,
         certificate=cert)
 
 
@@ -1145,12 +1130,15 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
 
 
 def _log_ratio_ceil(eps0: float, lam: FieldElement) -> int:
-    """ceil(log(1/eps0) / log lambda) from safe directed bounds."""
-    if eps0 >= 1:
-        return 0
-    lam_lo, _ = iv_endpoints(lam.ball(64))
-    val = math.log(1.0 / eps0) / math.log(float(lam_lo))
-    return int(math.ceil(val - 1e-12))
+    """ceil(log(1/eps0) / log lambda), i.e. the least k >= 0 with
+    lambda^k * eps0 >= 1, decided exactly in lambda's field (the float
+    eps0 is a dyadic rational)."""
+    if not eps0 > 0:
+        raise RootIsolationFailure("certified orbit floor is not positive")
+    k, x = 0, lam.desc.rational(Fraction(eps0))
+    while x < 1:
+        k, x = k + 1, x * lam
+    return k
 
 
 # ---------------------------------------------------------------------------

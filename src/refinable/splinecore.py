@@ -1,8 +1,9 @@
 """Box splines and refinement-equation numerics.
 
-Fourier side: exact/enclosure evaluation of the box-spline transform
-prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j), truncated products
-of mask polynomials, and integer-dilation masks expanded exactly.
+Fourier side: float and enclosure evaluation of the box-spline
+transform prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j), the float
+truncated product prod_j H(lambda^-j w) of a mask, and integer-dilation
+masks expanded exactly.
 
 Time side: direct convolution of scaled indicators as the ground-truth
 spline evaluator, and the cascade fixed-point iteration
@@ -12,6 +13,11 @@ in [d_0/(lambda-1), d_N/(lambda-1)].
 
 Grid computations are float64/numpy with fixed summation order, so
 outputs are deterministic for fixed inputs.
+
+The enclosure transform ``boxspline_ft``, the convolution oracle
+``spline_time_eval`` and the brute-force ``count_representations`` are
+not exported: the tests use them as references for
+``boxspline_ft_f64``, ``cascade_solve`` and ``integer_dilation_box_mask``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import iv
@@ -33,14 +39,13 @@ from .errors import (
     RankDeficient,
 )
 from .exactreal import (
+    ExactReal,
     FieldDescriptor,
     FieldElement,
     _iv_fraction,
     _iv_prec,
 )
-from .qtrig import ComplexBall, QTrigPoly
-
-ExactScalar = Union[int, Fraction, FieldElement]
+from .qtrig import ComplexBall, QTrigPoly, _dot, _exponent, geometric
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -58,7 +63,7 @@ class BoxSplineSpec:
 
     __slots__ = ("desc", "s", "columns")
 
-    def __init__(self, desc: FieldDescriptor, columns: Sequence[Sequence[ExactScalar]]):
+    def __init__(self, desc: FieldDescriptor, columns: Sequence[Sequence[ExactReal]]):
         cols = []
         for col in columns:
             vec = tuple(x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
@@ -78,7 +83,7 @@ class BoxSplineSpec:
             raise RankDeficient(f"direction matrix has rank < {s}")
 
     @staticmethod
-    def univariate(desc: FieldDescriptor, directions: Sequence[ExactScalar]) -> "BoxSplineSpec":
+    def univariate(desc: FieldDescriptor, directions: Sequence[ExactReal]) -> "BoxSplineSpec":
         return BoxSplineSpec(desc, [[d] for d in directions])
 
     @property
@@ -199,7 +204,6 @@ class MaskSpec:
 def bspline_mask(degree: int, m: int) -> MaskSpec:
     """The cardinal B-spline mask ((1 + z + ... + z^(m-1)) / m)^(degree+1)."""
     from .exactreal import QQ
-    from .qtrig import geometric
 
     if m < 2:
         raise InvalidLambda("integer dilation must be >= 2")
@@ -267,7 +271,7 @@ class GridFunction:
 # Fourier side
 
 
-def _hat_ball(x: ExactScalar, prec: int) -> ComplexBall:
+def _hat_ball(x: ExactReal, prec: int) -> ComplexBall:
     """Enclosure of (1 - exp(-2 pi i x)) / (2 pi i x), value 1 at x = 0.
 
     Near zero (relative to the working precision) the factor is computed
@@ -304,7 +308,7 @@ def _hat_ball(x: ExactScalar, prec: int) -> ComplexBall:
     return ComplexBall(one_minus.im / denom, -one_minus.re / denom)
 
 
-def boxspline_ft(spec: BoxSplineSpec, xi: Sequence[ExactScalar],
+def boxspline_ft(spec: BoxSplineSpec, xi: Sequence[ExactReal],
                  prec: int = 64) -> ComplexBall:
     """Enclosure of the box-spline Fourier transform at a real point xi.
 
@@ -323,10 +327,7 @@ def boxspline_ft(spec: BoxSplineSpec, xi: Sequence[ExactScalar],
         with _iv_prec(wp):
             out = ComplexBall.exact(Fraction(1))
             for col in spec.columns:
-                dot = spec.desc.zero()
-                for xc, mc in zip(point, col):
-                    dot = dot + xc * mc
-                out = out * _hat_ball(dot, wp)
+                out = out * _hat_ball(_dot(point, col), wp)
             if out.radius() <= 2.0 ** (1 - prec) or wp > prec + 1024:
                 return out
         wp *= 2
@@ -366,29 +367,6 @@ def _hat_f64(x_l: np.ndarray) -> np.ndarray:
     u = 2j * np.pi * x
     series = 1.0 - u / 2 + u * u / 6 - u * u * u / 24
     return np.where(small, series, direct)
-
-
-def fourier_product_eval(mask: MaskSpec, w: ExactScalar, J: int,
-                         prec: int = 64) -> ComplexBall:
-    """Enclosure of prod_{j=1..J} H(lambda^(-j) w).
-
-    Converges to the transform of the refinement solution as J grows,
-    since H(0) = 1.  The product is accumulated in increasing j, so the
-    value for J+1 equals the value for J times H(lambda^(-(J+1)) w) as
-    computed.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    desc = mask.desc
-    w_e = w if isinstance(w, FieldElement) else desc.rational(Fraction(w))
-    term_prec = prec + 8 + max(1, J).bit_length()
-    with _iv_prec(term_prec):
-        out = ComplexBall.exact(Fraction(1))
-        arg = w_e
-        for _ in range(J):
-            arg = arg / mask.lam
-            out = out * mask.H.eval_ball(arg, term_prec)
-    return out
 
 
 _FOURIER_BLOCK = 4096  # points per block in fourier_product_f64
@@ -598,9 +576,6 @@ class MultivariateMask:
     s: int
     terms: dict[tuple[int, ...], Fraction]
 
-    def refinement_coefficient(self, j: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(j), Fraction(0)) * self.m ** self.s
-
     def to_jsonable(self) -> dict:
         return {
             "dilation": self.m,
@@ -635,37 +610,28 @@ def count_representations(spec: BoxSplineSpec, m: int, j: Sequence[int]) -> int:
 def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
     """Exact mask of B(x|M) under an integer dilation m >= 2.
 
-    Expands H(w) = m^(-n) prod_j sum_{t=0}^{m-1} exp(-2 pi i t w.m_j).
-    Univariate specs give a MaskSpec; s >= 2 gives a MultivariateMask
-    whose refinement coefficients c_j = m^s h_j equal
-    m^(s-n) #{alpha : M alpha = m j} (cross-checkable with
-    count_representations).
+    Expands H(w) = m^(-n) prod_j sum_{t=0}^{m-1} exp(-2 pi i t w.m_j)
+    as a product of ``geometric`` factors, with scalar exponents for
+    s = 1 and ``ExponentVector`` exponents otherwise.  Univariate specs
+    give a MaskSpec; s >= 2 gives a MultivariateMask whose refinement
+    coefficients c_j = m^s h_j equal m^(s-n) #{alpha : M alpha = j}
+    (cross-checkable with count_representations).
     """
     if m < 2:
         raise InvalidLambda("integer dilation must be >= 2")
     if not spec.is_integer_matrix():
         raise NonIntegerMatrix("integer-dilation mask needs an integer matrix")
+    desc = spec.desc
+    dirs = spec.directions_1d() if spec.s == 1 else spec.columns
+    H = QTrigPoly.constant(desc, like=_exponent(desc, dirs[0]))
+    for d in dirs:
+        H = H * geometric(desc, m, d)
+    H = H.scale(Fraction(1, m ** spec.n))
     if spec.s == 1:
-        from .qtrig import geometric
-
-        H = QTrigPoly.constant(spec.desc)
-        for d in spec.directions_1d():
-            H = H * geometric(spec.desc, m, d)
-        return MaskSpec(spec.desc.rational(m), H.scale(Fraction(1, m ** spec.n)))
-
-    terms: dict[tuple[int, ...], Fraction] = {(0,) * spec.s: Fraction(1)}
-    for col in spec.columns:
-        vec = tuple(c.as_integer() for c in col)
-        new: dict[tuple[int, ...], Fraction] = {}
-        for d, c in terms.items():
-            for t in range(m):
-                key = tuple(di + t * vi for di, vi in zip(d, vec))
-                new[key] = new.get(key, Fraction(0)) + c
-        terms = new
+        return MaskSpec(desc.rational(m), H)
     # each exponent vector d = M alpha is the translation of B(mx - d)
-    scale = Fraction(1, m ** spec.n)
-    return MultivariateMask(m=m, s=spec.s,
-                            terms={d: c * scale for d, c in terms.items()})
+    return MultivariateMask(m=m, s=spec.s, terms={
+        tuple(x.as_integer() for x in d): c for d, c in H.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def test_criterion_2_exact_mask_identity():
         spec = BoxSplineSpec.univariate(mask.desc, [abs(d) for d in directions])
         w = rng.uniform(-50.0, 50.0, 1000)
         lhs = boxspline_ft_f64(spec, w * float(dil))
-        rhs = mask.H.eval_f64(w) * boxspline_ft_f64(spec, w)
+        # H(w) as the one-level product H(lambda^-1 * lambda w)
+        rhs = fourier_product_f64(mask, w * float(dil), 1) * boxspline_ft_f64(spec, w)
         assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
         checked += 1
     elapsed = time.monotonic() - t0

@@ -126,6 +126,40 @@ def test_trivial_oracles_small():
     assert fv == 1  # 3 * 1/3 = 1 is an integer
 
 
+@pytest.mark.parametrize("lam_text", ["sqrt5", "5/2", "7/3"])
+def test_orbit_scan_matches_the_direct_exact_orbit(lam_text):
+    # irrational and non-integer rational lambda: reducing xi lambda^n
+    # mod 1 between steps would scan another sequence
+    if lam_text == "sqrt5":
+        F = field_make(5, 2)
+        lam, xi = F.theta(), F.theta() / 7 + Fraction(1, 3)
+    else:
+        lam, xi = QQ.rational(Fraction(lam_text)), QQ.rational(Fraction(2, 7))
+    targets, c, n_max = [Fraction(2, 5), Fraction(4, 5)], Fraction(1, 20), 30
+    dists = [min(dist_to_int(xi * lam ** n - r) for r in targets)
+             for n in range(n_max + 1)]
+    first = next((n for n, d in enumerate(dists) if d < c), None)
+    assert first is not None  # the comparison covers a violation
+    assert orbit_distance_scan(lam, xi, targets, c, n_max) == (min(dists), first)
+
+
+def test_midpoint_scan_of_a_certified_certificate_has_no_violation_in_its_range():
+    # lambda = sqrt 5, targets (2/5, 4/5), depth 24: certified for n <= 95
+    cert = erdos_construct(field_make(5, 2).theta(), [Fraction(2, 5), Fraction(4, 5)], 24)
+    rep = erdos_verify(cert, extra_n=40)
+    assert rep.certified and cert.guaranteed_depth >= 40
+    assert rep.first_violation is None
+    assert 0.0197 < rep.empirical_min < 0.0198
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        for d in (1, depth):
+            cert = erdos_construct(lam, targets, d)
+            rep = erdos_verify(cert, extra_n=cert.guaranteed_depth)
+            assert rep.certified and rep.first_violation is None
+
+
 def test_interval_distance_lower():
     from refinable.exactreal import QQ
 
@@ -287,4 +321,4 @@ def test_erdos_verify_midpoint_scan_golden():
             assert rep.certified
             h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
     assert h.hexdigest() == \
-        "6a1b4e21c1595753a8b1be32ada239ef5dd22509c360d1fb681ba5e502625e32"
+        "52c63f449c928fb888a99af6d67aeea5b0fa1e56760278e2fb05d6885aab15ab"

@@ -1,5 +1,5 @@
 """Quasi-trigonometric polynomial algebra: exact ring operations, evaluation,
-standard decomposition, component gcd, binomial divisibility."""
+binomial divisibility."""
 
 import random
 from fractions import Fraction
@@ -113,61 +113,6 @@ def test_eval_complex_point(F10):
     ball = P.eval_ball(w, 64)
     direct = 1 + cmath.exp(-2j * cmath.pi * w) / 3
     assert abs(ball.mid() - direct) < 1e-12
-
-
-def test_standard_decomposition_examples(F10, counterexample_mask):
-    P = QTrigPoly(F10, {F10.zero(): 1, F10.rational(2): 1})
-    sd = P.standard_decomposition()
-    assert len(sd.classes) == 1
-    rep, poly = sd.classes[0]
-    assert rep.is_zero and poly == (1, 0, 1)
-
-    F2 = field_make(2, 2)
-    th2 = F2.theta()
-    P2 = QTrigPoly(F2, {F2.zero(): 1, th2: 1, th2 + 1: 1})
-    sd2 = P2.standard_decomposition()
-    assert len(sd2.classes) == 2
-    assert sd2.classes[0][0].is_zero and sd2.classes[0][1] == (1,)
-    assert sd2.classes[1][0] == th2 and sd2.classes[1][1] == (1, 1)
-
-    sd3 = counterexample_mask.standard_decomposition()
-    assert len(sd3.classes) == 2
-    fifth = tuple(Fraction(1, 10) for _ in range(5))
-    assert sd3.classes[0][1] == fifth and sd3.classes[1][1] == fifth
-    assert sd3.classes[1][0] == F10.theta() / 2
-
-
-def test_reassembly_random(F10):
-    rng = random.Random(5)
-    th = F10.theta()
-    for _ in range(25):
-        terms = {}
-        for _ in range(rng.randint(1, 8)):
-            e = F10.rational(rng.randint(0, 4)) + th * Fraction(rng.randint(0, 3))
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.randint(-4, 4))
-        P = QTrigPoly(F10, terms)
-        if P.is_zero:
-            continue
-        assert P.standard_decomposition().reassemble() == P
-
-
-def test_component_gcd_examples(F10, counterexample_mask):
-    F2 = field_make(2, 2)
-    th2 = F2.theta()
-    B = QTrigPoly.binomial(F2, 1)  # 1 - z
-    P = B + B.shift(th2)
-    g = P.component_gcd()
-    assert g == QTrigPoly(F2, {F2.zero(): 1, F2.one(): -1})
-
-    g2 = counterexample_mask.component_gcd()
-    assert g2 == geometric(F10, 5, 1)
-
-    # a single-class trigonometric polynomial is its own gcd (normalized)
-    P3 = QTrigPoly(F10, {F10.zero(): 2, F10.one(): 2})
-    assert P3.component_gcd() == QTrigPoly(F10, {F10.zero(): 1, F10.one(): 1})
-
-    with pytest.raises(ZeroPolynomial):
-        QTrigPoly.zero(F10).component_gcd()
 
 
 def test_divide_binomial_examples(F10):

@@ -16,13 +16,14 @@ import pytest
 
 from gen_instances import instance_batch
 from refinable import polyq
-from refinable.errors import InvalidLambda, RefinabilityError
+from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly, geometric
 from refinable.splinecore import BoxSplineSpec, MaskSpec, bspline_mask
 from refinable.refinery import (
     ChainStructure,
     _cyclotomic_poly,
+    _log_ratio_ceil,
     _prepare,
     chain_structure,
     condition_B,
@@ -419,6 +420,21 @@ def test_decay_b0():
 def test_decay_constant_mask():
     rep = decay_probe(MaskSpec(QQ.rational(2), QTrigPoly.constant(QQ)), J=5)
     assert rep.epsilon0 == 1.0 and rep.obstruction_k == 0 and not rep.targets
+
+
+def test_obstruction_k_is_the_least_exact_power():
+    # the least k >= 0 with lambda^k * eps0 >= 1, also one ulp below a
+    # power of 1/lambda, where float logs land on the wrong side
+    two = QQ.rational(2)
+    assert _log_ratio_ceil(2.0 ** -10, two) == 10
+    assert _log_ratio_ceil(2.0 ** -10 * (1 - 2.0 ** -52), two) == 11
+    assert _log_ratio_ceil(1.0, two) == 0 and _log_ratio_ceil(3.5, two) == 0
+    sqrt2 = field_make(2, 2).theta()
+    assert _log_ratio_ceil(2.0 ** -5, sqrt2) == 10  # sqrt(2)^10 = 32
+    assert _log_ratio_ceil(2.0 ** -5 * (1 - 2.0 ** -52), sqrt2) == 11
+    assert _log_ratio_ceil(0.01, field_make(5, 2).theta()) == 6  # 5^2.5 < 100 <= 5^3
+    with pytest.raises(RootIsolationFailure):
+        _log_ratio_ceil(0.0, two)
 
 
 def test_decay_b3_multiplicity():

@@ -1,5 +1,6 @@
 """Spline numerics: transforms, time-domain oracle, cascade, masks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from refinable.splinecore import (
     cascade_solve,
     convolution_factorization_check,
     count_representations,
-    fourier_product_eval,
     fourier_product_f64,
     integer_dilation_box_mask,
     spline_time_eval,
@@ -184,26 +184,6 @@ def test_cascade_divergence_guard():
 
 
 # -- Fourier products ----------------------------------------------------------
-
-
-def test_fourier_product_examples():
-    m1 = bspline_mask(1, 2)
-    assert abs(fourier_product_eval(m1, 0, 5).mid() - 1) < 1e-18
-    val = fourier_product_eval(m1, Fraction(7, 10), 40).mid()
-    closed = ((1 - np.exp(-2j * np.pi * 0.7)) / (2j * np.pi * 0.7)) ** 2
-    assert abs(val - closed) < 1e-8
-
-
-def test_fourier_product_self_consistency():
-    m1 = bspline_mask(1, 2)
-    w = Fraction(13, 10)
-    r40 = fourier_product_eval(m1, w, 40, prec=80)
-    r41 = fourier_product_eval(m1, w, 41, prec=80)
-    lam41 = QQ.rational(Fraction(1))  # argument w / 2^41
-    arg = QQ.rational(w) / m1.lam ** 41
-    h41 = m1.H.eval_ball(arg, 80 + 8 + 41)
-    prod = r40 * h41
-    assert abs(prod.mid() - r41.mid()) <= prod.radius() + r41.radius()
 
 
 def test_fourier_product_f64_counterexample(F10, trapezoid_spec):
@@ -380,7 +360,18 @@ def test_integer_dilation_multivariate_counting():
     for j, h in mv.terms.items():
         cnt = count_representations(spec, 2, j)
         assert h * 2 ** 3 == cnt
-        assert mv.refinement_coefficient(j) == Fraction(cnt, 2)  # m^(s-n) = 1/2
+    # negative entries, m = 3 and s = 3: every translation M alpha appears
+    # once, with the count as its weight
+    for cols, m in (([[1, 0], [0, 1], [1, -1], [2, 1]], 3),
+                    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]], 2)):
+        spec = BoxSplineSpec(QQ, cols)
+        mv = integer_dilation_box_mask(spec, m)
+        assert mv.s == len(cols[0]) and sum(mv.terms.values()) == 1
+        reach = {tuple(sum(a * c[i] for a, c in zip(alpha, cols)) for i in range(spec.s))
+                 for alpha in itertools.product(range(m), repeat=spec.n)}
+        assert set(mv.terms) == reach
+        for j, h in mv.terms.items():
+            assert h * m ** spec.n == count_representations(spec, m, j)
 
 
 def test_integer_dilation_mask_identity_numeric():
