@@ -761,13 +761,16 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
         tm = _TERM_RE.match(term)
         if not tm:
             raise ValueError(f"cannot parse field-element term {raw.strip()!r}")
-        if tm.group("coef") is not None:
-            j, c = 0, Fraction(tm.group("coef"))
-        else:
-            j = int(tm.group("pow") or 1)
-            c = Fraction(tm.group("c1")) if tm.group("c1") else Fraction(1)
-            if tm.group("den"):
-                c /= int(tm.group("den"))
+        try:
+            if tm.group("coef") is not None:
+                j, c = 0, Fraction(tm.group("coef"))
+            else:
+                j = int(tm.group("pow") or 1)
+                c = Fraction(tm.group("c1")) if tm.group("c1") else Fraction(1)
+                if tm.group("den"):
+                    c /= int(tm.group("den"))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in field-element term {raw.strip()!r}") from None
         if j >= desc.k:
             raise ValueError(f"power t^{j} exceeds field degree {desc.k}")
         coeffs[j] += -c if neg else c

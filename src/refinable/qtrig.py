@@ -12,8 +12,13 @@ divisibility by binomials 1 - E(m, w) are computed symbolically for
 every s.  For s = 1 there is also evaluation to outward-rounded
 complex enclosures.
 
-Coefficients are restricted to Q; scalar field-element factors (such as
-dilation powers) are kept outside the term map by the callers.
+Coefficients are restricted to Q and stored fraction-free, as FLINT's
+``fmpq_poly`` stores them: integer numerators over one positive common
+denominator in lowest terms.  The products and binomial quotients of
+the refinability decision have integer coefficients throughout, so
+their arithmetic is integer arithmetic; ``terms`` hands the coefficients
+out as ``Fraction``s.  Scalar field-element factors (such as dilation
+powers) are kept outside the term map by the callers.
 """
 
 from __future__ import annotations
@@ -103,6 +108,14 @@ def _exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
     return desc.rational(Fraction(x))
 
 
+def _own_exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
+    """``_exponent``, rejecting an exponent of another field."""
+    e = _exponent(desc, x)
+    if e.desc != desc:
+        raise DescriptorMismatch("exponent from a different field")
+    return e
+
+
 def _dot(a: Sequence, b: Sequence[FieldElement]) -> FieldElement:
     """a . b, summed from zero in coordinate order; ``a`` holds ints or
     field elements, ``b`` field elements."""
@@ -185,6 +198,13 @@ def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
 class QTrigPoly:
     """Finite exact map exponent -> nonzero rational coefficient.
 
+    The coefficient of exponent d is ``num[d] / den``: ``num`` maps each
+    exponent to a nonzero int and ``den`` is a positive int with
+    gcd(den, *num.values()) = 1 (den = 1 for the zero poly), so equal
+    polys have equal ``num`` and ``den``.  ``terms`` is the same map with
+    ``Fraction`` coefficients, in the same insertion order, built on
+    first use and cached.
+
     Exponents are all scalars (s = 1) or all ``ExponentVector``s of one
     length s >= 2.  Immutable after construction.  ``exponents()`` sorts
     exactly: by real value for s = 1, lexicographically for s >= 2 (ties
@@ -194,31 +214,42 @@ class QTrigPoly:
     evaluated keeps it ``None``.
     """
 
-    __slots__ = ("desc", "terms", "_sorted", "_ball_cache")
+    __slots__ = ("desc", "num", "den", "_terms", "_sorted", "_ball_cache")
 
     def __init__(self, desc: FieldDescriptor,
                  terms: Mapping[ExponentLike, Fraction]):
         clean: dict[Exponent, Fraction] = {}
         for d, c in terms.items():
-            d = _exponent(desc, d)
-            if d.desc != desc:
-                raise DescriptorMismatch("exponent from a different field")
+            d = _own_exponent(desc, d)
             c = Fraction(c)
             if c != 0:
                 clean[d] = clean.get(d, Fraction(0)) + c
+        clean = {d: c for d, c in clean.items() if c != 0}
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*[c.denominator for c in clean.values()])
         self.desc = desc
-        self.terms = {d: c for d, c in clean.items() if c != 0}
+        self.num = {d: c.numerator * (den // c.denominator) for d, c in clean.items()}
+        self.den = den
+        self._terms: Optional[dict[Exponent, Fraction]] = None
         self._sorted: Optional[tuple[Exponent, ...]] = None
         self._ball_cache: Optional[dict[int, tuple]] = None
 
     @staticmethod
-    def _from_clean(desc: FieldDescriptor,
-                    terms: dict[Exponent, Fraction]) -> "QTrigPoly":
-        """Wrap a map already in normal form (exponents of ``desc``, each
-        once, nonzero Fraction coefficients) without re-checking it."""
+    def _from_clean(desc: FieldDescriptor, num: dict[Exponent, int],
+                    den: int) -> "QTrigPoly":
+        """Wrap nonzero int numerators over den > 0 (exponents of
+        ``desc``, each once) without re-checking them; only the common
+        factor of den and the numerators is divided out."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {d: c // g for d, c in num.items()}
+                den //= g
         out = object.__new__(QTrigPoly)
         out.desc = desc
-        out.terms = terms
+        out.num = num
+        out.den = den
+        out._terms = None
         out._sorted = None
         out._ball_cache = None
         return out
@@ -234,22 +265,35 @@ class QTrigPoly:
                  like: Optional[Exponent] = None) -> "QTrigPoly":
         """c * E(0, w), with the zero exponent of ``like``'s dimension
         (a scalar when ``like`` is None)."""
-        return QTrigPoly(desc, {_zero_exponent(desc, like): Fraction(c)})
+        c = Fraction(c)
+        num = {_zero_exponent(desc, like): c.numerator} if c else {}
+        return QTrigPoly._from_clean(desc, num, c.denominator)
 
     @staticmethod
     def binomial(desc: FieldDescriptor, m: ExponentLike) -> "QTrigPoly":
         """1 - E(m, w)."""
-        e = _exponent(desc, m)
-        return QTrigPoly(desc, {_zero_exponent(desc, e): Fraction(1), e: Fraction(-1)})
+        e = _own_exponent(desc, m)
+        if e.is_zero:
+            return QTrigPoly.zero(desc)
+        return QTrigPoly._from_clean(desc, {_zero_exponent(desc, e): 1, e: -1}, 1)
 
     # -- structure --------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """exponent -> Fraction coefficient, in the order of ``num``."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = self._terms = {d: Fraction(c, den) for d, c in self.num.items()}
+        return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     def exponents(self) -> tuple[Exponent, ...]:
         """Exponents sorted increasingly: by real value, or
@@ -261,7 +305,7 @@ class QTrigPoly:
         because exponents are distinct.
         """
         if self._sorted is None:
-            near = self.terms
+            near = self.num
             if near:
                 try:
                     near = sorted(near, key=type(next(iter(near)))._f64_key)
@@ -274,16 +318,17 @@ class QTrigPoly:
         return [(d, self.terms[d]) for d in self.exponents()]
 
     def coefficient(self, d: ExponentLike) -> Fraction:
-        return self.terms.get(_exponent(self.desc, d), Fraction(0))
+        return Fraction(self.num.get(_exponent(self.desc, d), 0), self.den)
 
     def coefficient_sum(self) -> Fraction:
         """The exact value at w = 0."""
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTrigPoly):
             return NotImplemented
-        return self.desc == other.desc and self.terms == other.terms
+        return (self.desc == other.desc and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("QTrigPoly is unhashable")
@@ -296,47 +341,64 @@ class QTrigPoly:
 
     def __add__(self, other: "QTrigPoly") -> "QTrigPoly":
         self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c})
+        a, b = self.den, other.den
+        if a == b:
+            out = dict(self.num)
+            for d, c in other.num.items():
+                out[d] = out.get(d, 0) + c
+        else:
+            # over lcm(a, b): scale each side's numerators up to it
+            g = math.gcd(a, b)
+            fa, fb = b // g, a // g
+            out = {d: c * fa for d, c in self.num.items()}
+            for d, c in other.num.items():
+                out[d] = out.get(d, 0) + c * fb
+            a *= fa
+        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c}, a)
 
     def __neg__(self) -> "QTrigPoly":
-        return QTrigPoly._from_clean(self.desc, {d: -c for d, c in self.terms.items()})
+        return QTrigPoly._from_clean(self.desc, {d: -c for d, c in self.num.items()},
+                                     self.den)
 
     def __sub__(self, other: "QTrigPoly") -> "QTrigPoly":
         return self + (-other)
 
     def __mul__(self, other: "QTrigPoly") -> "QTrigPoly":
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
+        out: dict[Exponent, int] = {}
+        for d1, c1 in self.num.items():
+            for d2, c2 in other.num.items():
                 d = d1 + d2
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c})
+                out[d] = out.get(d, 0) + c1 * c2
+        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c},
+                                     self.den * other.den)
 
     def scale(self, q: Fraction) -> "QTrigPoly":
         q = Fraction(q)
         if q == 0:
             return QTrigPoly.zero(self.desc)
-        return QTrigPoly._from_clean(self.desc, {d: c * q for d, c in self.terms.items()})
+        p = q.numerator
+        return QTrigPoly._from_clean(self.desc, {d: c * p for d, c in self.num.items()},
+                                     self.den * q.denominator)
 
     def shift(self, delta: ExponentLike) -> "QTrigPoly":
         """Multiply by E(delta, w): every exponent shifts by delta."""
         e = _exponent(self.desc, delta)
-        # an exponent lifted into another field must fail the descriptor check
-        make = QTrigPoly._from_clean if e.desc == self.desc else QTrigPoly
-        return make(self.desc, {d + e: c for d, c in self.terms.items()})
+        if e.desc != self.desc:
+            # an exponent lifted into another field must fail the descriptor check
+            return QTrigPoly(self.desc, {d + e: c for d, c in self.terms.items()})
+        return QTrigPoly._from_clean(self.desc, {d + e: c for d, c in self.num.items()},
+                                     self.den)
 
     def substitute(self, probe: Sequence[int]) -> "QTrigPoly":
         """The univariate slice w -> z * probe of a poly with vector
         exponents: each exponent d becomes probe . d."""
-        out: dict[FieldElement, Fraction] = {}
-        for d, c in self.terms.items():
+        out: dict[FieldElement, int] = {}
+        for d, c in self.num.items():
             e = _dot(probe, d)
-            out[e] = out.get(e, Fraction(0)) + c
-        return QTrigPoly(self.desc, out)
+            out[e] = out.get(e, 0) + c
+        return QTrigPoly._from_clean(self.desc, {e: c for e, c in out.items() if c},
+                                     self.den)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -435,10 +497,10 @@ class QTrigPoly:
         the first-seen term as base, which fixes the witness and the term
         order of the quotient.  Scalar or vector is decided once per call.
         """
-        classes: dict[tuple, tuple[Exponent, int, dict[int, Fraction]]] = {}
+        classes: dict[tuple, tuple[Exponent, int, dict[int, int]]] = {}
         if isinstance(m, FieldElement):
             m_inv = m.inverse()
-            for d, c in self.terms.items():
+            for d, c in self.num.items():
                 q = d * m_inv
                 cls = classes.get(key := _class_key(q))
                 if cls is None:
@@ -449,7 +511,7 @@ class QTrigPoly:
             i0 = next(i for i, x in enumerate(m) if not x.is_zero)
             others = [(i, x) for i, x in enumerate(m) if i != i0]
             m_inv = m[i0].inverse()
-            for d, c in self.terms.items():
+            for d, c in self.num.items():
                 q = d[i0] * m_inv
                 t = q.num[0] // q.den
                 key = (*_class_key(q), *[d[i] - x * t for i, x in others])
@@ -458,22 +520,24 @@ class QTrigPoly:
                     classes[key] = (d, q.num[0], {0: c})
                 else:
                     cls[2][(q.num[0] - cls[1]) // q.den] = c
-        out: dict[Exponent, Fraction] = {}
+        den = self.den
+        out: dict[Exponent, int] = {}
         for base, _, offsets in classes.values():
-            total = sum(offsets.values(), Fraction(0))
+            total = sum(offsets.values())
             if total != 0:
-                return BinomialDivisionWitness(base=base, divisor=m,
-                                               class_sum=total,
-                                               offsets=dict(sorted(offsets.items())))
+                return BinomialDivisionWitness(
+                    base=base, divisor=m, class_sum=Fraction(total, den),
+                    offsets={t: Fraction(c, den) for t, c in sorted(offsets.items())})
             lo, hi = min(offsets), max(offsets)
-            acc = Fraction(0)
+            acc = 0
             for t in range(lo, hi):
-                acc += offsets.get(t, Fraction(0))
+                acc += offsets.get(t, 0)
                 if acc != 0:
                     out[base + m * t] = acc
-        # an m from another field lifts the exponents: keep the check
-        make = QTrigPoly._from_clean if m.desc == self.desc else QTrigPoly
-        return make(self.desc, out)
+        if m.desc != self.desc:
+            # an m from another field lifts the exponents: keep the check
+            return QTrigPoly(self.desc, {d: Fraction(c, den) for d, c in out.items()})
+        return QTrigPoly._from_clean(self.desc, out, den)
 
     # -- text form -----------------------------------------------------------
 
@@ -524,10 +588,10 @@ def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:
     """sum_{t=0}^{p-1} E(t*m, w), the quotient (1 - E(pm)) / (1 - E(m))."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    e = _exponent(desc, m)
+    e = _own_exponent(desc, m)
     if e.is_zero:
         raise ZeroPolynomial("geometric factor with m = 0")
-    return QTrigPoly(desc, {e * t: Fraction(1) for t in range(p)})
+    return QTrigPoly._from_clean(desc, {e * t: 1 for t in range(p)}, 1)
 
 
 def _split_input(w, desc: FieldDescriptor):

@@ -1054,6 +1054,8 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     enclosure evaluation at exactly reduced arguments, and
     obstruction_k = ceil(log(1/eps0)/log lambda).
     """
+    if J < 1:
+        raise ValueError("J must be >= 1")
     lam = mask.lam
     # provisional margin request: refine enclosures against the constant
     # for the final target count (root count is known after isolation)

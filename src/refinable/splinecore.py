@@ -207,6 +207,8 @@ def bspline_mask(degree: int, m: int) -> MaskSpec:
 
     if m < 2:
         raise InvalidLambda("integer dilation must be >= 2")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     H = QTrigPoly.constant(QQ)
     for _ in range(degree + 1):
         H = H * geometric(QQ, m, 1)

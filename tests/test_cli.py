@@ -113,6 +113,19 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     assert "points must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--field", "2,2", "--lambda", "1/0", "--columns", "1"],
+    ["check", "--field", "2,2", "--lambda", "t", "--columns", "1/0"],
+    ["decay", "--bspline", "1", "--m", "2", "--J", "0"],
+    ["cascade", "--bspline", "-1", "--m", "2"],
+])
+def test_degenerate_inputs_exit_2(capsys, argv):
+    # a zero denominator, J < 1 and a negative degree are usage errors
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_numeric_output_golden(capsys, tmp_path, counter_file):
     # pinned values of the per-term loop kernels: the CSV and the deviation
     # are printed with repr, so any change in a float shows here

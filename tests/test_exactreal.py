@@ -148,6 +148,9 @@ def test_text_roundtrip(F10):
     assert parse_element(e3.to_text(), F) == e3
     with pytest.raises(ValueError):
         parse_element("t^5", F10)
+    for text in ("1/0", "1 + t/0", "1/0*t"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_element(text, F10)
 
 
 def test_hash_consistency(F10):

@@ -1,6 +1,7 @@
 """Quasi-trigonometric polynomial algebra: exact ring operations, evaluation,
 binomial divisibility."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from fraction_qtrig import RefPoly
 from gen_instances import instance_batch
 from refinable import exactreal
 from refinable.errors import DescriptorMismatch, ZeroPolynomial
@@ -149,33 +151,6 @@ def test_divide_binomial_roundtrip_random(F10):
         assert QTrigPoly.binomial(F10, m) * got == P
 
 
-def _pairwise_divide(P, m):
-    """Reference division: each term is tested against every class base
-    by the exact ratio (d - base) / m, in first-seen order."""
-    m_inv = m.inverse()
-    classes = []
-    for d, c in P.terms.items():
-        for base, offsets in classes:
-            t = (d - base) * m_inv
-            if t.is_integer:
-                offsets[t.as_integer()] = c
-                break
-        else:
-            classes.append((d, {0: c}))
-    out = {}
-    for base, offsets in classes:
-        total = sum(offsets.values(), Fraction(0))
-        if total != 0:
-            return BinomialDivisionWitness(base=base, divisor=m, class_sum=total,
-                                           offsets=dict(sorted(offsets.items())))
-        acc = Fraction(0)
-        for t in range(min(offsets), max(offsets)):
-            acc += offsets.get(t, Fraction(0))
-            if acc != 0:
-                out[base + m * t] = acc
-    return QTrigPoly(P.desc, out)
-
-
 def _assert_column_steps_match_reference(A, lam):
     """Every step of the mask construction's sequential division agrees
     with the reference: quotient terms in the same order, or the same
@@ -187,7 +162,7 @@ def _assert_column_steps_match_reference(A, lam):
         P = P * QTrigPoly.binomial(desc, lam_e * m)
     for m in cols:
         got = P._divide_binomial_classes(m)
-        ref = _pairwise_divide(P, m)
+        ref = RefPoly(desc, P.terms).divide_binomial(m)
         if isinstance(ref, BinomialDivisionWitness):
             assert isinstance(got, BinomialDivisionWitness)
             assert got.base.coeffs == ref.base.coeffs
@@ -561,6 +536,64 @@ def test_vector_exponents_order_equals_the_exact_sort(desc, rng):
     P = QTrigPoly(desc, {(a, b): Fraction(i + 1) for i, (a, b) in enumerate(zip(lead, tail))})
     assert all(type(d) is ExponentVector for d in P.terms)
     assert P.exponents() == tuple(sorted(tuple(d) for d in P.terms))
+
+
+# -- the Fraction-coefficient reference ------------------------------------------
+
+_REF_FIELDS = [QQ, field_make(10, 2), field_make(5, 3)]
+_ref_coef = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+
+
+@st.composite
+def _ref_case(draw):
+    """(desc, P, Q, m, q, e): Fraction-coefficient term maps P and Q with
+    mixed denominators, scalar or vector exponents, Q often cancelling P
+    in part or in full; a binomial exponent m, a scalar q and a shift e."""
+    desc = draw(st.sampled_from(_REF_FIELDS))
+    s = draw(st.sampled_from([1, 2]))
+    step = desc.theta() / 2 if desc.k > 1 else desc.rational(Fraction(1, 3))
+    coord = st.builds(lambda a, b: desc.rational(a) + step * b,
+                      st.integers(-3, 3), st.integers(-2, 2))
+    exponent = coord if s == 1 else st.builds(lambda *x: ExponentVector(x), coord, coord)
+    terms = st.lists(st.tuples(exponent, _ref_coef), max_size=6)
+    P = dict(draw(terms))
+    Q = {d: -c for d, c in P.items() if draw(st.booleans())} if draw(st.booleans()) else {}
+    Q.update(draw(terms))
+    m = draw(exponent.filter(lambda d: not d.is_zero))
+    return desc, P, Q, m, draw(_ref_coef), draw(exponent)
+
+
+def _assert_matches_reference(R, ref):
+    # same terms in the same order, and integer numerators over den in lowest terms
+    assert list(R.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is Fraction for c in R.terms.values())
+    assert R.den > 0 and math.gcd(R.den, *R.num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in R.num.values())
+    assert list(R.num) == list(R.terms)
+    assert R.coefficient_sum() == sum(ref.terms.values(), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_case())
+def test_qtrig_matches_the_fraction_reference(case):
+    desc, p, q, m, k, e = case
+    P, Q = QTrigPoly(desc, p), QTrigPoly(desc, q)
+    rP, rQ = RefPoly(desc, p), RefPoly(desc, q)
+    _assert_matches_reference(P, rP)
+    for got, ref in [(P + Q, rP + rQ), (P - Q, rP - rQ), (-P, -rP), (P * Q, rP * rQ),
+                     (P.scale(k), rP.scale(k)), (P.shift(e), rP.shift(e))]:
+        _assert_matches_reference(got, ref)
+    B, rB = QTrigPoly.binomial(desc, m), RefPoly(desc, {m * 0: 1, m: -1})
+    for N, rN in [(P * B, rP * rB), (P + Q, rP + rQ), (P * B + Q, rP * rB + rQ)]:
+        got, ref = N._divide_binomial_classes(m), rN.divide_binomial(m)
+        if isinstance(ref, BinomialDivisionWitness):
+            assert isinstance(got, BinomialDivisionWitness) and N.divide_binomial(m) is None
+            assert (got.base, got.class_sum) == (ref.base, ref.class_sum)
+            assert list(got.offsets.items()) == list(ref.offsets.items())
+            assert all(type(c) is Fraction for c in got.offsets.values())
+        else:
+            _assert_matches_reference(got, ref)
+            _assert_matches_reference(N.divide_binomial(m), ref)
 
 
 # -- vector exponents (s >= 2) -------------------------------------------------
