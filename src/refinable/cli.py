@@ -78,9 +78,17 @@ def _load_instance(args) -> dict:
     if getattr(args, "instance", None):
         with open(args.instance) as fh:
             data = json.load(fh)
-        desc = field_make(data["field"]["n"], data["field"]["k"])
+        if not isinstance(data, dict):
+            raise ValueError("instance must be a JSON object")
+        field = data["field"]
+        if not (isinstance(field, dict) and type(field.get("n")) is int
+                and type(field.get("k")) is int):
+            raise ValueError("field must be an object with integers n and k")
+        desc = field_make(field["n"], field["k"])
         lam = parse_element(str(data["lambda"]), desc)
         raw_cols = data["columns"]
+        if not isinstance(raw_cols, list) or not raw_cols:
+            raise ValueError("columns must be a non-empty list")
         cols = []
         for col in raw_cols:
             if isinstance(col, list):

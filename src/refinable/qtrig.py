@@ -5,20 +5,27 @@ A quasi-trigonometric polynomial is a finite sum
     P(w) = sum_j  c_j * E(d_j, w),        E(d, w) = exp(-2 pi i d . w),
 
 with rational coefficients c_j and exponents d_j in Q(theta)^s for a
-fixed real field Q(theta): a ``FieldElement`` for s = 1, an
+fixed real field Q(theta) of degree k: a ``FieldElement`` for s = 1, an
 ``ExponentVector`` of s field elements for s >= 2.  Exponent equality is
 exact, so terms merge and cancel exactly; products, shifts and
 divisibility by binomials 1 - E(m, w) are computed symbolically for
 every s.  For s = 1 there is also evaluation to outward-rounded
 complex enclosures.
 
-Coefficients are restricted to Q and stored fraction-free, as FLINT's
-``fmpq_poly`` stores them: integer numerators over one positive common
-denominator in lowest terms.  The products and binomial quotients of
-the refinability decision have integer coefficients throughout, so
-their arithmetic is integer arithmetic; ``terms`` hands the coefficients
-out as ``Fraction``s.  Scalar field-element factors (such as dilation
-powers) are kept outside the term map by the callers.
+Both sides of a term are stored fraction-free.  Coefficients are
+integer numerators over one positive common denominator in lowest
+terms, as FLINT's ``fmpq_poly`` stores them.  Exponents are the same
+idea applied to the lattice they live in, in the spirit of FLINT's
+``nf_elem``: an exponent's s*k power-basis coordinates (coordinate j of
+component i at index i*k + j) times one positive exponent denominator
+shared by the whole polynomial, kept minimal.  Every exponent the
+refinability decision meets is an integer combination of the m_j and
+lambda*m_j, so sums, products, shifts and binomial division add and
+scale integer tuples and never do field arithmetic term by term.
+``terms`` hands the exponents out as ``FieldElement``s or
+``ExponentVector``s and the coefficients as ``Fraction``s, built on
+first use.  Scalar field-element factors (such as dilation powers) are
+kept outside the term map by the callers.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from mpmath import iv
@@ -48,6 +56,7 @@ from .exactreal import (
     _MPI_ZERO,
     FieldDescriptor,
     FieldElement,
+    _canonical,
     _iv_fraction,
     _iv_prec,
     _mpi_fraction,
@@ -132,6 +141,60 @@ def _zero_exponent(desc: FieldDescriptor, like: Optional[Exponent]) -> Exponent:
     return desc.zero()
 
 
+# -- lattice coordinates ------------------------------------------------------
+
+
+def _own_num(desc: FieldDescriptor, a: FieldElement) -> tuple[int, ...]:
+    """The numerators of ``a`` in ``desc``: an element of the rational
+    field is lifted, one of another field raises DescriptorMismatch."""
+    if a.desc is desc or a.desc == desc:
+        return a.num
+    if a.desc.is_rational_field:
+        return (a.num[0], *desc._zeros)
+    raise DescriptorMismatch("exponent from a different field")
+
+
+def _lattice(desc: FieldDescriptor, x: ExponentLike) -> tuple[tuple[int, ...], int]:
+    """(N, D) with N / D the coordinates of the exponent x and D > 0 the
+    least common denominator, so gcd(D, *N) = 1."""
+    x = _exponent(desc, x)
+    if isinstance(x, FieldElement):
+        return _own_num(desc, x), x.den
+    den = math.lcm(*[a.den for a in x])
+    return tuple([c * (den // a.den) for a in x for c in _own_num(desc, a)]), den
+
+
+def _from_lattice(desc: FieldDescriptor, key: tuple[int, ...], eden: int) -> Exponent:
+    """The exponent with coordinates key / eden: a scalar for k coordinates,
+    an ``ExponentVector`` for s*k with s >= 2."""
+    k = desc.k
+    if len(key) == k:
+        return _canonical(desc, key, eden)
+    return ExponentVector([_canonical(desc, key[i:i + k], eden)
+                           for i in range(0, len(key), k)])
+
+
+def _rescaled(num: dict[tuple, int], f: int) -> dict[tuple, int]:
+    """``num`` with every exponent tuple multiplied by f."""
+    if f == 1:
+        return num
+    return {tuple([x * f for x in d]): c for d, c in num.items()}
+
+
+def _lowest(num: dict[tuple, int], eden: int) -> tuple[dict[tuple, int], int]:
+    """(num, eden) with the common factor of eden and every exponent tuple
+    divided out.  The scan stops at the first tuple that brings the gcd
+    to 1, which is nearly always one of the first few."""
+    if eden == 1:
+        return num, 1
+    g = eden
+    for d in num:
+        g = math.gcd(g, *d)
+        if g == 1:
+            return num, eden
+    return {tuple([x // g for x in d]): c for d, c in num.items()}, eden // g
+
+
 class ComplexBall:
     """Rectangular complex enclosure: a pair of real intervals."""
 
@@ -196,25 +259,35 @@ def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
 
 
 class QTrigPoly:
-    """Finite exact map exponent -> nonzero rational coefficient.
+    """Finite exact map exponent -> nonzero rational coefficient, stored
+    as integers.
 
-    The coefficient of exponent d is ``num[d] / den``: ``num`` maps each
-    exponent to a nonzero int and ``den`` is a positive int with
-    gcd(den, *num.values()) = 1 (den = 1 for the zero poly), so equal
-    polys have equal ``num`` and ``den``.  ``terms`` is the same map with
-    ``Fraction`` coefficients, in the same insertion order, built on
-    first use and cached.
+    The term with lattice tuple N has exponent N / ``eden`` and
+    coefficient ``num[N] / den``:
 
-    Exponents are all scalars (s = 1) or all ``ExponentVector``s of one
-    length s >= 2.  Immutable after construction.  ``exponents()`` sorts
-    exactly: by real value for s = 1, lexicographically for s >= 2 (ties
-    are impossible because exponents are pairwise distinct).
-    ``eval_ball`` takes s = 1 only.  The first ``eval_ball`` fills a
-    cache of the term enclosures per working precision; a poly never
-    evaluated keeps it ``None``.
+    - ``num`` maps each exponent's tuple of s*k ints (its power-basis
+      coordinates times ``eden``, component after component) to a
+      nonzero int, in insertion order;
+    - ``den`` is a positive int with gcd(den, *num.values()) = 1;
+    - ``eden`` is a positive int with gcd(eden, every coordinate of
+      every tuple) = 1.
+
+    ``den`` and ``eden`` are 1 for the zero poly, so equal polys have
+    equal ``num``, ``den`` and ``eden``.  ``terms`` is the same map with
+    exponents as ``FieldElement``s (s = 1) or ``ExponentVector``s
+    (s >= 2) and ``Fraction`` coefficients, in the same order, built on
+    first use and cached; ``items()``, ``exponents()``, ``coefficient()``,
+    ``to_text`` and ``eval_ball`` read it.
+
+    Exponents are all scalars or all vectors of one length s >= 2.
+    Immutable after construction.  ``exponents()`` sorts exactly: by real
+    value for s = 1, lexicographically for s >= 2 (ties are impossible
+    because exponents are pairwise distinct).  ``eval_ball`` takes s = 1
+    only.  The first ``eval_ball`` fills a cache of the term enclosures
+    per working precision; a poly never evaluated keeps it ``None``.
     """
 
-    __slots__ = ("desc", "num", "den", "_terms", "_sorted", "_ball_cache")
+    __slots__ = ("desc", "num", "den", "eden", "_terms", "_sorted", "_ball_cache")
 
     def __init__(self, desc: FieldDescriptor,
                  terms: Mapping[ExponentLike, Fraction]):
@@ -225,21 +298,27 @@ class QTrigPoly:
             if c != 0:
                 clean[d] = clean.get(d, Fraction(0)) + c
         clean = {d: c for d, c in clean.items() if c != 0}
-        # the lcm of reduced denominators leaves the numerators coprime to it
+        # the lcm of reduced denominators leaves the numerators coprime to
+        # it, on the coefficient side and on the exponent side alike
         den = math.lcm(*[c.denominator for c in clean.values()])
+        lattice = [_lattice(desc, d) for d in clean]
+        eden = math.lcm(*[e for _, e in lattice])
         self.desc = desc
-        self.num = {d: c.numerator * (den // c.denominator) for d, c in clean.items()}
+        self.num = {tuple([x * (eden // e) for x in key]): c.numerator * (den // c.denominator)
+                    for (key, e), c in zip(lattice, clean.values())}
         self.den = den
-        self._terms: Optional[dict[Exponent, Fraction]] = None
+        self.eden = eden
+        self._terms: Optional[dict[Exponent, Fraction]] = clean
         self._sorted: Optional[tuple[Exponent, ...]] = None
         self._ball_cache: Optional[dict[int, tuple]] = None
 
     @staticmethod
-    def _from_clean(desc: FieldDescriptor, num: dict[Exponent, int],
-                    den: int) -> "QTrigPoly":
-        """Wrap nonzero int numerators over den > 0 (exponents of
-        ``desc``, each once) without re-checking them; only the common
-        factor of den and the numerators is divided out."""
+    def _from_clean(desc: FieldDescriptor, num: dict[tuple, int], den: int,
+                    eden: int) -> "QTrigPoly":
+        """Wrap nonzero int numerators over den > 0, keyed by distinct
+        exponent tuples already in lowest terms over eden, without
+        re-checking them; only the common factor of den and the
+        numerators is divided out."""
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
@@ -249,6 +328,7 @@ class QTrigPoly:
         out.desc = desc
         out.num = num
         out.den = den
+        out.eden = eden
         out._terms = None
         out._sorted = None
         out._ball_cache = None
@@ -266,8 +346,9 @@ class QTrigPoly:
         """c * E(0, w), with the zero exponent of ``like``'s dimension
         (a scalar when ``like`` is None)."""
         c = Fraction(c)
-        num = {_zero_exponent(desc, like): c.numerator} if c else {}
-        return QTrigPoly._from_clean(desc, num, c.denominator)
+        s = len(like) if isinstance(like, ExponentVector) else 1
+        num = {(0,) * (s * desc.k): c.numerator} if c else {}
+        return QTrigPoly._from_clean(desc, num, c.denominator, 1)
 
     @staticmethod
     def binomial(desc: FieldDescriptor, m: ExponentLike) -> "QTrigPoly":
@@ -275,7 +356,8 @@ class QTrigPoly:
         e = _own_exponent(desc, m)
         if e.is_zero:
             return QTrigPoly.zero(desc)
-        return QTrigPoly._from_clean(desc, {_zero_exponent(desc, e): 1, e: -1}, 1)
+        key, eden = _lattice(desc, e)
+        return QTrigPoly._from_clean(desc, {(0,) * len(key): 1, key: -1}, 1, eden)
 
     # -- structure --------------------------------------------------------
 
@@ -284,8 +366,9 @@ class QTrigPoly:
         """exponent -> Fraction coefficient, in the order of ``num``."""
         terms = self._terms
         if terms is None:
-            den = self.den
-            terms = self._terms = {d: Fraction(c, den) for d, c in self.num.items()}
+            desc, den, eden = self.desc, self.den, self.eden
+            terms = self._terms = {_from_lattice(desc, d, eden): Fraction(c, den)
+                                   for d, c in self.num.items()}
         return terms
 
     @property
@@ -305,7 +388,7 @@ class QTrigPoly:
         because exponents are distinct.
         """
         if self._sorted is None:
-            near = self.num
+            near = self.terms
             if near:
                 try:
                     near = sorted(near, key=type(next(iter(near)))._f64_key)
@@ -318,7 +401,7 @@ class QTrigPoly:
         return [(d, self.terms[d]) for d in self.exponents()]
 
     def coefficient(self, d: ExponentLike) -> Fraction:
-        return Fraction(self.num.get(_exponent(self.desc, d), 0), self.den)
+        return self.terms.get(_exponent(self.desc, d), Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
         """The exact value at w = 0."""
@@ -328,7 +411,7 @@ class QTrigPoly:
         if not isinstance(other, QTrigPoly):
             return NotImplemented
         return (self.desc == other.desc and self.den == other.den
-                and self.num == other.num)
+                and self.eden == other.eden and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("QTrigPoly is unhashable")
@@ -339,39 +422,64 @@ class QTrigPoly:
         if self.desc != other.desc:
             raise DescriptorMismatch("operands from different fields")
 
+    def _common(self, other: "QTrigPoly") -> tuple[dict, dict, int]:
+        """Both operands' tuple maps over lcm(eden, other.eden)."""
+        a, b = self.eden, other.eden
+        if a == b:
+            return self.num, other.num, a
+        e = math.lcm(a, b)
+        return _rescaled(self.num, e // a), _rescaled(other.num, e // b), e
+
+    def _aligned(self, x: ExponentLike) -> tuple[dict, tuple[int, ...], int]:
+        """The tuple map and the tuple of exponent x over one common eden."""
+        key, e = _lattice(self.desc, x)
+        a = self.eden
+        if e == a:
+            return self.num, key, a
+        common = math.lcm(a, e)
+        f = common // e
+        return _rescaled(self.num, common // a), tuple([v * f for v in key]), common
+
     def __add__(self, other: "QTrigPoly") -> "QTrigPoly":
         self._check(other)
+        na, nb, eden = self._common(other)
         a, b = self.den, other.den
         if a == b:
-            out = dict(self.num)
-            for d, c in other.num.items():
+            out = dict(na)
+            for d, c in nb.items():
                 out[d] = out.get(d, 0) + c
         else:
             # over lcm(a, b): scale each side's numerators up to it
             g = math.gcd(a, b)
             fa, fb = b // g, a // g
-            out = {d: c * fa for d, c in self.num.items()}
-            for d, c in other.num.items():
+            out = {d: c * fa for d, c in na.items()}
+            for d, c in nb.items():
                 out[d] = out.get(d, 0) + c * fb
             a *= fa
-        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c}, a)
+        kept = {d: c for d, c in out.items() if c}
+        if len(kept) < len(out):
+            # the union of both exponent sets keeps eden minimal; a
+            # cancellation may not
+            kept, eden = _lowest(kept, eden)
+        return QTrigPoly._from_clean(self.desc, kept, a, eden)
 
     def __neg__(self) -> "QTrigPoly":
         return QTrigPoly._from_clean(self.desc, {d: -c for d, c in self.num.items()},
-                                     self.den)
+                                     self.den, self.eden)
 
     def __sub__(self, other: "QTrigPoly") -> "QTrigPoly":
         return self + (-other)
 
     def __mul__(self, other: "QTrigPoly") -> "QTrigPoly":
         self._check(other)
-        out: dict[Exponent, int] = {}
-        for d1, c1 in self.num.items():
-            for d2, c2 in other.num.items():
-                d = d1 + d2
+        na, nb, eden = self._common(other)
+        out: dict[tuple, int] = {}
+        for d1, c1 in na.items():
+            for d2, c2 in nb.items():
+                d = tuple(map(add, d1, d2))
                 out[d] = out.get(d, 0) + c1 * c2
-        return QTrigPoly._from_clean(self.desc, {d: c for d, c in out.items() if c},
-                                     self.den * other.den)
+        num, eden = _lowest({d: c for d, c in out.items() if c}, eden)
+        return QTrigPoly._from_clean(self.desc, num, self.den * other.den, eden)
 
     def scale(self, q: Fraction) -> "QTrigPoly":
         q = Fraction(q)
@@ -379,26 +487,25 @@ class QTrigPoly:
             return QTrigPoly.zero(self.desc)
         p = q.numerator
         return QTrigPoly._from_clean(self.desc, {d: c * p for d, c in self.num.items()},
-                                     self.den * q.denominator)
+                                     self.den * q.denominator, self.eden)
 
     def shift(self, delta: ExponentLike) -> "QTrigPoly":
         """Multiply by E(delta, w): every exponent shifts by delta."""
-        e = _exponent(self.desc, delta)
-        if e.desc != self.desc:
-            # an exponent lifted into another field must fail the descriptor check
-            return QTrigPoly(self.desc, {d + e: c for d, c in self.terms.items()})
-        return QTrigPoly._from_clean(self.desc, {d + e: c for d, c in self.num.items()},
-                                     self.den)
+        num, e, eden = self._aligned(delta)
+        num, eden = _lowest({tuple(map(add, d, e)): c for d, c in num.items()}, eden)
+        return QTrigPoly._from_clean(self.desc, num, self.den, eden)
 
     def substitute(self, probe: Sequence[int]) -> "QTrigPoly":
         """The univariate slice w -> z * probe of a poly with vector
         exponents: each exponent d becomes probe . d."""
-        out: dict[FieldElement, int] = {}
+        k = self.desc.k
+        out: dict[tuple, int] = {}
         for d, c in self.num.items():
-            e = _dot(probe, d)
+            # coordinate j of probe . d from coordinate j of every component
+            e = tuple([sum(map(mul, probe, d[j::k])) for j in range(k)])
             out[e] = out.get(e, 0) + c
-        return QTrigPoly._from_clean(self.desc, {e: c for e, c in out.items() if c},
-                                     self.den)
+        num, eden = _lowest({e: c for e, c in out.items() if c}, self.eden)
+        return QTrigPoly._from_clean(self.desc, num, self.den, eden)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -482,62 +589,54 @@ class QTrigPoly:
             return None
         return verdict
 
-    def _divide_binomial_classes(self, m: Exponent):
+    def _divide_binomial_classes(self, m: ExponentLike):
         """Either the quotient or a witness for the failing class.
 
-        Exponents d and d' share a class iff d - d' lies in m*Z.  Let m_i
-        be the first nonzero coordinate of m (m itself for a scalar) and
-        q = d_i/m_i.  Then d and d' share a class iff q - q' is an
-        integer, i.e. q and q' agree in every coordinate but the first
-        and in the fractional part of the first, and, for a vector, the
-        other coordinates of d - t*m agree at t = floor(q_0).  So each
-        term is keyed by (frac(q_0), q_1, ..., q_{k-1}) plus those other
-        coordinates, at one multiplication by m_i^-1, and its offset in
-        the class is q_0 - q_0(base).  Classes keep first-seen order with
-        the first-seen term as base, which fixes the witness and the term
-        order of the quotient.  Scalar or vector is decided once per call.
+        Exponents d and d' share a class iff d - d' lies in m*Z.  Over
+        one exponent denominator, let N and M be the lattice tuples of d
+        and m, i0 the first nonzero coordinate of M, t(N) = floor(N[i0] /
+        M[i0]) and R(N) = N - t(N)*M.  If N' = N + j*M for an integer j,
+        then t(N') = t(N) + j and R(N') = R(N); conversely R(N) = R(N')
+        gives N - N' = (t(N) - t(N'))*M.  So the residue R keys the
+        classes of d modulo m*Z exactly, and a term lies at offset
+        t(N) - t(base) from its class base, the integer j with d = base
+        + j*m.  These are the classes, offsets and first-seen order that
+        keying by q = d * m_i^-1 gave, for scalar and vector m alike,
+        without an inverse or a field product.  Classes keep first-seen
+        order with the first-seen term as base, which fixes the witness
+        and the term order of the quotient.
         """
-        classes: dict[tuple, tuple[Exponent, int, dict[int, int]]] = {}
-        if isinstance(m, FieldElement):
-            m_inv = m.inverse()
-            for d, c in self.num.items():
-                q = d * m_inv
-                cls = classes.get(key := _class_key(q))
-                if cls is None:
-                    classes[key] = (d, q.num[0], {0: c})
-                else:
-                    cls[2][(q.num[0] - cls[1]) // q.den] = c
-        else:
-            i0 = next(i for i, x in enumerate(m) if not x.is_zero)
-            others = [(i, x) for i, x in enumerate(m) if i != i0]
-            m_inv = m[i0].inverse()
-            for d, c in self.num.items():
-                q = d[i0] * m_inv
-                t = q.num[0] // q.den
-                key = (*_class_key(q), *[d[i] - x * t for i, x in others])
-                cls = classes.get(key)
-                if cls is None:
-                    classes[key] = (d, q.num[0], {0: c})
-                else:
-                    cls[2][(q.num[0] - cls[1]) // q.den] = c
+        num, M, eden = self._aligned(m)
+        i0 = next(i for i, x in enumerate(M) if x)
+        m0 = M[i0]
+        classes: dict[tuple, tuple[tuple, int, dict[int, int]]] = {}
+        for d, c in num.items():
+            t = d[i0] // m0
+            key = tuple([x - t * y for x, y in zip(d, M)]) if t else d
+            cls = classes.get(key)
+            if cls is None:
+                classes[key] = (d, t, {0: c})
+            else:
+                cls[2][t - cls[1]] = c
         den = self.den
-        out: dict[Exponent, int] = {}
+        out: dict[tuple, int] = {}
         for base, _, offsets in classes.values():
             total = sum(offsets.values())
             if total != 0:
                 return BinomialDivisionWitness(
-                    base=base, divisor=m, class_sum=Fraction(total, den),
+                    base=_from_lattice(self.desc, base, eden), divisor=m,
+                    class_sum=Fraction(total, den),
                     offsets={t: Fraction(c, den) for t, c in sorted(offsets.items())})
             lo, hi = min(offsets), max(offsets)
             acc = 0
+            d = tuple([x + lo * y for x, y in zip(base, M)]) if lo else base
             for t in range(lo, hi):
                 acc += offsets.get(t, 0)
                 if acc != 0:
-                    out[base + m * t] = acc
-        if m.desc != self.desc:
-            # an m from another field lifts the exponents: keep the check
-            return QTrigPoly(self.desc, {d: Fraction(c, den) for d, c in out.items()})
-        return QTrigPoly._from_clean(self.desc, out, den)
+                    out[d] = acc
+                d = tuple(map(add, d, M))
+        out, eden = _lowest(out, eden)
+        return QTrigPoly._from_clean(self.desc, out, den, eden)
 
     # -- text form -----------------------------------------------------------
 
@@ -559,14 +658,6 @@ class QTrigPoly:
 
     def __repr__(self) -> str:
         return f"QTrigPoly({self.to_text()})"
-
-
-def _class_key(q: FieldElement) -> tuple[int, ...]:
-    """(N_0 mod D, N_1, ..., N_{k-1}, D) of q = N / D: equal iff the two
-    elements differ by an integer.  Adding an integer t to q gives
-    (N_0 + tD, N_1, ...) / D, still canonical, so a class shares D."""
-    num, den = q.num, q.den
-    return (num[0] % den, *num[1:], den)
 
 
 @dataclass(frozen=True)
@@ -591,7 +682,9 @@ def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:
     e = _own_exponent(desc, m)
     if e.is_zero:
         raise ZeroPolynomial("geometric factor with m = 0")
-    return QTrigPoly._from_clean(desc, {e * t: 1 for t in range(p)}, 1)
+    key, eden = _lattice(desc, e)
+    num, eden = _lowest({tuple([x * t for x in key]): 1 for t in range(p)}, eden)
+    return QTrigPoly._from_clean(desc, num, 1, eden)
 
 
 def _split_input(w, desc: FieldDescriptor):

@@ -118,9 +118,18 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     ["check", "--field", "2,2", "--lambda", "t", "--columns", "1/0"],
     ["decay", "--bspline", "1", "--m", "2", "--J", "0"],
     ["cascade", "--bspline", "-1", "--m", "2"],
+    ["check", "--instance", {**COUNTER, "columns": []}],
+    ["check", "--instance", [1]],
+    ["check", "--instance", {**COUNTER, "columns": "12"}],
+    ["check", "--instance", {**COUNTER, "field": [10, 2]}],
 ])
-def test_degenerate_inputs_exit_2(capsys, argv):
-    # a zero denominator, J < 1 and a negative degree are usage errors
+def test_degenerate_inputs_exit_2(capsys, tmp_path, argv):
+    # a zero denominator, J < 1, a negative degree and malformed instance
+    # JSON (the last item, written to a file) are usage errors
+    if not isinstance(argv[-1], str):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -548,19 +548,38 @@ _ref_coef = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4,
 def _ref_case(draw):
     """(desc, P, Q, m, q, e): Fraction-coefficient term maps P and Q with
     mixed denominators, scalar or vector exponents, Q often cancelling P
-    in part or in full; a binomial exponent m, a scalar q and a shift e."""
+    in part or in full; a binomial exponent m, a scalar q and a shift e.
+
+    P's exponents, Q's new ones, m and e each carry their own extra
+    exponent denominator, so operands often differ in ``eden``; m's
+    leading coordinates are often zero, so its first nonzero lattice
+    coordinate is often not the first."""
     desc = draw(st.sampled_from(_REF_FIELDS))
     s = draw(st.sampled_from([1, 2]))
     step = desc.theta() / 2 if desc.k > 1 else desc.rational(Fraction(1, 3))
     coord = st.builds(lambda a, b: desc.rational(a) + step * b,
                       st.integers(-3, 3), st.integers(-2, 2))
     exponent = coord if s == 1 else st.builds(lambda *x: ExponentVector(x), coord, coord)
-    terms = st.lists(st.tuples(exponent, _ref_coef), max_size=6)
-    P = dict(draw(terms))
+
+    def over(q):
+        return exponent.map(lambda d: d * Fraction(1, q))
+
+    def terms(q):
+        return st.lists(st.tuples(over(q), _ref_coef), max_size=6)
+
+    edens = st.sampled_from([1, 1, 2, 5, 7])
+    P = dict(draw(terms(draw(edens))))
     Q = {d: -c for d, c in P.items() if draw(st.booleans())} if draw(st.booleans()) else {}
-    Q.update(draw(terms))
-    m = draw(exponent.filter(lambda d: not d.is_zero))
-    return desc, P, Q, m, draw(_ref_coef), draw(exponent)
+    Q.update(draw(terms(draw(edens))))
+    m = draw(over(draw(edens)).filter(lambda d: not d.is_zero))
+    if draw(st.booleans()):
+        # zero the leading coordinates of m's first component
+        lead = m if s == 1 else m[0]
+        head = desc.element(lead.coeffs[:draw(st.integers(1, desc.k))])
+        m = m - head if s == 1 else ExponentVector([m[0] - head, m[1]])
+        if m.is_zero:
+            m = step if s == 1 else ExponentVector([desc.zero(), step])
+    return desc, P, Q, m, draw(_ref_coef), draw(over(draw(edens)))
 
 
 def _assert_matches_reference(R, ref):
@@ -569,8 +588,15 @@ def _assert_matches_reference(R, ref):
     assert all(type(c) is Fraction for c in R.terms.values())
     assert R.den > 0 and math.gcd(R.den, *R.num.values()) == 1
     assert all(type(c) is int and c != 0 for c in R.num.values())
-    assert list(R.num) == list(R.terms)
     assert R.coefficient_sum() == sum(ref.terms.values(), Fraction(0))
+    # the lattice form: exponent tuples of ints over eden in lowest terms,
+    # and the view's keys are the tuples' elements, in order
+    assert R.eden > 0 and math.gcd(R.eden, *[x for d in R.num for x in d]) == 1
+    assert len(R.num) == len(R.terms)
+    for d, key in zip(R.terms, R.num):
+        parts = [d] if isinstance(d, FieldElement) else d
+        assert all(type(x) is int for x in key)
+        assert key == tuple(x * R.eden for a in parts for x in a.coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -581,9 +607,13 @@ def test_qtrig_matches_the_fraction_reference(case):
     rP, rQ = RefPoly(desc, p), RefPoly(desc, q)
     _assert_matches_reference(P, rP)
     for got, ref in [(P + Q, rP + rQ), (P - Q, rP - rQ), (-P, -rP), (P * Q, rP * rQ),
-                     (P.scale(k), rP.scale(k)), (P.shift(e), rP.shift(e))]:
+                     (P.scale(k), rP.scale(k)), (P.shift(e), rP.shift(e)),
+                     # Q's exponents cancel out again: eden shrinks back
+                     ((P + Q) - Q, (rP + rQ) - rQ), ((P + Q).shift(e) - Q.shift(e),
+                                                     (rP + rQ).shift(e) - rQ.shift(e))]:
         _assert_matches_reference(got, ref)
     B, rB = QTrigPoly.binomial(desc, m), RefPoly(desc, {m * 0: 1, m: -1})
+    _assert_matches_reference(B, rB)
     for N, rN in [(P * B, rP * rB), (P + Q, rP + rQ), (P * B + Q, rP * rB + rQ)]:
         got, ref = N._divide_binomial_classes(m), rN.divide_binomial(m)
         if isinstance(ref, BinomialDivisionWitness):

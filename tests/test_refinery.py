@@ -1,6 +1,7 @@
 """Decision procedures: masks, structure, oracles, probes, witnesses."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from gen_instances import instance_batch
-from refinable import polyq
+from refinable import exactreal, polyq
 from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly, geometric
@@ -24,6 +25,8 @@ from refinable.refinery import (
     ChainStructure,
     _cyclotomic_poly,
     _log_ratio_ceil,
+    _mask_division,
+    _mask_identity,
     _prepare,
     chain_structure,
     condition_B,
@@ -65,6 +68,46 @@ def test_mask_counterexample(counter):
     assert set(mask.H.terms) == expected
     # refinement coefficients c_j = lambda/10, sum lambda
     assert all(c == lam / 10 for c in mask.refinement_coefficients)
+
+
+def _mv_template():
+    """The first accepted s-variate template of the benchmark's
+    ``mv_batch(40, 777)`` over a quadratic field: (field, columns, lambda)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return next(inst for inst in gen.mv_batch(40, 777)[::2] if inst[0].k > 1)
+
+
+def test_decision_does_no_per_term_field_arithmetic(counter, monkeypatch):
+    # the division chain and the identity check run on lattice tuples:
+    # the FieldElements they build (lambda^n, the lambda*m_j) grow with
+    # the columns, not with the terms (the 64-term s = 2 mask took 1,282
+    # in its division when exponents were field elements)
+    _, lam, A = counter
+    _, cols, mv_lam = _mv_template()
+    built = 0
+    init = exactreal.FieldElement.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    for A, lam in [(A, lam), ([tuple(c) for c in cols], mv_lam)]:
+        lam_e, _, norm, _ = _prepare(A, lam)
+        s = 1 if isinstance(norm[0], exactreal.FieldElement) else len(norm[0])
+        monkeypatch.setattr(exactreal.FieldElement, "__init__", counting)
+        built = 0
+        H, _, _ = _mask_division(norm, lam_e)
+        in_division = built
+        built = 0
+        assert _mask_identity(norm, lam_e, H)
+        in_identity = built
+        monkeypatch.setattr(exactreal.FieldElement, "__init__", init)
+        assert len(H) >= 10
+        assert in_division <= 4 * len(norm) * s and in_identity <= 4 * len(norm) * s
 
 
 def test_mask_b0():
