@@ -255,7 +255,7 @@ def _cmd_cascade(args) -> int:
 
 def _mask_from_args(args) -> MaskSpec:
     if getattr(args, "bspline", None) is not None:
-        return bspline_mask(args.bspline, args.m or 2)
+        return bspline_mask(args.bspline, 2 if args.m is None else args.m)
     inst = _load_instance(args)
     if inst["s"] != 1:
         raise ValueError("univariate instance required")

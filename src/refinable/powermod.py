@@ -186,7 +186,7 @@ class ErdosCertificate:
         def fe(coeffs: list[str]) -> FieldElement:
             return desc.element([Fraction(c) for c in coeffs])
 
-        return ErdosCertificate(
+        cert = ErdosCertificate(
             lam=fe(data["lambda"]),
             targets=tuple(Fraction(t) for t in data["targets"]),
             c=Fraction(data["c"]),
@@ -195,6 +195,13 @@ class ErdosCertificate:
             intervals=tuple((fe(a), fe(b)) for a, b in data["intervals"]),
             xi=fe(data["xi"]),
         )
+        # the derived fields must be the ones the certificate gives
+        stored = cert.to_jsonable()
+        for name in ("depth", "guaranteed_depth", "xi_decimal"):
+            if name in data and data[name] != stored[name]:
+                raise ValueError(f"certificate field {name!r} is {data[name]!r}, "
+                                 f"but the certificate gives {stored[name]!r}")
+        return cert
 
     @staticmethod
     def from_json(text: str) -> "ErdosCertificate":

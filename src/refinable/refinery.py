@@ -59,6 +59,7 @@ from .exactreal import (
     QQ,
     _iv_prec,
     int_ratio,
+    iv_endpoints,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
@@ -1051,11 +1052,16 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     by certified enclosures otherwise) and reduced modulo 1; an orbit
     avoidance certificate for those targets gives xi0; then
     eps0 = min_{0 <= j < J} |H(lambda^j xi0)| is bounded from below by
-    enclosure evaluation at exactly reduced arguments, and
-    obstruction_k = ceil(log(1/eps0)/log lambda).
+    enclosure evaluation at exactly reduced arguments, starting at
+    ``prec`` bits, and obstruction_k = ceil(log(1/eps0)/log lambda).
+    A double-precision screen of |H| at all J points picks the few whose
+    enclosures can hold the minimum; eps0 is the same as from enclosing
+    every point (see ``_orbit_abs_floor``).
     """
     if J < 1:
         raise ValueError("J must be >= 1")
+    if prec < 1:
+        raise ValueError("prec must be >= 1")
     lam = mask.lam
     # provisional margin request: refine enclosures against the constant
     # for the final target count (root count is known after isolation)
@@ -1107,28 +1113,99 @@ def _root_targets(roots: Sequence[MaskRoot]) -> tuple[list[Fraction], list[Fract
 
 def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
                      prec: int) -> float:
-    """Certified lower bound of min_{0<=j<J} |H(lambda^j xi0)|.
+    """Certified lower bound of min_{0<=j<J} |H(lambda^j xi0)|, for H
+    with rational translations.
 
-    Arguments are reduced modulo the exact period D0 before evaluation,
-    so the working precision is independent of j.
+    The J arguments x_j = lambda^j xi0 are reduced exactly modulo the
+    period D0, so the working precision is independent of j.  The floor
+    is the least of the enclosure lower bounds L_j: ``eval_ball`` at
+    ``prec`` bits, and at 2*prec, 4*prec, ... while ``abs_lower`` reads
+    0 (0.0 for the whole orbit once prec + 4096 bits do not separate
+    H(x_j) from zero).  Only the points that a double-precision screen
+    cannot rule out are enclosed; the others cannot hold the minimum.
+
+    Screen.  With n/eden the exponents of H (``H.num``'s lattice
+    numerators over ``H.eden``, which is D0 for the masks of
+    ``decay_probe``) and t_j = x_j/eden, H(x_j) = sum c exp(-2 pi i n t_j).
+    A float t within e of t_j (for rational t_j the correctly rounded
+    quotient and e = 0, else the midpoint and width of an enclosure)
+    gives each phase as fmod(n*t, 1), and f_j is the hypot of the sums of
+    c*cos(2 pi phase) and c*sin(2 pi phase).  This assumes IEEE-754
+    double arithmetic rounded to nearest and a libm ``cos``/``sin``
+    within 2^-40 of the true value (glibc documents 1-2 ulp).  With
+    S = sum |c|, N = max |n| and T terms, the rounding of t, of n*t and
+    of 2 pi times the phase (the fmod is exact), the libm error, the
+    rounding of c and of the sums, and hypot give
+
+        |f_j - |H(x_j)||  <=  S (7 N (e + 2^-51 max(1, |t|)) + 2^-39)
+                              + (T + 2) 2^-52 S.
+
+    Enclosure.  ``eval_ball`` returns a ball of radius at most
+    2^(1-prec) max(1, S), so the two axes lose at most twice that, and
+    ``abs_lower`` rounds to nearest (relative 2^-51 with hypot):
+
+        |H(x_j)| - 2^(2-prec) max(1, S) - 2^-50 S  <=  L_j
+                                            <=  |H(x_j)| (1 + 2^-51).
+
+    delta_j below exceeds the screen bound plus the enclosure loss.  So
+    a point with f_j - delta_j above min_i (f_i + delta_i), attained at
+    some i, has L_j > L_i >= 0: it is decided at ``prec`` bits, lies
+    above the floor and never reads 0, and the floor (or 0.0) comes out
+    exactly as from enclosing every point.  A delta that is too large
+    only costs enclosures.  An irrational x_j with coordinates beyond
+    2^2048 is always enclosed (e = 1 makes delta_j exceed 8 S): there
+    ``eval_ball``'s 4096 bits of headroom are not taken to meet its
+    radius bound.
     """
-    lam = mask.lam
+    H, lam = mask.H, mask.lam
+    args, x = [], xi0
+    while True:
+        args.append(x - D0 * (x / D0).floor())
+        if len(args) == J:
+            break
+        x = x * lam
+    eden = H.eden
+    terms = [(key[0], c / H.den) for key, c in H.num.items()]
+    S = math.fsum(abs(c) for _, c in terms)
+    N = max((abs(n) for n, _ in terms), default=0)
+    tail = ((len(terms) + 4) * 2.0 ** -50 * S
+            + (math.ldexp(1.0, 3 - prec) + 2.0 ** -48) * max(1.0, S))
+    screened = []
+    for arg in args:
+        t, e = _screen_abscissa(arg, eden)
+        re = im = 0.0
+        for n, c in terms:
+            a = math.tau * math.fmod(n * t, 1.0)
+            re += c * math.cos(a)
+            im += c * math.sin(a)
+        delta = S * (8 * N * (e + 2.0 ** -50 * max(1.0, abs(t))) + 2.0 ** -38) + tail
+        screened.append((math.hypot(re, im), delta))
+    ceiling = min(f + delta for f, delta in screened)
     floor = None
-    x = xi0
-    for _ in range(J):
-        arg = x - D0 * (x / D0).floor()
+    for arg, (f, delta) in zip(args, screened):
+        if f - delta > ceiling:
+            continue
         wp = prec
         while True:
-            ball = mask.H.eval_ball(arg, wp)
-            low = ball.abs_lower()
+            low = H.eval_ball(arg, wp).abs_lower()
             if low > 0 or wp > prec + 4096:
                 break
             wp *= 2
         if low <= 0:
             return 0.0
         floor = low if floor is None else min(floor, low)
-        x = x * lam
     return float(floor)
+
+
+def _screen_abscissa(arg: FieldElement, eden: int) -> tuple[float, float]:
+    """(t, e): a float t within e of arg / eden, up to its own rounding."""
+    if arg.is_rational:
+        return arg.num[0] / (arg.den * eden), 0.0
+    bits = max(n.bit_length() for n in arg.num)
+    if bits > 2048:
+        return 0.0, 1.0
+    lo, hi = iv_endpoints(arg.ball(64 + bits))
+    return float((lo + hi) / (2 * eden)), float((hi - lo) / eden)
 
 
 def _log_ratio_ceil(eps0: float, lam: FieldElement) -> int:

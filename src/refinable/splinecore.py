@@ -496,6 +496,8 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     lamf = float(mask.lam)
     if lamf <= 1:
         raise InvalidLambda("cascade needs lambda > 1 numerically")
@@ -632,8 +634,10 @@ def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
     if spec.s == 1:
         return MaskSpec(desc.rational(m), H)
     # each exponent vector d = M alpha is the translation of B(mx - d)
+    # read off H's lattice tuples: integer columns give integer exponents,
+    # so eden = 1 and every coordinate but each component's first is 0
     return MultivariateMask(m=m, s=spec.s, terms={
-        tuple(x.as_integer() for x in d): c for d, c in H.terms.items()})
+        key[::desc.k]: Fraction(c, H.den) for key, c in H.num.items()})
 
 
 # ---------------------------------------------------------------------------

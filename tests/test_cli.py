@@ -111,6 +111,18 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
         assert "J must be >= 1" in capsys.readouterr().err
     assert run(["ftprobe", "--instance", counter_file, "--points", "0"]) == 2
     assert "points must be >= 1" in capsys.readouterr().err
+    for cmd in ("decay", "cascade"):
+        # --m 0 is a dilation of 0, not a missing --m
+        assert run([cmd, "--bspline", "1", "--m", "0"]) == 2
+        assert "integer dilation must be >= 2" in capsys.readouterr().err
+    for prec in ("0", "-3"):
+        # wp *= 2 never leaves 0, so this once looped forever
+        assert run(["decay", "--bspline", "0", "--m", "2", "--prec", prec]) == 2
+        assert "prec must be >= 1" in capsys.readouterr().err
+    for iters in ("0", "-1"):
+        # zero iterations printed the start function with residual 0.0
+        assert run(["cascade", "--bspline", "1", "--m", "2", "--iters", iters]) == 2
+        assert "iters must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,10 +134,15 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     ["check", "--instance", [1]],
     ["check", "--instance", {**COUNTER, "columns": "12"}],
     ["check", "--instance", {**COUNTER, "field": [10, 2]}],
+    ["decay", "--bspline", "1", "--m", "0"],
+    ["cascade", "--bspline", "1", "--m", "0"],
+    ["decay", "--bspline", "0", "--m", "2", "--prec", "0"],
+    ["cascade", "--bspline", "1", "--m", "2", "--iters", "0"],
 ])
 def test_degenerate_inputs_exit_2(capsys, tmp_path, argv):
-    # a zero denominator, J < 1, a negative degree and malformed instance
-    # JSON (the last item, written to a file) are usage errors
+    # a zero denominator, J < 1, a negative degree, malformed instance
+    # JSON (the last item, written to a file), a dilation m < 2, prec < 1
+    # and iters < 1 are usage errors
     if not isinstance(argv[-1], str):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(argv[-1]))

@@ -174,6 +174,9 @@ def test_verify_detects_tampering():
     cert = erdos_construct(2, [0], 3)
     data = cert.to_jsonable()
     data["xi"] = ["1/2"]  # 2 * 1/2 hits an integer immediately
+    with pytest.raises(ValueError, match="xi_decimal"):
+        ErdosCertificate.from_jsonable(data)
+    data["xi_decimal"] = "0.5"  # a consistent file still fails to verify
     bad = ErdosCertificate.from_jsonable(data)
     rep = erdos_verify(bad, extra_n=3)
     assert not rep.certified or rep.first_violation is not None
@@ -322,3 +325,23 @@ def test_erdos_verify_midpoint_scan_golden():
             h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
     assert h.hexdigest() == \
         "52c63f449c928fb888a99af6d67aeea5b0fa1e56760278e2fb05d6885aab15ab"
+
+
+def test_certificate_round_trip_rejects_tampered_derived_fields():
+    # depth, guaranteed_depth and xi_decimal are derived from the intervals;
+    # a stored value that disagrees raises ValueError naming the field
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        cert = erdos_construct(lam, targets, depth)
+        text = cert.to_json()
+        back = ErdosCertificate.from_json(text)
+        assert back == cert and back.to_json() == text
+        for name, value in (("depth", cert.depth + 1),
+                            ("guaranteed_depth", cert.guaranteed_depth + 1),
+                            ("xi_decimal", f"{float(cert.xi) + 1:.17g}")):
+            data = json.loads(text)
+            data[name] = value
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                ErdosCertificate.from_jsonable(data)

@@ -14,6 +14,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gen_instances import instance_batch
 from refinable import exactreal, polyq
@@ -27,7 +29,9 @@ from refinable.refinery import (
     _log_ratio_ceil,
     _mask_division,
     _mask_identity,
+    _orbit_abs_floor,
     _prepare,
+    _screen_abscissa,
     chain_structure,
     condition_B,
     counterexample_instance,
@@ -554,6 +558,121 @@ def test_decay_reports_golden():
                     reports.append(rep.to_jsonable())
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "5af1d54fc0b9151339b54fe972ab91d504794b507a68bee18441ee67dbb08603"
+
+
+def _enclosed_floor(mask, xi0, D0, J, prec=64):
+    """The orbit floor from an enclosure at every orbit point: the
+    reference for the screened ``_orbit_abs_floor``."""
+    floor = None
+    x = xi0
+    for _ in range(J):
+        arg = x - D0 * (x / D0).floor()
+        wp = prec
+        while True:
+            low = mask.H.eval_ball(arg, wp).abs_lower()
+            if low > 0 or wp > prec + 4096:
+                break
+            wp *= 2
+        if low <= 0:
+            return 0.0
+        floor = low if floor is None else min(floor, low)
+        x = x * mask.lam
+    return float(floor)
+
+
+def _period(mask):
+    return math.lcm(*[d.as_fraction().denominator for d in mask.translations])
+
+
+def _counting_eval_ball(monkeypatch):
+    calls = [0]
+    eval_ball = QTrigPoly.eval_ball
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return eval_ball(self, *args, **kwargs)
+
+    monkeypatch.setattr(QTrigPoly, "eval_ball", counting)
+    return calls
+
+
+def test_orbit_floor_matches_enclosing_every_point():
+    # the masks and orbits of test_decay_reports_golden, bit for bit
+    for degree in range(4):
+        for m in range(2, 5):
+            base = bspline_mask(degree, m)
+            for H in (base.H, base.H * _palindromic_factor(2, 1, 5),
+                      base.H * _palindromic_factor(3, -2, 4)):
+                for shift in (-1, 0, 1):
+                    mask = MaskSpec(base.lam, H.shift(shift))
+                    rep = decay_probe(mask, J=20)
+                    xi0 = rep.certificate.xi if rep.targets else QQ.one()
+                    assert (_orbit_abs_floor(mask, xi0, rep.D0, 20, 64)
+                            == _enclosed_floor(mask, xi0, rep.D0, 20)
+                            == rep.epsilon0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 3), m=st.integers(2, 4),
+       factor=st.sampled_from([None, (2, 1, 5), (3, -2, 4), (1, 2, 4), (5, -3, 7)]),
+       shift=st.integers(-2, 2), p=st.integers(0, 60), q=st.integers(1, 60),
+       J=st.integers(1, 40), prec=st.sampled_from([64, 64, 64, 8, 1]))
+@example(degree=0, m=2, factor=None, shift=0, p=1, q=2, J=3, prec=64)  # H(1/2) = 0
+def test_orbit_floor_property(degree, m, factor, shift, p, q, J, prec):
+    # any rational xi0, on or off a zero of H: the same float as
+    # enclosing every point, 0.0 included
+    base = bspline_mask(degree, m)
+    H = base.H if factor is None else base.H * _palindromic_factor(*factor)
+    mask = MaskSpec(base.lam, H.shift(shift))
+    xi0, D0 = QQ.rational(Fraction(p, q)), _period(mask)
+    assert _orbit_abs_floor(mask, xi0, D0, J, prec) == _enclosed_floor(mask, xi0, D0, J, prec)
+
+
+def test_orbit_floor_ties_and_irrational_orbits(monkeypatch):
+    calls = _counting_eval_ball(monkeypatch)
+    # lambda = 2, xi0 = 1/5: the orbit 1/5, 2/5, 4/5, 3/5 pairs conjugate
+    # points, |H(1/5)| = |H(4/5)| and |H(2/5)| = |H(3/5)|; both points of
+    # the lower pair tie within delta and are enclosed
+    H = QTrigPoly(QQ, {QQ.rational(e): Fraction(c, 10) for e, c in enumerate((4, 3, 2, 1))})
+    mask = MaskSpec(QQ.rational(2), H)
+    xi0 = QQ.rational(Fraction(1, 5))
+    got = _orbit_abs_floor(mask, xi0, 1, 4, 64)
+    assert calls[0] == 2
+    assert got == _enclosed_floor(mask, xi0, 1, 4)
+    # lambda = 1 + sqrt 2: irrational arguments are screened from an
+    # interval enclosure, and those with coordinates beyond 2^2048 are
+    # always enclosed
+    F = field_make(2, 2)
+    H = QTrigPoly(F, {F.rational(Fraction(e, 2)): Fraction(c, 11)
+                      for e, c in enumerate((3, 1, 2, 5))})
+    mask = MaskSpec(F.theta() + 1, H)
+    xi0 = F.theta() / 7 + Fraction(1, 3)
+    assert _orbit_abs_floor(mask, xi0, 2, 40, 64) == _enclosed_floor(mask, xi0, 2, 40)
+    xi0 = (F.theta() - 1) ** 1700
+    assert _screen_abscissa(xi0, 2) == (0.0, 1.0)
+    calls[0] = 0
+    got = _orbit_abs_floor(mask, xi0, 2, 5, 64)
+    assert calls[0] == 5
+    assert got == _enclosed_floor(mask, xi0, 2, 5)
+    t, e = _screen_abscissa(F.theta() / 7, 2)
+    assert abs(t - math.sqrt(2) / 14) <= 2.0 ** -52 and 0 < e < 2.0 ** -60
+
+
+def test_decay_probe_encloses_few_orbit_points(monkeypatch):
+    # one J = 100 probe: the screen leaves a handful of the 100 points to
+    # eval_ball (enclosing every point made 100 calls)
+    calls = _counting_eval_ball(monkeypatch)
+    mask = MaskSpec(QQ.rational(3), bspline_mask(2, 3).H * _palindromic_factor(3, -2, 4))
+    rep = decay_probe(mask, J=100)
+    assert rep.epsilon0 > 0
+    assert calls[0] <= 10
+
+
+def test_decay_probe_rejects_prec_below_1():
+    # wp *= 2 never leaves 0 (and shrinks below it): the floor loop hung
+    for prec in (0, -5):
+        with pytest.raises(ValueError, match="prec must be >= 1"):
+            decay_probe(bspline_mask(0, 2), J=5, prec=prec)
 
 
 @pytest.mark.parametrize("extra", [(1,), (3, 1), (2, -5, 2)])
