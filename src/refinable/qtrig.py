@@ -407,6 +407,21 @@ class QTrigPoly:
         """The exact value at w = 0."""
         return Fraction(sum(self.num.values()), self.den)
 
+    def rational_exponents(self) -> list[tuple[tuple[int, ...], int]]:
+        """(n, c) per term, in the order of ``num``, for a poly whose
+        exponents are rational: the exponent's s components are
+        n[i] / ``eden`` and its coefficient is c / ``den``.  Raises
+        ValueError if an exponent has an irrational component."""
+        k = self.desc.k
+        if k == 1:
+            return list(self.num.items())
+        out = []
+        for key, c in self.num.items():
+            if any(x for i, x in enumerate(key) if i % k):
+                raise ValueError("exponent is not rational")
+            out.append((key[::k], c))
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTrigPoly):
             return NotImplemented

@@ -59,7 +59,6 @@ from .exactreal import (
     QQ,
     _iv_prec,
     int_ratio,
-    iv_endpoints,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
@@ -1124,21 +1123,23 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
     H(x_j) from zero).  Only the points that a double-precision screen
     cannot rule out are enclosed; the others cannot hold the minimum.
 
-    Screen.  With n/eden the exponents of H (``H.num``'s lattice
-    numerators over ``H.eden``, which is D0 for the masks of
-    ``decay_probe``) and t_j = x_j/eden, H(x_j) = sum c exp(-2 pi i n t_j).
-    A float t within e of t_j (for rational t_j the correctly rounded
-    quotient and e = 0, else the midpoint and width of an enclosure)
-    gives each phase as fmod(n*t, 1), and f_j is the hypot of the sums of
-    c*cos(2 pi phase) and c*sin(2 pi phase).  This assumes IEEE-754
-    double arithmetic rounded to nearest and a libm ``cos``/``sin``
-    within 2^-40 of the true value (glibc documents 1-2 ulp).  With
-    S = sum |c|, N = max |n| and T terms, the rounding of t, of n*t and
-    of 2 pi times the phase (the fmod is exact), the libm error, the
-    rounding of c and of the sums, and hypot give
+    Screen.  With n/eden the exponents of H (``H.rational_exponents()``
+    over ``H.eden``, which is D0 for the masks of ``decay_probe``) and
+    t_j = x_j/eden, H(x_j) = sum c exp(-2 pi i n t_j).  For rational x_j
+    the float t is the correctly rounded quotient, each phase is
+    fmod(n*t, 1), and f_j is the hypot of the sums of c*cos(2 pi phase)
+    and c*sin(2 pi phase).  This assumes IEEE-754 double arithmetic
+    rounded to nearest and a libm ``cos``/``sin`` within 2^-40 of the
+    true value (glibc documents 1-2 ulp).  With S = sum |c|, N = max |n|
+    and T terms, the rounding of t, of n*t and of 2 pi times the phase
+    (the fmod is exact), the libm error, the rounding of c and of the
+    sums, and hypot give
 
-        |f_j - |H(x_j)||  <=  S (7 N (e + 2^-51 max(1, |t|)) + 2^-39)
+        |f_j - |H(x_j)||  <=  S (7 N 2^-51 max(1, |t|) + 2^-39)
                               + (T + 2) 2^-52 S.
+
+    An irrational x_j is not screened: (f_j, delta_j) = (0, inf) always
+    encloses it.
 
     Enclosure.  ``eval_ball`` returns a ball of radius at most
     2^(1-prec) max(1, S), so the two axes lose at most twice that, and
@@ -1152,10 +1153,7 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
     some i, has L_j > L_i >= 0: it is decided at ``prec`` bits, lies
     above the floor and never reads 0, and the floor (or 0.0) comes out
     exactly as from enclosing every point.  A delta that is too large
-    only costs enclosures.  An irrational x_j with coordinates beyond
-    2^2048 is always enclosed (e = 1 makes delta_j exceed 8 S): there
-    ``eval_ball``'s 4096 bits of headroom are not taken to meet its
-    radius bound.
+    only costs enclosures.
     """
     H, lam = mask.H, mask.lam
     args, x = [], xi0
@@ -1165,20 +1163,23 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
             break
         x = x * lam
     eden = H.eden
-    terms = [(key[0], c / H.den) for key, c in H.num.items()]
+    terms = [(n, c / H.den) for (n,), c in H.rational_exponents()]
     S = math.fsum(abs(c) for _, c in terms)
     N = max((abs(n) for n, _ in terms), default=0)
     tail = ((len(terms) + 4) * 2.0 ** -50 * S
             + (math.ldexp(1.0, 3 - prec) + 2.0 ** -48) * max(1.0, S))
     screened = []
     for arg in args:
-        t, e = _screen_abscissa(arg, eden)
+        if not arg.is_rational:
+            screened.append((0.0, math.inf))
+            continue
+        t = arg.num[0] / (arg.den * eden)
         re = im = 0.0
         for n, c in terms:
             a = math.tau * math.fmod(n * t, 1.0)
             re += c * math.cos(a)
             im += c * math.sin(a)
-        delta = S * (8 * N * (e + 2.0 ** -50 * max(1.0, abs(t))) + 2.0 ** -38) + tail
+        delta = S * (8 * N * 2.0 ** -50 * max(1.0, abs(t)) + 2.0 ** -38) + tail
         screened.append((math.hypot(re, im), delta))
     ceiling = min(f + delta for f, delta in screened)
     floor = None
@@ -1195,17 +1196,6 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
             return 0.0
         floor = low if floor is None else min(floor, low)
     return float(floor)
-
-
-def _screen_abscissa(arg: FieldElement, eden: int) -> tuple[float, float]:
-    """(t, e): a float t within e of arg / eden, up to its own rounding."""
-    if arg.is_rational:
-        return arg.num[0] / (arg.den * eden), 0.0
-    bits = max(n.bit_length() for n in arg.num)
-    if bits > 2048:
-        return 0.0, 1.0
-    lo, hi = iv_endpoints(arg.ball(64 + bits))
-    return float((lo + hi) / (2 * eden)), float((hi - lo) / eden)
 
 
 def _log_ratio_ceil(eps0: float, lam: FieldElement) -> int:

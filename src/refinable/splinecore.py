@@ -634,10 +634,9 @@ def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
     if spec.s == 1:
         return MaskSpec(desc.rational(m), H)
     # each exponent vector d = M alpha is the translation of B(mx - d)
-    # read off H's lattice tuples: integer columns give integer exponents,
-    # so eden = 1 and every coordinate but each component's first is 0
+    # integer columns give integer exponents, so H.eden is 1
     return MultivariateMask(m=m, s=spec.s, terms={
-        key[::desc.k]: Fraction(c, H.den) for key, c in H.num.items()})
+        n: Fraction(c, H.den) for n, c in H.rational_exponents()})
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,10 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     ["check", "--instance", [1]],
     ["check", "--instance", {**COUNTER, "columns": "12"}],
     ["check", "--instance", {**COUNTER, "field": [10, 2]}],
-    ["decay", "--bspline", "1", "--m", "0"],
-    ["cascade", "--bspline", "1", "--m", "0"],
-    ["decay", "--bspline", "0", "--m", "2", "--prec", "0"],
-    ["cascade", "--bspline", "1", "--m", "2", "--iters", "0"],
 ])
 def test_degenerate_inputs_exit_2(capsys, tmp_path, argv):
-    # a zero denominator, J < 1, a negative degree, malformed instance
-    # JSON (the last item, written to a file), a dilation m < 2, prec < 1
-    # and iters < 1 are usage errors
+    # a zero denominator, J < 1, a negative degree and malformed instance
+    # JSON (the last item, written to a file) are usage errors
     if not isinstance(argv[-1], str):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(argv[-1]))

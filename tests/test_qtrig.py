@@ -228,6 +228,23 @@ def test_geometric_law_random(F10):
         assert lhs == QTrigPoly.binomial(F10, m * p)
 
 
+def test_rational_exponents(F10):
+    # n / eden and c / den give back each exponent component and coefficient
+    half, third = F10.rational(Fraction(1, 2)), F10.rational(Fraction(1, 3))
+    P = QTrigPoly(F10, {half: Fraction(2, 3), third: 5})
+    assert [(tuple(Fraction(x, P.eden) for x in n), Fraction(c, P.den))
+            for n, c in P.rational_exponents()] == \
+        [((d.as_fraction(),), c) for d, c in P.terms.items()]
+    V = QTrigPoly(F10, {ExponentVector([half, F10.one()]): 1,
+                        ExponentVector([third, F10.zero()]): -2})
+    assert [(n, c) for n, c in V.rational_exponents()] == [((3, 6), 1), ((2, 0), -2)]
+    assert V.eden == 6 and V.den == 1
+    Q = QTrigPoly(QQ, {QQ.rational(Fraction(3, 4)): 1})
+    assert Q.rational_exponents() == [((3,), 1)]
+    with pytest.raises(ValueError, match="not rational"):
+        (P + QTrigPoly(F10, {F10.theta(): 1})).rational_exponents()
+
+
 def test_eval_product_containment(F10):
     rng = random.Random(17)
     th = F10.theta()

@@ -31,7 +31,6 @@ from refinable.refinery import (
     _mask_identity,
     _orbit_abs_floor,
     _prepare,
-    _screen_abscissa,
     chain_structure,
     condition_B,
     counterexample_instance,
@@ -639,23 +638,17 @@ def test_orbit_floor_ties_and_irrational_orbits(monkeypatch):
     got = _orbit_abs_floor(mask, xi0, 1, 4, 64)
     assert calls[0] == 2
     assert got == _enclosed_floor(mask, xi0, 1, 4)
-    # lambda = 1 + sqrt 2: irrational arguments are screened from an
-    # interval enclosure, and those with coordinates beyond 2^2048 are
-    # always enclosed
+    # lambda = 1 + sqrt 2: irrational arguments are not screened, so
+    # every orbit point is enclosed
     F = field_make(2, 2)
     H = QTrigPoly(F, {F.rational(Fraction(e, 2)): Fraction(c, 11)
                       for e, c in enumerate((3, 1, 2, 5))})
     mask = MaskSpec(F.theta() + 1, H)
     xi0 = F.theta() / 7 + Fraction(1, 3)
-    assert _orbit_abs_floor(mask, xi0, 2, 40, 64) == _enclosed_floor(mask, xi0, 2, 40)
-    xi0 = (F.theta() - 1) ** 1700
-    assert _screen_abscissa(xi0, 2) == (0.0, 1.0)
     calls[0] = 0
-    got = _orbit_abs_floor(mask, xi0, 2, 5, 64)
-    assert calls[0] == 5
-    assert got == _enclosed_floor(mask, xi0, 2, 5)
-    t, e = _screen_abscissa(F.theta() / 7, 2)
-    assert abs(t - math.sqrt(2) / 14) <= 2.0 ** -52 and 0 < e < 2.0 ** -60
+    got = _orbit_abs_floor(mask, xi0, 2, 40, 64)
+    assert calls[0] == 40
+    assert got == _enclosed_floor(mask, xi0, 2, 40)
 
 
 def test_decay_probe_encloses_few_orbit_points(monkeypatch):
