@@ -539,6 +539,12 @@ class QTrigPoly:
         ``iv.prec == wp``; the sum is wrapped in a ``ComplexBall`` once.
         A real point and a complex one share the loop: only the latter
         has a growth factor exp(2 pi d v).
+
+        The working precision doubles until the radius bound holds or wp
+        passes prec + 4096; a ball returned by that cap still encloses
+        P(w) but may exceed the bound.  The enclosure of a long irrational
+        argument (say (sqrt 2 - 1)^4000, with 5,086-bit coordinates) widens
+        with its coordinates, so no cap relative to prec alone meets it.
         """
         re_w, im_w = _split_input(w, self.desc)
         wp = prec + 16

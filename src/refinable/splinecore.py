@@ -356,13 +356,49 @@ def boxspline_ft_f64(spec: BoxSplineSpec, w: np.ndarray) -> np.ndarray:
     return out
 
 
+_MINUS_TWO_PI = (-2j * np.pi).imag  # the -2 pi of -2j * np.pi * phase
+
+
+def _unit_phase(p: np.ndarray) -> np.ndarray:
+    """``np.mod(p, 1.0).astype(np.float64)`` of a longdouble array, bit for
+    bit, with one float64 floor in place of the longdouble remainder.
+
+    n = floor(fl64(p)) equals floor(p) unless fl64(p) rounds up to an
+    integer or |p| >= 2^53.  Where n = floor(p), F = p - n in longdouble
+    is exact for p >= 0, and for p < 0 it is the one rounding np.mod
+    makes when it adds 1 to fmod(p, 1); y = fl64(F) is then np.mod's
+    value.  Elsewhere F (and so y) falls outside [0, 1).  The entries
+    with y outside [0, 1), those where F or y rounded up to 1, and those
+    where a negative F below the float64 range became -0.0 are
+    recomputed by np.mod.  +-inf and nan give nan as np.mod does,
+    perhaps with another sign bit.
+    """
+    p = np.asarray(p)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = p.astype(np.float64)
+        np.floor(y, out=y)
+        y[...] = p - y
+        bad = np.signbit(y) | (y >= 1)
+        if bad.any():
+            y[bad] = np.mod(p[bad], 1.0)
+    return y
+
+
 def _hat_f64(x_l: np.ndarray) -> np.ndarray:
     """(1 - e^(-2 pi i x)) / (2 pi i x) with phase folding in extended
-    precision; series branch below |x| = 1e-6."""
+    precision; series branch below |x| = 1e-6.
+
+    1 - e^(-2 pi i phase) is built from the real cos and sin of
+    -2 pi * phase, which equal the parts of the complex exponential bit
+    for bit (see ``fourier_product_f64``); writing the imaginary part as
+    0.0 - sin keeps the +0 that 1.0 - exp gives at phase 0."""
     x = np.asarray(x_l, dtype=np.float64)
     small = np.abs(x) < 1e-6
-    phase = np.mod(x_l, 1.0).astype(np.float64)
-    num = 1.0 - np.exp(-2j * np.pi * phase)
+    y = _unit_phase(x_l)
+    y *= _MINUS_TWO_PI
+    num = np.empty(x.shape, dtype=np.complex128)
+    num.real = 1.0 - np.cos(y)
+    num.imag = 0.0 - np.sin(y)
     den = 2j * np.pi * np.where(small, 1.0, x)
     with np.errstate(invalid="ignore"):
         direct = num / den
@@ -385,6 +421,15 @@ def fourier_product_f64(mask: MaskSpec, w: np.ndarray, J: int) -> np.ndarray:
     same operations in the same order as a level-by-level loop.  Points
     are independent, so they are processed in blocks of
     ``_FOURIER_BLOCK``, which bounds the working memory by O(J * block).
+
+    A term's phase frac(d * w / lambda^j) comes from ``_unit_phase``, and
+    c * cos and c * sin of -2 pi * phase are added into separate real
+    and imaginary sums.  These equal the parts of
+    c * exp(-2 pi i phase) bit for bit where the complex exp takes its
+    parts from the same libm cos and sin, as glibc's does (the
+    reference-loop tests check it), except that a zero part may differ
+    in sign; a sum that starts at +0 stays unchanged by adding +-0, so
+    the product equals the complex-exponential loop bit for bit.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -399,10 +444,18 @@ def fourier_product_f64(mask: MaskSpec, w: np.ndarray, J: int) -> np.ndarray:
         for j in range(J):
             arg = arg / lamf
             args[j] = arg
-        h = np.zeros(args.shape, dtype=np.complex128)
+        p = np.empty_like(args)
+        re = np.zeros(args.shape)
+        im = np.zeros(args.shape)
+        part = np.empty(args.shape)
         for d, c in terms:
-            phase = np.mod(d * args, 1.0).astype(np.float64)
-            h += c * np.exp(-2j * np.pi * phase)
+            y = _unit_phase(np.multiply(args, d, out=p))
+            y *= _MINUS_TWO_PI
+            re += np.multiply(c, np.cos(y, out=part), out=part)
+            im += np.multiply(c, np.sin(y, out=part), out=part)
+        h = np.empty(args.shape, dtype=np.complex128)
+        h.real = re
+        h.imag = im
         acc = out[start:start + _FOURIER_BLOCK]
         for row in h:
             acc *= row
@@ -474,6 +527,13 @@ def _term_groups(terms: list[tuple[float, float, int, int]]) -> list[tuple]:
     return groups
 
 
+def _group_queries(lx, sizes, offsets, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """The grid indices of a term group's slices, laid end to end, and
+    their query points lambda x - d_j."""
+    idx = np.repeat(offsets, sizes) + np.arange(sizes.sum())
+    return idx, lx[idx] - np.repeat(shifts, sizes)
+
+
 def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
                   renormalize: bool = True, pad: float = 0.0) -> GridFunction:
     """Cascade iteration f <- sum_j c_j f(lambda x - d_j) on a grid.
@@ -493,6 +553,17 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     ``_CASCADE_BLOCK`` points per group unless one slice is longer, and
     added in term order; the result is bitwise equal to adding every
     term on the whole grid in turn.
+
+    A query's cell k (x_k <= q < x_{k+1}, or k = last where q = x_last)
+    is the same in every iteration, so it is found once and kept in the
+    smallest unsigned type that holds the grid indices (2 bytes a point
+    up to 65,536 points); the query itself is recomputed.  Each
+    iteration reads slope_k * (q - x_k) + f_k with slope_k =
+    (f_{k+1} - f_k) / (x_{k+1} - x_k) and slope_last = 0, the formula of
+    ``np.interp``, so a node hit and q = x_last give f_k as there (up to
+    the sign of a zero, which adding to the sum cannot show).  The two
+    differ only on a non-finite iterate, where np.interp retries a NaN
+    from the right node.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -526,7 +597,14 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
         hi = int(np.searchsorted(q, x[-1], side="right"))
         if lo < hi:
             terms.append((float(c), d, lo, hi))
-    groups = _term_groups(terms)
+    cell_type = np.min_scalar_type(grid_size - 1)
+    groups = []
+    for sizes, offsets, shifts, coeffs in _term_groups(terms):
+        _idx, q = _group_queries(lx, sizes, offsets, shifts)
+        cells = np.searchsorted(x, q, side="right") - 1
+        groups.append((sizes, offsets, shifts, coeffs, cells.astype(cell_type)))
+    dx = np.diff(x)
+    slope = np.zeros_like(f)
 
     residuals: list[float] = []
     drifts: list[float] = []
@@ -534,14 +612,18 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     for it in range(iters):
         # sum_j c_j = lambda, so the operator preserves the integral
         new = np.zeros_like(f)
-        for sizes, offsets, shifts, coeffs in groups:
+        np.divide(np.diff(f), dx, out=slope[:-1])
+        for sizes, offsets, shifts, coeffs, cells in groups:
             # np.add.at adds in index order and the slices are laid out
             # term after term, so each entry still receives its terms in
             # increasing j
-            idx = np.repeat(offsets, sizes) + np.arange(sizes.sum())
-            vals = np.interp(lx[idx] - np.repeat(shifts, sizes), x, f,
-                             left=0.0, right=0.0)
-            np.add.at(new, idx, np.repeat(coeffs, sizes) * vals)
+            idx, vals = _group_queries(lx, sizes, offsets, shifts)
+            k = cells.astype(np.intp)
+            vals -= x[k]
+            vals *= slope[k]
+            vals += f[k]
+            vals *= np.repeat(coeffs, sizes)
+            np.add.at(new, idx, vals)
         integral = float(_trapz(new, dx=h))
         drifts.append(abs(integral - 1.0))
         if renormalize and integral != 0:

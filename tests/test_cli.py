@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from refinable.cli import run
+from refinable.exactreal import QQ
+from refinable.refinery import mask_construct
+from refinable.splinecore import cascade_solve, fourier_product_f64
 
 COUNTER = {"field": {"n": 10, "k": 2}, "lambda": "t", "columns": ["1", "1/2*t"]}
 MV = {"field": {"n": 10, "k": 2}, "lambda": "t",
@@ -160,6 +165,17 @@ def test_numeric_output_golden(capsys, tmp_path, counter_file):
     assert code == 0 and repr(data["max_abs_deviation"]) == "2.0434424045405772e-16"
     code, data = run_json(capsys, ["ftprobe", "--instance", counter_file])
     assert code == 0 and repr(data["max_abs_deviation"]) == "1.2749880984031409e-14"
+    # a deviation can hide a changed bit: hash both kernels' arrays for an
+    # integer-dilation accepted mask with 392 terms
+    mask = mask_construct([QQ.rational(Fraction(v)) for v in ("1", "1/2", "3/4", "5/3", "7/5")],
+                          QQ.rational(4))
+    assert len(mask.H.terms) >= 100
+    samples = cascade_solve(mask, grid_size=512, iters=12).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == \
+        "110d91a310053f9a348b09b4cc2263adaf60829b5f05eb3b3f55f508deff110b"
+    prod = fourier_product_f64(mask, np.linspace(-60.0, 60.0, 97), 40)
+    assert hashlib.sha256(prod.tobytes()).hexdigest() == \
+        "8fa87f0b882a1436158acfe68e891072bc8870a143f0fd171a183fed0197fc40"
 
 
 def test_decay_cli(capsys):

@@ -86,6 +86,65 @@ def test_ft_f64_matches_ball(trapezoid_spec):
         assert abs(ball.mid() - fi) < 1e-12
 
 
+def reference_hat(x_l):
+    # _hat_f64 as it was with the longdouble np.mod and the complex exp
+    x = np.asarray(x_l, dtype=np.float64)
+    small = np.abs(x) < 1e-6
+    phase = np.mod(x_l, 1.0).astype(np.float64)
+    num = 1.0 - np.exp(-2j * np.pi * phase)
+    den = 2j * np.pi * np.where(small, 1.0, x)
+    with np.errstate(invalid="ignore"):
+        direct = num / den
+    u = 2j * np.pi * x
+    series = 1.0 - u / 2 + u * u / 6 - u * u * u / 24
+    return np.where(small, series, direct)
+
+
+def _phase_points():
+    # magnitudes 2^-40 .. 2^67 with both signs, values on both sides of
+    # integers (some round to the integer in float64, some lie past 2^53),
+    # +-0 and values below the float64 range
+    ld = np.longdouble
+    rng = np.random.default_rng(5)
+    pts = [ld(0.0), -ld(0.0), ld("1e-320"), ld("-1e-320"), ld("1e-400"), ld("-1e-400")]
+    for e in range(-40, 68):
+        mant = ld(1) + rng.random(6).astype(ld)
+        pts += list(mant * ld(2) ** e) + list(-mant * ld(2) ** e)
+        k = np.floor(ld(2) ** e) + ld(rng.integers(0, 7))
+        for eps in (ld(2) ** -62, ld(2) ** -55, ld(2) ** -30, ld(2) ** -3):
+            pts += [k - eps, k + eps, -k - eps, -k + eps]
+        pts += [np.nextafter(k, ld(0)), np.nextafter(k, ld(2) ** 70),
+                np.nextafter(-k, ld(0)), np.nextafter(-k, -ld(2) ** 70)]
+    return np.array(pts, dtype=np.longdouble)
+
+
+def test_unit_phase_matches_longdouble_mod():
+    p = _phase_points()
+    with np.errstate(invalid="ignore"):
+        ref = np.mod(p, 1.0).astype(np.float64)
+    assert splinecore._unit_phase(p).tobytes() == ref.tobytes()
+    grid = p[:60].reshape(3, 20)
+    assert splinecore._unit_phase(grid).tobytes() == ref[:60].tobytes()
+    special = np.array([np.inf, -np.inf, np.nan, 0.5, -0.25], dtype=np.longdouble)
+    with np.errstate(invalid="ignore"):
+        ref = np.mod(special, 1.0).astype(np.float64)
+    got = splinecore._unit_phase(special)
+    assert np.isnan(got).tolist() == np.isnan(ref).tolist()
+    assert got[3:].tobytes() == ref[3:].tobytes()
+
+
+def test_hat_f64_matches_complex_exp_loop():
+    # x = 0, the series branch and its edge, negative x, x next to
+    # integers and large |x|
+    ld = np.longdouble
+    edges = np.array([0, 1e-7, -1e-7, 9.9e-7, -9.9e-7, 1e-6, -1e-6, 1e-30, 3, -3, 2.5,
+                      -0.5, 1e15 + 0.5, -1e15 - 0.5, 2.0 ** 53, -2.0 ** 60], dtype=ld)
+    x = np.concatenate([_phase_points()[::7], edges, np.nextafter(edges, ld(0))])
+    assert splinecore._hat_f64(x).tobytes() == reference_hat(x).tobytes()
+    for v in (ld(0), ld(-0.75), ld(1e-8)):
+        assert splinecore._hat_f64(v).tobytes() == reference_hat(v).tobytes()
+
+
 # -- time side ----------------------------------------------------------------
 
 
@@ -323,6 +382,28 @@ def test_fourier_product_blocks_and_shapes(monkeypatch):
     assert out.shape == (3, 4)
     assert out.tobytes() == reference_fourier(mask, grid, 5).tobytes()
     assert fourier_product_f64(mask, np.array(0.7), 3).shape == ()
+
+
+def test_fourier_product_large_arguments():
+    # |d w / lambda| reaches 2^53 and beyond, where float64 rounds the
+    # phase argument to an integer and the np.mod fallback takes over
+    w = np.array([2.0 ** 60, -3.0e19, 1.0e17 + 64.0, -2.0 ** 54 - 8.0, 9.0e15, 40.0])
+    for name, mask in KERNEL_MASKS[:4]:
+        assert np.max(np.abs(w / float(mask.lam))) * float(mask.translations[-1]) >= 2.0 ** 53
+        assert fourier_product_f64(mask, w, 3).tobytes() == \
+            reference_fourier(mask, w, 3).tobytes(), name
+
+
+def test_cascade_bit_identical_over_long_runs():
+    # an ill-conditioned mask run far past the default 30 iterations, and
+    # a grid whose queries hit the nodes, the last one included
+    wild = MaskSpec(QQ.rational(2), QTrigPoly(QQ, {QQ.rational(0): -39,
+                                                 QQ.rational(2): 40}))
+    for mask in (wild, bspline_mask(1, 2)):
+        lo, hi = (float(v) for v in mask.support())
+        x = lo + (hi - lo) / 256 * np.arange(257)
+        assert np.any(float(mask.lam) * x - float(mask.translations[-1]) == x[-1])
+        assert_cascade_bit_identical(mask, grid_size=257, iters=3000)
 
 
 def test_kernel_argument_checks():
