@@ -24,7 +24,9 @@ floor(theta^j * 2^p) and that plus one (an integer k-th root).  The
 directed sums give integers lo <= x * D * 2^p <= hi of width at most
 sum_j |N_j|, while |x| * D * 2^p doubles with p; p starts at 64 and
 doubles until the enclosure decides.  Zero and rational elements are
-decided from N_0 and D, so the loop always ends.
+decided from N_0 and D, so the loop always ends.  ``floor`` takes an
+integer factor q into the enclosure (q * lo <= q * x * D * 2^p <= q * hi),
+so floor(q x) costs no product element.
 
 Values are immutable; every operation is a pure function.  The float
 and complex values a caller asks for (``ball``, ``approx``, ``float``)
@@ -633,13 +635,15 @@ class FieldElement:
             if hi < 0:
                 return -1
 
-    def floor(self) -> int:
-        """Exact floor."""
-        if not any(self.num[1:]):
-            return self.num[0] // self.den
-        for lo, hi, scale in self._enclosures():
-            f = lo // scale
-            if f == hi // scale:
+    def floor(self, scale: int = 1) -> int:
+        """Exact floor of scale * x for an integer scale >= 1.  The scale
+        multiplies the integer enclosure, so no product element is built."""
+        num = self.num
+        if not any(num[1:]):
+            return num[0] * scale // self.den
+        for lo, hi, den in self._enclosures():
+            f = lo * scale // den
+            if f == hi * scale // den:
                 return f
 
     # -- order ----------------------------------------------------------

@@ -19,11 +19,20 @@ convenience and the public statement exposes n >= 0.
 
 All endpoint arithmetic is exact.  When lambda is rational everything
 lives in Q; when lambda is an element of Q(theta) the endpoints are
-exact field elements and every comparison is decided by the exact sign
-routine (escalating-precision enclosures), which is stronger than
-ball-bounded endpoints.  The interval length is an exact dyadic
-rational ell_0 <= sqrt(2 lambda c) scaled by exact powers of lambda, so
+exact field elements.  The interval length is an exact dyadic rational
+ell_0 <= sqrt(2 lambda c) scaled by exact powers of lambda, so
 |I_{M+1}| * lambda^g = |I_M| holds exactly in both modes.
+
+Which excluded intervals meet a window is decided on an integer
+lattice.  With Q the lcm of the denominators of c and of the targets,
+C = cQ and R_i = r_i Q are integers, and the points within distance
+< c of r_i + Z are the open intervals (K - C, K + C) / Q with integers
+K = R_i (mod Q).  For an integer m, m > X iff m > floor(X) and m < Y
+iff m < ceil(Y), so floor(Q x) and ceil(Q y) of the window [x, y] give
+the k-range of every target with integer arithmetic alone: one exact
+floor per endpoint, whatever the number of targets.  The remaining
+comparisons (gap lengths, nesting) are decided by the exact sign
+routine.
 """
 
 from __future__ import annotations
@@ -84,6 +93,13 @@ def erdos_params(lam: ExactReal, m: int) -> tuple[int, Fraction]:
     return g, _rational_lower_bound(c_exact)
 
 
+def _check_c(c: Fraction) -> None:
+    # a c <= 0 would send _rational_lower_bound into an endless loop and
+    # make every certificate vacuous
+    if not c > 0:
+        raise ValueError("c must be > 0")
+
+
 def _rational_lower_bound(x: FieldElement, bits: int = 64) -> Fraction:
     """A positive rational q <= x (x must be positive)."""
     from .exactreal import iv_endpoints
@@ -116,8 +132,10 @@ def check_admissibility(lam: ExactReal, m: int, g: int,
     induction :  2 c m g + sqrt(2 lambda c) (m+2) / (lambda-1) < 1/2
 
     sqrt(2 lambda c) is replaced by a certified upper bound s with
-    s^2 >= 2 lambda c, so True answers are rigorous.
+    s^2 >= 2 lambda c, so True answers are rigorous.  c must be > 0
+    (ValueError otherwise).
     """
+    _check_c(c)
     lam_e = _lift(lam)
     two_lc = 2 * lam_e * c
     # dyadic upper bound of the square root
@@ -131,7 +149,7 @@ def check_admissibility(lam: ExactReal, m: int, g: int,
 
 @dataclass(frozen=True)
 class ErdosCertificate:
-    """Nested-interval certificate that ||xi lambda^n - r_i|| >= c.
+    """Nested-interval certificate that ||xi lambda^n - r_i|| >= c, c > 0.
 
     ``intervals[M]`` is I_M as an exact (a, b) pair; ``xi`` is the
     midpoint of the last interval.  The guarantee covers every
@@ -145,6 +163,9 @@ class ErdosCertificate:
     ell0: Fraction
     intervals: tuple[tuple[FieldElement, FieldElement], ...]
     xi: FieldElement
+
+    def __post_init__(self):
+        _check_c(self.c)
 
     @property
     def depth(self) -> int:
@@ -208,6 +229,48 @@ class ErdosCertificate:
         return ErdosCertificate.from_jsonable(json.loads(text))
 
 
+def _lattice(targets: Sequence[Fraction], c: Fraction
+             ) -> tuple[int, int, tuple[int, ...]]:
+    """(Q, C, R): Q the lcm of the denominators of c and the targets,
+    C = c Q and R_i = r_i Q, all integers."""
+    q = math.lcm(c.denominator, *(r.denominator for r in targets))
+    return (q, c.numerator * (q // c.denominator),
+            tuple(r.numerator * (q // r.denominator) for r in targets))
+
+
+def _k_ranges(x: FieldElement, y: FieldElement,
+              lattice: tuple[int, int, tuple[int, ...]]) -> list[tuple[int, int]]:
+    """For each target r, the first and last integer k whose open interval
+    (k + r - c, k + r + c) meets the closed window between x and y (in
+    either order); the range is empty (first > last) when none does.
+
+    With the lattice (Q, C, R) of ``_lattice`` and K = Qk + R, the interval
+    (K - C, K + C) / Q meets [x, y] iff K + C > Qx and K - C < Qy, i.e.
+    K + C > floor(Qx) and K - C < ceil(Qy), as K +- C are integers.  So
+
+        ceil((floor(Qx) + 1 - C - R) / Q)  <=  k  <=  floor((ceil(Qy) - 1 + C - R) / Q).
+
+    Both bounds come from one exact floor per endpoint: ceil(Qy) is
+    floor(Qy), or that plus one unless Qy is an integer, which only a
+    rational y can be.  Floor and ceil are monotone, so for a window given
+    in the other order the least floor and the greatest ceil of the two
+    endpoints are the ones above.  Needs C > 0.
+    """
+    q, cq, residues = lattice
+    fx = x.floor(q)
+    fy = y.floor(q)
+    lo = min(fx, fy)
+    hi = max(fx if _on_lattice(x, q) else fx + 1,
+             fy if _on_lattice(y, q) else fy + 1)
+    return [(-((r + cq - lo - 1) // q), (hi - 1 + cq - r) // q) for r in residues]
+
+
+def _on_lattice(x: FieldElement, q: int) -> bool:
+    """Whether q x is an integer."""
+    num = x.num
+    return not any(num[1:]) and num[0] * q % x.den == 0
+
+
 def _removed_intervals(lo: FieldElement, hi: FieldElement,
                        scale: FieldElement, scale_inv: FieldElement,
                        targets: Sequence[Fraction],
@@ -218,19 +281,14 @@ def _removed_intervals(lo: FieldElement, hi: FieldElement,
 
     ``scale`` > 0 and ``scale_inv`` = 1/scale.  In the coordinate
     y = x * scale_inv the interval for k is (k + r - c, k + r + c) and
-    [lo, hi] is [Lo, Hi] = [lo * scale_inv, hi * scale_inv].  Scaling by
-    a positive number keeps order, so the filter b > lo and a < hi reads
-    k + r + c > Lo and k + r - c < Hi, i.e.
-
-        floor(Lo - r - c) + 1  <=  k  <=  ceil(Hi - r + c) - 1.
-
-    Two floors per target decide the range; no k needs a comparison.
+    [lo, hi] is [lo * scale_inv, hi * scale_inv]; scaling by a positive
+    number keeps order, so ``_k_ranges`` on that window gives each
+    target's k-range from two floors in all.  Endpoint elements are built
+    only for the k that the ranges hold.
     """
     out = []
-    lo_s, hi_s = lo * scale_inv, hi * scale_inv
-    for r in targets:
-        k_first = (lo_s - r - c).floor() + 1
-        k_last = -(r - c - hi_s).floor() - 1  # ceil(y) = -floor(-y)
+    ranges = _k_ranges(lo * scale_inv, hi * scale_inv, _lattice(targets, c))
+    for r, (k_first, k_last) in zip(targets, ranges):
         for k in range(k_first, k_last + 1):
             out.append(((k + r - c) * scale, (k + r + c) * scale))
     return out
@@ -266,9 +324,10 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
     and the subinterval is left-aligned (determinism); if a base gap
     touches 0 or 1 the placement moves just inside, keeping I_0 in (0,1).
 
-    A user-supplied smaller c is accepted; admissibility of the default
-    c is a theorem, so a failed gap search is an internal consistency
-    error (ConstructionFailure), never silently ignored.
+    A user-supplied smaller c > 0 is accepted (ValueError for c <= 0);
+    admissibility of the default c is a theorem, so a failed gap search
+    is an internal consistency error (ConstructionFailure), never
+    silently ignored.
     """
     lam_e = _lift(lam)
     if not lam_e > 1:
@@ -279,6 +338,7 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
     g, c_default = erdos_params(lam_e, len(targets_q))
     if c is None:
         c = c_default
+    _check_c(c)
     desc = lam_e.desc
     one = desc.one()
     zero = desc.zero()
@@ -334,28 +394,6 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
                             ell0=ell0, intervals=tuple(intervals), xi=xi)
 
 
-def interval_distance_lower(a: FieldElement, b: FieldElement,
-                            r: Fraction) -> ExactReal:
-    """Exact min over x in [a, b] of the distance from x - r to Z.
-
-    Requires b - a < 1 (the images of certificate intervals are short).
-    The distance function has no interior local minimum between
-    integers, so the minimum is attained at an endpoint or is 0 when an
-    integer lies inside.
-    """
-    x, y = a - r, b - r
-    fx = x.floor()
-    fy = y.floor()
-    if fx != fy:
-        # an integer lies in (x, y] -- distance drops to 0 unless the
-        # integer is exactly y (then the endpoint value 0 is returned
-        # by dist_to_int below anyway)
-        if y == fy:
-            return dist_to_int(y)
-        return a.desc.zero() if isinstance(a, FieldElement) else Fraction(0)
-    return min(dist_to_int(x), dist_to_int(y))
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of an independent certificate re-check."""
@@ -385,9 +423,13 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
 
     Hard pass/fail: the structural invariants (nesting, exact length
     law, I_0 inside (0,1)) and, for every n in [-1, guaranteed_depth]
-    and every target, min over the final interval of the distance to
-    the target lattice must be >= c.  Beyond the guaranteed depth, the
-    orbit of the midpoint xi is scanned up to extra_n (report only).
+    and every target r, the image [a, b] lambda^n of the final interval
+    must stay at distance >= c from r + Z, i.e. meet no open interval
+    (k + r - c, k + r + c).  ``_k_ranges`` decides that for all targets
+    from one exact floor per endpoint, and the endpoints a lambda^n,
+    b lambda^n are stepped by one product each (n = -1 divides by
+    lambda).  Beyond the guaranteed depth, the orbit of the midpoint xi
+    is scanned up to extra_n (report only).
     """
     lam = cert.lam
     desc = lam.desc
@@ -414,17 +456,18 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
         failures.append("xi outside the final interval")
     structure_ok = not failures
 
-    # certified window, by endpoint arithmetic on the final interval
-    lam_pow = desc.one()
+    # certified window, by endpoint arithmetic on the final interval:
+    # a lambda^n and b lambda^n are walked by one product each
+    lattice = _lattice(cert.targets, cert.c)
+    lam_inv = desc.one() / lam  # at most one field inverse
+    xa, xb = a * lam_inv, b * lam_inv
     for n in range(-1, cert.guaranteed_depth + 1):
-        if n == -1:
-            xa, xb = a / lam, b / lam
-        else:
-            xa, xb = a * lam_pow, b * lam_pow
-            lam_pow = lam_pow * lam
-        for r in cert.targets:
-            low = interval_distance_lower(xa, xb, r)
-            if not low >= cert.c:
+        if n == 0:
+            xa, xb = a, b
+        elif n > 0:
+            xa, xb = xa * lam, xb * lam
+        for r, (k_first, k_last) in zip(cert.targets, _k_ranges(xa, xb, lattice)):
+            if k_first <= k_last:
                 failures.append(f"distance bound fails at n={n}, r={r}")
 
     # empirical scan of the midpoint orbit beyond the guarantee

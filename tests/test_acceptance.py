@@ -18,7 +18,6 @@ from refinable.powermod import (
     erdos_construct,
     erdos_params,
     erdos_verify,
-    interval_distance_lower,
     orbit_distance_scan,
 )
 from refinable.splinecore import (
@@ -40,6 +39,7 @@ from refinable.refinery import (
     multivariate_decide,
     verify_mask_identity,
 )
+from test_powermod import interval_distance_lower
 
 
 def _ok(n: int, text: str) -> None:

@@ -128,6 +128,10 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
         # zero iterations printed the start function with residual 0.0
         assert run(["cascade", "--bspline", "1", "--m", "2", "--iters", iters]) == 2
         assert "iters must be >= 1" in capsys.readouterr().err
+    for c in ("0", "-1/100"):
+        # a c <= 0 once sent the admissibility check into an endless loop
+        assert run(["erdos", "--lambda", "2", "--depth", "1", f"--c={c}"]) == 2
+        assert "c must be > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

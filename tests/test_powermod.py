@@ -1,5 +1,6 @@
 """Orbit avoidance certificates: parameters, construction, verification."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,15 +14,37 @@ from refinable.errors import InvalidLambda
 from refinable.exactreal import QQ, FieldElement, field_make
 from refinable.powermod import (
     ErdosCertificate,
+    _k_ranges,
+    _lattice,
     _removed_intervals,
     check_admissibility,
     dist_to_int,
     erdos_construct,
     erdos_params,
     erdos_verify,
-    interval_distance_lower,
     orbit_distance_scan,
 )
+
+
+def interval_distance_lower(a, b, r):
+    """Exact min over x in [a, b] of the distance from x - r to Z: the
+    oracle for the certified window of ``erdos_verify``.
+
+    The distance function has no interior local minimum between
+    integers, so the minimum is attained at an endpoint or is 0 when an
+    integer lies inside; that also covers windows of length >= 1.
+    """
+    x, y = a - r, b - r
+    fx = x.floor()
+    fy = y.floor()
+    if fx != fy:
+        # an integer lies in (x, y] -- distance drops to 0 unless the
+        # integer is exactly y (then the endpoint value 0 is returned
+        # by dist_to_int below anyway)
+        if y == fy:
+            return dist_to_int(y)
+        return a.desc.zero() if isinstance(a, FieldElement) else Fraction(0)
+    return min(dist_to_int(x), dist_to_int(y))
 
 
 def test_dist_to_int_examples():
@@ -279,6 +302,130 @@ def test_construction_inverts_a_bounded_number_of_times(monkeypatch):
     assert counts[20] == counts[2] <= 2
 
 
+def test_each_step_floors_twice_whatever_the_targets(monkeypatch):
+    floor, inverse = FieldElement.floor, FieldElement.inverse
+    calls = {"floor": 0, "inverse": 0}
+
+    def counting_floor(self, *args):
+        calls["floor"] += 1
+        return floor(self, *args)
+
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "floor", counting_floor)
+    monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+    for lam in (field_make(3, 2).theta(), Fraction(5, 2)):
+        for targets in ([0], [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]):
+            for depth in (2, 6):
+                calls["floor"] = 0
+                cert = erdos_construct(lam, targets, depth)
+                # the base step and every n of every step
+                assert calls["floor"] == 2 * (1 + cert.g * depth)
+                calls["floor"] = calls["inverse"] = 0
+                erdos_verify(cert)
+                # every n in [-1, guaranteed_depth], then the midpoint scan's
+                # n = 0 (one dist_to_int per target)
+                assert calls["floor"] == 2 * (cert.guaranteed_depth + 2) + len(targets)
+                assert calls["inverse"] <= 1
+
+
+def test_nonpositive_c_is_rejected():
+    # _rational_lower_bound never ends for a bound that is not positive,
+    # and a certificate with c <= 0 would verify vacuously
+    data = erdos_construct(2, [0], 1).to_jsonable()
+    for c in (Fraction(0), Fraction(-1, 100)):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            erdos_construct(2, [0], 1, c=c)
+        with pytest.raises(ValueError, match="c must be > 0"):
+            check_admissibility(2, 1, 3, c)
+        with pytest.raises(ValueError, match="c must be > 0"):
+            ErdosCertificate.from_jsonable({**data, "c": str(c)})
+
+
+# -- the lattice window test ---------------------------------------------------
+
+
+def _check_window(x, y, targets, c):
+    """``_k_ranges`` against the oracle, for each target: the k-range is
+    empty exactly when the distance bound holds, holds exactly the k whose
+    interval (k + r - c, k + r + c) meets [x, y], and does not depend on
+    the order of the endpoints."""
+    lattice = _lattice(targets, c)
+    ranges = _k_ranges(x, y, lattice)
+    assert _k_ranges(y, x, lattice) == ranges
+    for r, (k_first, k_last) in zip(targets, ranges):
+        assert (k_first > k_last) == (interval_distance_lower(x, y, r) >= c)
+        lo, hi = min(k_first, k_last), max(k_first, k_last)
+        for k in range(lo - 2, hi + 3):
+            meets = k + r + c > x and k + r - c < y
+            assert meets == (k_first <= k <= k_last)
+
+
+_TINY = Fraction(1, 2 ** 60)
+
+
+@st.composite
+def _window_case(draw):
+    if draw(st.booleans()):
+        unit = QQ.one()
+    else:
+        theta = field_make(draw(st.sampled_from(_NON_SQUARES)), 2).theta()
+        unit = theta - theta.floor()  # irrational, in (0, 1)
+    targets = sorted({_fraction(draw, 0, Fraction(19, 20), 20)
+                      for _ in range(draw(st.integers(1, 3)))})
+    q = draw(st.integers(2, 64))
+    c = Fraction(draw(st.integers(1, 3 * q // 4)), q)  # up to 3/4
+
+    def endpoint():
+        kind = draw(st.sampled_from(("free", "edge", "inside", "outside")))
+        if kind == "free":
+            return _fraction(draw, -4, 4, 1000) + _fraction(draw, -1, 1, 100) * unit
+        r = draw(st.sampled_from(targets))
+        side = draw(st.sampled_from((-1, 1)))
+        edge = unit.desc.rational(draw(st.integers(-3, 3)) + r + side * c)
+        if kind == "edge":
+            return edge
+        # 2^-60 (or 2^-60 times an irrational unit) inside or outside k + r +- c
+        eps = _TINY * (unit if draw(st.booleans()) else 1)
+        return edge - side * eps if kind == "inside" else edge + side * eps
+
+    x = endpoint()
+    if draw(st.booleans()):
+        y = endpoint()
+    else:
+        # windows up to three periods long
+        y = x + _fraction(draw, 0, 3, 200) * (unit if draw(st.booleans()) else 1)
+    return (x, y) if x <= y else (y, x), targets, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(_window_case())
+def test_lattice_window_matches_the_distance_oracle(case):
+    (x, y), targets, c = case
+    _check_window(x, y, targets, c)
+
+
+@pytest.mark.parametrize("desc", [QQ, field_make(2, 2)])
+def test_lattice_window_named_cases(desc):
+    one = desc.one()
+    theta = desc.theta()
+    irr = theta - theta.floor() if desc.k > 1 else one / 3
+    targets = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
+    for c in (Fraction(1, 1440), Fraction(1, 7), Fraction(1, 2), Fraction(5, 8)):
+        for k in (-2, 0, 1):
+            for r in targets:
+                for side in (-1, 1):
+                    edge = one * (k + r + side * c)
+                    # exactly on k + r +- c, and 2^-60 inside and outside it
+                    for eps in (0, _TINY, -_TINY, _TINY * irr, -_TINY * irr):
+                        x = edge - side * eps
+                        for length in (0, _TINY, Fraction(1, 3), Fraction(5, 2), irr * 2):
+                            _check_window(x, x + length, targets, c)
+                            _check_window(x - length, x, targets, c)
+
+
 _GOLDEN_TASKS = [
     (2, [0], 8),
     (3, [0, Fraction(1, 2)], 10),
@@ -325,6 +472,29 @@ def test_erdos_verify_midpoint_scan_golden():
             h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
     assert h.hexdigest() == \
         "52c63f449c928fb888a99af6d67aeea5b0fa1e56760278e2fb05d6885aab15ab"
+
+
+def test_failing_verify_reports_golden():
+    # pins the text and order of the failure messages: each certificate is
+    # verified with c doubled, with c = 1/4 (nearly every n fails for some
+    # target) and with its last interval shifted by its own length; the
+    # hash was taken before the certified window moved to integer lattice
+    # coordinates
+    h = hashlib.sha256()
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        cert = erdos_construct(lam, targets, depth)
+        a, b = cert.intervals[-1]
+        shifted = cert.intervals[:-1] + ((b, b + (b - a)),)
+        for bad in (dataclasses.replace(cert, c=2 * cert.c),
+                    dataclasses.replace(cert, c=Fraction(1, 4)),
+                    dataclasses.replace(cert, intervals=shifted)):
+            rep = erdos_verify(bad)
+            h.update(json.dumps(rep.to_jsonable(), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "906c5013a72ac4141d7c7470b0345607c63f38f070a1a6d0e1400c32f4f5e70a"
 
 
 def test_certificate_round_trip_rejects_tampered_derived_fields():
