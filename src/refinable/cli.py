@@ -181,7 +181,7 @@ def _cmd_check(args) -> int:
             raise ValueError("--verify-mask supports univariate instances")
         with open(args.verify_mask) as fh:
             data = json.load(fh)
-        mask = MaskSpec.from_jsonable(data.get("mask", data))
+        mask = MaskSpec.from_jsonable(data.get("mask", data) if isinstance(data, dict) else data)
         ok = verify_mask_identity([c[0] for c in inst["columns"]],
                                   inst["lam"], mask)
         out["mask_identity"] = ok

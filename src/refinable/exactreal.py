@@ -28,12 +28,11 @@ decided from N_0 and D, so the loop always ends.  ``floor`` takes an
 integer factor q into the enclosure (q * lo <= q * x * D * 2^p <= q * hi),
 so floor(q x) costs no product element.
 
-Values are immutable; every operation is a pure function.  The float
-and complex values a caller asks for (``ball``, ``approx``, ``float``)
-come from mpmath interval arithmetic on the coordinates q_j.  It runs
-on raw ``mpmath.libmp`` interval tuples (lo, hi) at an explicit
-precision, the same ``mpi_*`` calls the ``iv`` context's operators make,
-so it neither reads nor changes the process-global ``iv.prec``.
+Values are immutable; every operation is a pure function.  Enclosures
+(``ball_mpi``) are raw ``mpmath.libmp`` interval tuples (lo, hi),
+computed by Horner over the coordinates q_j at a precision the caller
+passes, and ``float`` is the midpoint of a 64-bit enclosure rounded to
+nearest.  No numeric code here reads or sets a global precision.
 """
 
 from __future__ import annotations
@@ -41,17 +40,17 @@ from __future__ import annotations
 import math
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
-import mpmath
-from mpmath import iv, mp
 from mpmath.libmp import (
     from_int,
     fzero,
+    mpf_add,
+    mpf_pos,
+    mpf_shift,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -60,6 +59,8 @@ from mpmath.libmp import (
     mpi_sqrt,
     round_ceiling,
     round_floor,
+    round_nearest,
+    to_float,
     to_rational,
 )
 
@@ -70,23 +71,12 @@ RationalLike = Union[int, Fraction]
 _SIGN_START_PREC = 64
 
 
-@contextmanager
-def _iv_prec(prec: int) -> Iterator[None]:
-    """Temporarily set the interval-context working precision."""
-    old = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = old
-
-
 _MPI_ZERO = (fzero, fzero)
 
 
 def _mpi_int(n: int, prec: int) -> tuple:
-    """Raw interval of the integer n at ``prec`` bits: ``iv.mpf(n)._mpi_``
-    at ``iv.prec == prec``, which rounds n outward when it is wider."""
+    """Raw interval of the integer n at ``prec`` bits, rounded outward
+    when n is wider."""
     lo = from_int(n, prec, round_floor)
     if n.bit_length() <= prec:
         return lo, lo
@@ -95,28 +85,16 @@ def _mpi_int(n: int, prec: int) -> tuple:
 
 def _mpi_fraction(q: Fraction, prec: int) -> tuple:
     """Raw interval of the rational q at ``prec`` bits: the numerator and
-    denominator intervals divided, as ``_iv_fraction`` does in the ``iv``
-    context, so the endpoints are the same bits."""
+    denominator intervals divided."""
     if q.denominator == 1:
         return _mpi_int(q.numerator, prec)
     return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
-
-
-def _iv_fraction(q: Fraction):
-    """Exact rational -> enclosing interval at the current precision."""
-    return iv.make_mpf(_mpi_fraction(q, iv.prec))
 
 
 def _mpf_to_fraction(raw) -> Fraction:
     """Exact value of a finite raw mpf tuple (``x._mpf_``) as a Fraction."""
     p, q = to_rational(raw)
     return Fraction(int(p), int(q))
-
-
-def iv_endpoints(ball) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval."""
-    lo, hi = ball._mpi_
-    return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
 
 
 def _int_nthroot(n: int, p: int) -> tuple[int, bool]:
@@ -198,8 +176,7 @@ class FieldDescriptor:
 
     def theta_mpi(self, prec: int) -> tuple:
         """Raw interval of theta at ``prec`` bits, cached per precision: the
-        bits of ``iv.sqrt(iv.mpf(n))`` for k = 2 and of
-        ``iv.exp(iv.log(iv.mpf(n)) / k)`` for k >= 3 at ``iv.prec == prec``."""
+        square root of n for k = 2, exp(log(n) / k) for k >= 3."""
         cached = self._theta_cache.get(prec)
         if cached is not None:
             return cached
@@ -564,19 +541,9 @@ class FieldElement:
 
     # -- numerics ---------------------------------------------------------
 
-    def ball(self, prec: int = 64):
-        """Outward-rounded enclosure of the real value at ~prec bits (an
-        ``iv`` interval; see ``ball_mpi``)."""
-        return iv.make_mpf(self.ball_mpi(prec))
-
     def ball_mpi(self, prec: int) -> tuple:
-        """Raw interval of the value at ~prec bits.
-
-        Horner over the coordinates at wp = prec + 8 + 2k bits with
-        ``mpi_mul``/``mpi_add``: the same calls, in the same order, as
-        ``acc = acc * th + _iv_fraction(c)`` on ``iv`` intervals at
-        ``iv.prec == wp``, so the endpoints are the same bits.
-        """
+        """Raw interval of the value at ~prec bits: Horner over the
+        coordinates at wp = prec + 8 + 2k bits with ``mpi_mul``/``mpi_add``."""
         wp = prec + 8 + 2 * self.desc.k
         th = self.desc.theta_mpi(wp)
         acc = _MPI_ZERO
@@ -584,16 +551,17 @@ class FieldElement:
             acc = mpi_add(mpi_mul(acc, th, wp), _mpi_fraction(c, wp), wp)
         return acc
 
-    def approx(self, prec: int = 64):
-        """Arbitrary-precision midpoint approximation (mpmath mpf)."""
-        b = self.ball(prec)
-        with mp.workprec(prec):
-            return (mpmath.mpf(b.a) + mpmath.mpf(b.b)) / 2
+    def _mid_mpf(self, prec: int) -> tuple:
+        """Raw midpoint of ``ball_mpi(prec)``: both endpoints rounded to
+        nearest at ``prec`` bits, summed the same way and halved."""
+        lo, hi = self.ball_mpi(prec)
+        return mpf_shift(mpf_add(mpf_pos(lo, prec, round_nearest),
+                                 mpf_pos(hi, prec, round_nearest), prec, round_nearest), -1)
 
     def __float__(self) -> float:
         if self.is_rational:
             return self.num[0] / self.den
-        return float(self.approx(64))
+        return to_float(self._mid_mpf(64), rnd=round_nearest)
 
     def _f64_key(self) -> float:
         """A float near the value, for presorting only: not correctly

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionFailure, InvalidLambda
-from .exactreal import QQ, ExactReal, FieldElement, field_make
+from .exactreal import QQ, ExactReal, FieldElement, _mpf_to_fraction, field_make
 
 
 def _lift(lam: ExactReal) -> FieldElement:
@@ -102,11 +102,9 @@ def _check_c(c: Fraction) -> None:
 
 def _rational_lower_bound(x: FieldElement, bits: int = 64) -> Fraction:
     """A positive rational q <= x (x must be positive)."""
-    from .exactreal import iv_endpoints
-
     prec = bits
     while True:
-        lo, _ = iv_endpoints(x.ball(prec))
+        lo = _mpf_to_fraction(x.ball_mpi(prec)[0])
         if lo > 0:
             return lo
         prec *= 2
@@ -166,6 +164,10 @@ class ErdosCertificate:
 
     def __post_init__(self):
         _check_c(self.c)
+        # lambda <= 1 has no growing orbit; lambda = 0 divided by zero
+        # in erdos_verify
+        if not self.lam > 1:
+            raise ValueError("lambda must be > 1")
 
     @property
     def depth(self) -> int:

@@ -9,8 +9,10 @@ fixed real field Q(theta) of degree k: a ``FieldElement`` for s = 1, an
 ``ExponentVector`` of s field elements for s >= 2.  Exponent equality is
 exact, so terms merge and cancel exactly; products, shifts and
 divisibility by binomials 1 - E(m, w) are computed symbolically for
-every s.  For s = 1 there is also evaluation to outward-rounded
-complex enclosures.
+every s.  For s = 1 there is also evaluation at a real point to an
+outward-rounded complex enclosure, on raw ``mpmath.libmp`` intervals at
+a precision the caller passes (the tests check it bit for bit against
+the same loop on mpmath's ``iv`` interval objects).
 
 Both sides of a term are stored fraction-free.  Coefficients are
 integer numerators over one positive common denominator in lowest
@@ -37,13 +39,13 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
-from mpmath import iv
 from mpmath.libmp import (
     mpf_pi,
     mpi_abs,
     mpi_add,
     mpi_cos_sin,
-    mpi_exp,
+    mpi_delta,
+    mpi_mid,
     mpi_mul,
     mpi_neg,
     round_ceiling,
@@ -54,14 +56,13 @@ from mpmath.libmp import (
 from .errors import DescriptorMismatch, ZeroPolynomial
 from .exactreal import (
     _MPI_ZERO,
+    ExactReal,
     FieldDescriptor,
     FieldElement,
     _canonical,
-    _iv_fraction,
-    _iv_prec,
+    _mpf_to_fraction,
     _mpi_fraction,
     _mpi_int,
-    iv_endpoints,
 )
 
 
@@ -196,43 +197,32 @@ def _lowest(num: dict[tuple, int], eden: int) -> tuple[dict[tuple, int], int]:
 
 
 class ComplexBall:
-    """Rectangular complex enclosure: a pair of real intervals."""
+    """Rectangular complex enclosure: raw ``mpmath.libmp`` intervals
+    (lo, hi) of the real and imaginary parts and the precision in bits
+    they were computed at."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "prec")
 
-    def __init__(self, re, im):
+    def __init__(self, re: tuple, im: tuple, prec: int):
         self.re = re
         self.im = im
-
-    @staticmethod
-    def exact(re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> "ComplexBall":
-        return ComplexBall(_iv_fraction(Fraction(re)), _iv_fraction(Fraction(im)))
-
-    def __add__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, q: Fraction) -> "ComplexBall":
-        f = _iv_fraction(Fraction(q))
-        return ComplexBall(self.re * f, self.im * f)
+        self.prec = prec
 
     def mid(self) -> complex:
-        return complex(float(self.re.mid), float(self.im.mid))
+        return complex(to_float(mpi_mid(self.re, self.prec)),
+                       to_float(mpi_mid(self.im, self.prec)))
 
     def radius(self) -> float:
-        return math.hypot(float(self.re.delta) / 2, float(self.im.delta) / 2)
+        return math.hypot(to_float(mpi_delta(self.re, self.prec)) / 2,
+                          to_float(mpi_delta(self.im, self.prec)) / 2)
 
     def abs_lower(self) -> float:
-        """Certified lower bound for |z| over the enclosure (0 if it may
-        contain the origin)."""
+        """Lower bound for |z| over the enclosure (0 if it may contain
+        the origin): the hypot of the least |endpoint| per axis, each
+        read exactly and rounded to the nearest float."""
 
         def axis_low(ival) -> float:
-            lo, hi = iv_endpoints(ival)
+            lo, hi = map(_mpf_to_fraction, ival)
             if lo <= 0 <= hi:
                 return 0.0
             return float(min(abs(lo), abs(hi)))
@@ -245,15 +235,14 @@ class ComplexBall:
 
 @functools.lru_cache(maxsize=64)
 def _two_pi(prec: int) -> tuple:
-    """Raw interval of 2 pi at ``prec`` bits: the bits of ``2 * iv.pi``."""
+    """Raw interval of 2 pi at ``prec`` bits."""
     pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
     return mpi_mul(_mpi_int(2, prec), pi, prec)
 
 
 def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
     """Raw (re, im) intervals of exp(-2 pi i x) for a raw interval x (in
-    turns): the bits of ``iv.cos(ang)`` and ``-iv.sin(ang)`` with
-    ``ang = 2 * iv.pi * x``, from one ``mpi_cos_sin``."""
+    turns), from one ``mpi_cos_sin`` of 2 pi x."""
     cos, sin = mpi_cos_sin(mpi_mul(two_pi, phase, prec), prec)
     return cos, mpi_neg(sin, prec)
 
@@ -276,8 +265,8 @@ class QTrigPoly:
     equal ``num``, ``den`` and ``eden``.  ``terms`` is the same map with
     exponents as ``FieldElement``s (s = 1) or ``ExponentVector``s
     (s >= 2) and ``Fraction`` coefficients, in the same order, built on
-    first use and cached; ``items()``, ``exponents()``, ``coefficient()``,
-    ``to_text`` and ``eval_ball`` read it.
+    first use and cached; ``items()``, ``exponents()``, ``to_text`` and
+    ``eval_ball`` read it.
 
     Exponents are all scalars or all vectors of one length s >= 2.
     Immutable after construction.  ``exponents()`` sorts exactly: by real
@@ -400,9 +389,6 @@ class QTrigPoly:
     def items(self) -> list[tuple[Exponent, Fraction]]:
         return [(d, self.terms[d]) for d in self.exponents()]
 
-    def coefficient(self, d: ExponentLike) -> Fraction:
-        return self.terms.get(_exponent(self.desc, d), Fraction(0))
-
     def coefficient_sum(self) -> Fraction:
         """The exact value at w = 0."""
         return Fraction(sum(self.num.values()), self.den)
@@ -524,60 +510,43 @@ class QTrigPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_ball(self, w, prec: int = 64) -> ComplexBall:
-        """Enclosure of P(w) with radius <= 2^(1-prec) * max(1, magnitude).
+    def eval_ball(self, w: ExactReal, prec: int = 64) -> ComplexBall:
+        """Enclosure of P(w) at a real point w (an int, a Fraction, a float
+        taken exactly or a FieldElement) with radius <= 2^(1-prec) *
+        max(1, sum |c|).
 
-        ``w`` may be an exact real (int, Fraction, FieldElement), a float
-        (taken exactly as a dyadic rational), a complex number, or an
-        (re, im) pair of exact reals.
-
-        The term loop runs on raw ``mpmath.libmp`` interval tuples at the
-        working precision wp.  Each step is the ``mpi_*`` call that the
-        ``iv`` operator it stands for makes (``a * b`` on ``iv`` intervals
-        is ``mpi_mul(a, b, iv.prec)``), in the same order, so the
-        endpoints are the bits the ``iv`` form of this loop gives at
-        ``iv.prec == wp``; the sum is wrapped in a ``ComplexBall`` once.
-        A real point and a complex one share the loop: only the latter
-        has a growth factor exp(2 pi d v).
-
-        The working precision doubles until the radius bound holds or wp
-        passes prec + 4096; a ball returned by that cap still encloses
-        P(w) but may exceed the bound.  The enclosure of a long irrational
-        argument (say (sqrt 2 - 1)^4000, with 5,086-bit coordinates) widens
-        with its coordinates, so no cap relative to prec alone meets it.
+        The term loop adds c * exp(-2 pi i d w) over raw ``mpmath.libmp``
+        intervals at the working precision wp, starting at prec + 16.
+        wp doubles until the radius bound holds or wp passes prec + 4096;
+        a ball returned by that cap still encloses P(w) but may exceed the
+        bound.  The enclosure of a long irrational argument (say
+        (sqrt 2 - 1)^4000, with 5,086-bit coordinates) widens with its
+        coordinates, so no cap relative to prec alone meets it.
         """
-        re_w, im_w = _split_input(w, self.desc)
+        if not isinstance(w, (FieldElement, Fraction, int, float)):
+            raise TypeError(f"unsupported evaluation point {type(w).__name__}")
+        if not isinstance(w, FieldElement):
+            w = Fraction(w)
         wp = prec + 16
         while True:
-            with _iv_prec(wp):
-                terms, coeff_mag = self._term_balls(wp)
-                two_pi = _two_pi(wp)
-                u = _to_mpi(re_w, wp)
-                v = _to_mpi(im_w, wp) if im_w is not None else None
-                mag = coeff_mag if v is None else _MPI_ZERO
-                re = im = _MPI_ZERO
-                for db, cf in terms:
-                    t_re, t_im = _unit_exponential_mpi(two_pi, mpi_mul(db, u, wp), wp)
-                    if v is not None:
-                        growth = mpi_exp(mpi_mul(mpi_mul(two_pi, db, wp), v, wp), wp)
-                        t_re = mpi_mul(t_re, growth, wp)
-                        t_im = mpi_mul(t_im, growth, wp)
-                        g_hi = growth[1]
-                        mag = mpi_add(mag, mpi_mul(mpi_abs(cf, wp), (g_hi, g_hi), wp), wp)
-                    re = mpi_add(re, mpi_mul(t_re, cf, wp), wp)
-                    im = mpi_add(im, mpi_mul(t_im, cf, wp), wp)
-                acc = ComplexBall(iv.make_mpf(re), iv.make_mpf(im))
-                target = max(1.0, to_float(mag[1])) * 2.0 ** (1 - prec)
-                if acc.radius() <= target or wp > prec + 4096:
-                    return acc
+            terms, mag = self._term_balls(wp)
+            two_pi = _two_pi(wp)
+            u = w.ball_mpi(wp) if isinstance(w, FieldElement) else _mpi_fraction(w, wp)
+            re = im = _MPI_ZERO
+            for db, cf in terms:
+                t_re, t_im = _unit_exponential_mpi(two_pi, mpi_mul(db, u, wp), wp)
+                re = mpi_add(re, mpi_mul(t_re, cf, wp), wp)
+                im = mpi_add(im, mpi_mul(t_im, cf, wp), wp)
+            ball = ComplexBall(re, im, wp)
+            if (ball.radius() <= max(1.0, to_float(mag[1])) * 2.0 ** (1 - prec)
+                    or wp > prec + 4096):
+                return ball
             wp *= 2
 
     def _term_balls(self, wp: int):
         """(((exponent interval, coefficient interval), ...), sum of
         |coefficient intervals|) as raw intervals at precision ``wp``,
-        cached per ``wp``.  They are the bits of ``d.ball(wp)``,
-        ``_iv_fraction(c)`` and the running ``iv`` sum of ``abs(cf)``
-        at ``iv.prec == wp``."""
+        cached per ``wp``."""
         cache = self._ball_cache
         if cache is None:
             cache = self._ball_cache = {}
@@ -706,31 +675,3 @@ def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:
     key, eden = _lattice(desc, e)
     num, eden = _lowest({tuple([x * t for x in key]): 1 for t in range(p)}, eden)
     return QTrigPoly._from_clean(desc, num, 1, eden)
-
-
-def _split_input(w, desc: FieldDescriptor):
-    """Normalize an evaluation point to exact (re, im) parts."""
-    if isinstance(w, tuple) and len(w) == 2:
-        return _exactify(w[0], desc), _exactify(w[1], desc)
-    if isinstance(w, complex):
-        if w.imag == 0:
-            return Fraction(w.real), None
-        return Fraction(w.real), Fraction(w.imag)
-    return _exactify(w, desc), None
-
-
-def _exactify(x, desc: FieldDescriptor):
-    if isinstance(x, FieldElement):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # floats are dyadic rationals: exact
-    raise TypeError(f"unsupported evaluation point {type(x).__name__}")
-
-
-def _to_mpi(x, prec: int) -> tuple:
-    """Raw interval of an exact real from ``_split_input`` at ``prec``."""
-    if isinstance(x, FieldElement):
-        return x.ball_mpi(prec)
-    return _mpi_fraction(x, prec)

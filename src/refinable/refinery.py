@@ -41,8 +41,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Optional, Sequence, Union
 
-import mpmath
-from mpmath import iv, mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpf_acos,
+    mpf_add,
+    mpf_div,
+    mpf_pi,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from . import polyq
 from .errors import (
@@ -57,13 +66,12 @@ from .exactreal import (
     ExactReal,
     FieldElement,
     QQ,
-    _iv_prec,
+    _mpf_to_fraction,
     int_ratio,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
     BinomialDivisionWitness,
-    ComplexBall,
     QTrigPoly,
     _dot,
     _exponent,
@@ -258,14 +266,6 @@ class ConditionBResult:
 
     def successor(self, i: int) -> ColumnRelation:
         return self.relations[i][0]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "relations": [[{"target": r.target, "p": r.p} for r in rs]
-                          for rs in self.relations],
-            "violations": list(self.violations),
-        }
 
 
 def condition_B(A: Sequence, lam: ExactReal) -> ConditionBResult:
@@ -610,10 +610,6 @@ class CoverageReport:
     bound: int
     uncovered: Optional[dict]
 
-    def to_jsonable(self) -> dict:
-        return {"consistent": self.consistent, "bound": self.bound,
-                "uncovered": self.uncovered}
-
 
 def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
                     bound: int) -> CoverageReport:
@@ -913,21 +909,16 @@ def _mask_unit_circle_roots(mask: MaskSpec, delta_cap: Fraction
     roots in (-2, 2) are isolated by Sturm bisection and mapped back
     through arccos with outward rounding.
     """
-    exps = mask.translations
-    if not all(d.is_rational for d in exps):
-        raise NonRationalTranslations("decay probe needs rational translations")
-    fracs = [d.as_fraction() for d in exps]
-    D0 = 1
-    for f in fracs:
-        D0 = D0 * f.denominator // math.gcd(D0, f.denominator)
-    coeffs: dict[int, Fraction] = {}
-    for f, (_, c) in zip(fracs, mask.H.items()):
-        e = int(f * D0)
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    low = min(coeffs)
-    poly = [Fraction(0)] * (max(coeffs) - low + 1)
-    for e, c in coeffs.items():
-        poly[e - low] = c
+    H = mask.H
+    try:
+        terms = H.rational_exponents()
+    except ValueError:
+        raise NonRationalTranslations("decay probe needs rational translations") from None
+    D0 = H.eden  # the exponents are n / D0
+    low = min(n for (n,), _ in terms)
+    poly = [Fraction(0)] * (max(n for (n,), _ in terms) - low + 1)
+    for (n,), c in terms:
+        poly[n - low] = Fraction(c, H.den)
     R = polyq.squarefree_part(poly)
     roots: list[MaskRoot] = []
     # phi(n) >= sqrt(n / 2): a factor Phi_n of R has n <= 2 deg(R)^2
@@ -1033,15 +1024,18 @@ def _self_reciprocal_roots(S: polyq.Poly, D0: int, delta_cap: Fraction
 
 
 def _acos_enclosure(ylo: Fraction, yhi: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward enclosure of arccos(y/2)/(2 pi) over [ylo, yhi] in (−2, 2)."""
-    from .exactreal import _mpf_to_fraction
+    """Outward enclosure of arccos(y/2)/(2 pi) over [ylo, yhi] in (−2, 2):
+    both ends at 96 bits rounded to nearest, padded by 2^-80."""
+    two_pi = mpf_shift(mpf_pi(96, round_nearest), 1)
 
-    with mp.workprec(96):
-        hi = mpmath.acos(mpmath.mpf(ylo.numerator) / ylo.denominator / 2) / (2 * mpmath.pi)
-        lo = mpmath.acos(mpmath.mpf(yhi.numerator) / yhi.denominator / 2) / (2 * mpmath.pi)
-        pad = mpmath.mpf(2) ** -80
-        return (_mpf_to_fraction((lo - pad)._mpf_),
-                _mpf_to_fraction((hi + pad)._mpf_))
+    def turns(y: Fraction):
+        half = mpf_shift(mpf_div(from_int(y.numerator, 96, round_nearest),
+                                 from_int(y.denominator), 96, round_nearest), -1)
+        return mpf_div(mpf_acos(half, 96, round_nearest), two_pi, 96, round_nearest)
+
+    pad = mpf_shift(fone, -80)
+    return (_mpf_to_fraction(mpf_sub(turns(yhi), pad, 96, round_nearest)),
+            _mpf_to_fraction(mpf_add(turns(ylo), pad, 96, round_nearest)))
 
 
 def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
@@ -1069,7 +1063,7 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     if not targets:
         # H has no real zeros: eps0 is the certified minimum of |H| on a
         # period, along the trivial orbit floor; report directly
-        eps0 = _orbit_abs_floor(mask, lam.desc.one(), D0, J, prec)
+        eps0 = _orbit_abs_floor(mask, lam.desc.one(), J, prec)
         cert = erdos_construct(lam, [Fraction(1, 2)], 0)
         return DecayReport(D0=D0, roots=(), targets=(), margin=Fraction(0),
                            xi0_text="1", xi0=1.0, epsilon0=eps0,
@@ -1088,7 +1082,7 @@ def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:
     cert = erdos_construct(lam, targets, depth, c=c)
     xi0 = cert.xi
 
-    eps0 = _orbit_abs_floor(mask, xi0, D0, J, prec)
+    eps0 = _orbit_abs_floor(mask, xi0, J, prec)
     return DecayReport(
         D0=D0, roots=tuple(roots), targets=tuple(targets), margin=margin,
         xi0_text=xi0.to_text(), xi0=float(xi0), epsilon0=eps0,
@@ -1110,21 +1104,20 @@ def _root_targets(roots: Sequence[MaskRoot]) -> tuple[list[Fraction], list[Fract
     return targets, deltas
 
 
-def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
-                     prec: int) -> float:
+def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, J: int, prec: int) -> float:
     """Certified lower bound of min_{0<=j<J} |H(lambda^j xi0)|, for H
     with rational translations.
 
     The J arguments x_j = lambda^j xi0 are reduced exactly modulo the
-    period D0, so the working precision is independent of j.  The floor
+    period eden of H (its exponents are n/eden with integer n, eden =
+    ``H.eden``), so the working precision is independent of j.  The floor
     is the least of the enclosure lower bounds L_j: ``eval_ball`` at
     ``prec`` bits, and at 2*prec, 4*prec, ... while ``abs_lower`` reads
     0 (0.0 for the whole orbit once prec + 4096 bits do not separate
     H(x_j) from zero).  Only the points that a double-precision screen
     cannot rule out are enclosed; the others cannot hold the minimum.
 
-    Screen.  With n/eden the exponents of H (``H.rational_exponents()``
-    over ``H.eden``, which is D0 for the masks of ``decay_probe``) and
+    Screen.  With the integers n of ``H.rational_exponents()`` and
     t_j = x_j/eden, H(x_j) = sum c exp(-2 pi i n t_j).  For rational x_j
     the float t is the correctly rounded quotient, each phase is
     fmod(n*t, 1), and f_j is the hypot of the sums of c*cos(2 pi phase)
@@ -1156,13 +1149,13 @@ def _orbit_abs_floor(mask: MaskSpec, xi0: FieldElement, D0: int, J: int,
     only costs enclosures.
     """
     H, lam = mask.H, mask.lam
+    eden = H.eden
     args, x = [], xi0
     while True:
-        args.append(x - D0 * (x / D0).floor())
+        args.append(x - eden * (x / eden).floor())
         if len(args) == J:
             break
         x = x * lam
-    eden = H.eden
     terms = [(n, c / H.den) for (n,), c in H.rational_exponents()]
     S = math.fsum(abs(c) for _, c in terms)
     N = max((abs(n) for n, _ in terms), default=0)
@@ -1266,6 +1259,7 @@ def indecomposability_witness(P1_max: int = 20, P2_max: int = 20,
 
     F = field_make(10, 2)
     theta = F.theta()
+    binomial = QTrigPoly.binomial(F, 1)  # 1 - E(w)
     out = []
     for P1 in range(1, P1_max + 1):
         for P2 in range(1, P2_max + 1):
@@ -1281,17 +1275,13 @@ def indecomposability_witness(P1_max: int = 20, P2_max: int = 20,
                 raise RootIsolationFailure(
                     f"no witness for P1={P1}, P2={P2}")  # pragma: no cover
             w0 = found
-            with _iv_prec(prec):
-                ang = 2 * iv.pi * theta.ball(prec) * w0
-                ball = ComplexBall(1 - iv.cos(ang), iv.sin(ang))
-                q_lower = ball.abs_lower()
             out.append(IndecompWitness(
                 P1=P1, P2=P2, w0=w0,
                 first_binomial_is_zero=(w0 % P1 == 0),
                 image_in_integer_lattice=in_int_lattice,
                 image_in_scaled_lattice=(5 * w0) % P2 != 0,
                 image_covering_binomial_zero=(5 * w0) % P2 == 0,
-                q_factor_abs_lower=q_lower,
+                q_factor_abs_lower=binomial.eval_ball(theta * w0, prec).abs_lower(),
             ))
     return out
 

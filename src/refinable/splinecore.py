@@ -1,7 +1,7 @@
 """Box splines and refinement-equation numerics.
 
-Fourier side: float and enclosure evaluation of the box-spline
-transform prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j), the float
+Fourier side: float evaluation of the box-spline transform
+prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j), the float
 truncated product prod_j H(lambda^-j w) of a mask, and integer-dilation
 masks expanded exactly.
 
@@ -14,10 +14,11 @@ in [d_0/(lambda-1), d_N/(lambda-1)].
 Grid computations are float64/numpy with fixed summation order, so
 outputs are deterministic for fixed inputs.
 
-The enclosure transform ``boxspline_ft``, the convolution oracle
-``spline_time_eval`` and the brute-force ``count_representations`` are
-not exported: the tests use them as references for
-``boxspline_ft_f64``, ``cascade_solve`` and ``integer_dilation_box_mask``.
+The convolution oracle ``spline_time_eval`` and the brute-force
+``count_representations`` are not exported: the tests use them as
+references for ``cascade_solve`` and ``integer_dilation_box_mask``.
+The enclosure transform that checks ``boxspline_ft_f64`` lives with the
+tests' other interval references.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 import numpy as np
-from mpmath import iv
+from mpmath.libmp import to_str
 
 from .errors import (
     Divergence,
@@ -38,14 +39,8 @@ from .errors import (
     NonIntegerMatrix,
     RankDeficient,
 )
-from .exactreal import (
-    ExactReal,
-    FieldDescriptor,
-    FieldElement,
-    _iv_fraction,
-    _iv_prec,
-)
-from .qtrig import ComplexBall, QTrigPoly, _dot, _exponent, geometric
+from .exactreal import ExactReal, FieldDescriptor, FieldElement
+from .qtrig import QTrigPoly, _exponent, geometric
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -187,15 +182,34 @@ class MaskSpec:
 
     @staticmethod
     def from_jsonable(data: dict) -> "MaskSpec":
+        """The mask of ``to_jsonable``; ValueError on any other shape."""
         from .exactreal import field_make
 
-        desc = field_make(data["field"]["n"], data["field"]["k"])
-        lam = desc.element([Fraction(q) for q in data["lambda"]])
-        terms = {
-            desc.element([Fraction(q) for q in t["exponent"]]): Fraction(t["coefficient"])
-            for t in data["terms"]
-        }
-        return MaskSpec(lam, QTrigPoly(desc, terms))
+        def rational(q) -> Fraction:
+            if type(q) not in (int, str):
+                raise ValueError(f"mask rational {q!r} is not a string or an integer")
+            return Fraction(q)
+
+        def element(coords) -> FieldElement:
+            if not isinstance(coords, list):
+                raise ValueError(f"mask coordinates {coords!r} are not a list")
+            return desc.element([rational(q) for q in coords])
+
+        field = data.get("field") if isinstance(data, dict) else None
+        if not (isinstance(field, dict) and type(field.get("n")) is int
+                and type(field.get("k")) is int):
+            raise ValueError("mask field must be an object with integers n and k")
+        terms = data.get("terms")
+        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+            raise ValueError("mask terms must be a list of objects")
+        desc = field_make(field["n"], field["k"])
+        H: dict[FieldElement, Fraction] = {}
+        for t in terms:
+            d = element(t.get("exponent"))
+            if d in H:  # a dict would keep only the last coefficient
+                raise ValueError(f"mask exponent {d.to_text()} repeats")
+            H[d] = rational(t.get("coefficient"))
+        return MaskSpec(element(data.get("lambda")), QTrigPoly(desc, H))
 
     def __repr__(self) -> str:
         return f"MaskSpec(lambda={self.lam.to_text()}, H={self.H.to_text()})"
@@ -273,75 +287,11 @@ class GridFunction:
 # Fourier side
 
 
-def _hat_ball(x: ExactReal, prec: int) -> ComplexBall:
-    """Enclosure of (1 - exp(-2 pi i x)) / (2 pi i x), value 1 at x = 0.
-
-    Near zero (relative to the working precision) the factor is computed
-    from the degree-8 Taylor polynomial of (1 - e^(-u)) / u at
-    u = 2 pi i x with an explicit remainder bound; this keeps the
-    evaluation well-defined across the removable singularity.
-    """
-    if isinstance(x, FieldElement):
-        if x.is_zero:
-            return ComplexBall.exact(Fraction(1))
-        xb = x.ball(prec)
-    else:
-        x = Fraction(x)
-        if x == 0:
-            return ComplexBall.exact(Fraction(1))
-        xb = _iv_fraction(x)
-    ax = abs(xb)
-    if float(ax.b) < 2.0 ** (-prec // 2):
-        # sum_{t>=0} (-u)^t / (t+1)!  with u = 2 pi i x
-        u = ComplexBall(iv.mpf(0) * xb, 2 * iv.pi * xb)  # u = 2 pi i x
-        acc = ComplexBall.exact()
-        term = ComplexBall.exact(Fraction(1))
-        for t in range(0, 9):
-            acc = acc + term.scale(Fraction(1, math.factorial(t + 1)))
-            term = term * ComplexBall.exact(Fraction(-1)) * u
-        mag_u = float((2 * iv.pi * ax).b)
-        rem = mag_u ** 9 / math.factorial(10) / max(1e-9, 1 - mag_u / 11)
-        pad = iv.mpf([-rem, rem])
-        return ComplexBall(acc.re + pad, acc.im + pad)
-    ang = 2 * iv.pi * xb
-    one_minus = ComplexBall(1 - iv.cos(ang), iv.sin(ang))  # 1 - e^(-i ang)
-    denom = 2 * iv.pi * xb
-    # multiply by -i then divide by the real 2 pi x
-    return ComplexBall(one_minus.im / denom, -one_minus.re / denom)
-
-
-def boxspline_ft(spec: BoxSplineSpec, xi: Sequence[ExactReal],
-                 prec: int = 64) -> ComplexBall:
-    """Enclosure of the box-spline Fourier transform at a real point xi.
-
-    Floats in xi are taken exactly (they are dyadic rationals), so the
-    dot products xi . m_j are exact field elements and the removable
-    singularities are detected exactly.
-    """
-    if np.isscalar(xi) or isinstance(xi, (Fraction, FieldElement)):
-        xi = [xi]
-    point = [x if isinstance(x, FieldElement) else spec.desc.rational(Fraction(x))
-             for x in xi]
-    if len(point) != spec.s:
-        raise ValueError(f"evaluation point must have dimension {spec.s}")
-    wp = prec + 16
-    while True:
-        with _iv_prec(wp):
-            out = ComplexBall.exact(Fraction(1))
-            for col in spec.columns:
-                out = out * _hat_ball(_dot(point, col), wp)
-            if out.radius() <= 2.0 ** (1 - prec) or wp > prec + 1024:
-                return out
-        wp *= 2
-
-
 def _longdouble(e) -> np.longdouble:
     if isinstance(e, FieldElement):
         if e.is_rational:
             return np.longdouble(e.num[0]) / np.longdouble(e.den)
-        import mpmath
-
-        return np.longdouble(mpmath.nstr(e.approx(96), 24))
+        return np.longdouble(to_str(e._mid_mpf(96), 24))
     q = Fraction(e)
     return np.longdouble(q.numerator) / np.longdouble(q.denominator)
 

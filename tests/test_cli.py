@@ -59,6 +59,24 @@ def test_mask_roundtrip_verify(capsys, tmp_path, counter_file):
     assert code == 0 and data["mask_identity"] is True
 
 
+@pytest.mark.parametrize("change", [
+    {"field": [10, 2]}, {"terms": "abc"}, {"lambda": 5},
+    {"terms": [{"exponent": ["0"], "coefficient": "1"}] * 2},
+])
+def test_malformed_mask_exits_2(capsys, tmp_path, counter_file, change):
+    # the first three shapes once raised TypeError, a traceback with exit 1
+    # ("refuted"); a repeated exponent once kept only its last coefficient
+    mask_path = tmp_path / "mask.json"
+    assert run(["mask", "--instance", counter_file, "--out", str(mask_path)]) == 0
+    data = json.loads(mask_path.read_text())
+    data.get("mask", data).update(change)
+    mask_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["check", "--instance", counter_file, "--verify-mask", str(mask_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_lawton_exit_codes(capsys):
     code, data = run_json(capsys, ["lawton", "--p", "1", "--d", "0", "--m", "2"])
     assert code == 0 and data["result"]["quotient"] == ["1", "1"]

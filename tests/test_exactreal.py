@@ -107,8 +107,8 @@ def test_numeric_embedding_consistency(F10):
     for _ in range(20):
         a = F10.element([rng.randint(-5, 5), rng.randint(-5, 5)])
         b = F10.element([rng.randint(-5, 5), rng.randint(-5, 5)])
-        ab = (a * b).ball(64)
-        sep = a.ball(64) * b.ball(64)
+        ab = iv.make_mpf((a * b).ball_mpi(64))
+        sep = iv.make_mpf(a.ball_mpi(64)) * iv.make_mpf(b.ball_mpi(64))
         assert not (float(ab.b) < float(sep.a) or float(sep.b) < float(ab.a))
 
 
@@ -191,7 +191,8 @@ def test_sign_check_converts_nothing(F10, monkeypatch, expected):
     # sign and floor are decided by integer arithmetic alone: any use of an
     # mpmath enclosure or conversion raises here
     x = (F10.theta() - 3) * expected
-    monkeypatch.setattr(FieldElement, "ball", _raise_interrupt)
+    monkeypatch.setattr(FieldElement, "ball_mpi", _raise_interrupt)
+    monkeypatch.setattr(FieldElement, "_mid_mpf", _raise_interrupt)
     monkeypatch.setattr(type(iv), "convert", _raise_interrupt)
     assert x.sign() == expected
     assert x.floor() == (0 if expected > 0 else -1)

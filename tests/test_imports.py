@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, every public
+name has a user, and the numerics hold no global state: mpmath comes in
+only as ``mpmath.libmp``, and no precision setting of mpmath's contexts
+changes a result or is changed."""
 
 import ast
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -83,28 +87,96 @@ def _public_surface() -> list[str]:
     return surface
 
 
-def _unreferenced(surface: list[str], sources: list[str]) -> list[str]:
+def _unreferenced(surface: list[str], sources: list[str],
+                  lookup_sources: Sequence[str] = ()) -> list[str]:
     """The entries of ``surface`` whose last dotted part no source
-    mentions as a Name, an Attribute or a string constant."""
+    mentions as a Name or an Attribute, nor any of ``lookup_sources`` as
+    a string constant.  Only the benchmark looks names up by string
+    (``spans.py``); in the library a string is a JSON key or a message,
+    and "coefficient" there names no method."""
     refs: set[str] = set()
-    for source in sources:
+    for source, strings in [(s, False) for s in sources] + [(s, True) for s in lookup_sources]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 refs.add(node.value)
     return [name for name in surface if name.rsplit(".", 1)[-1] not in refs]
 
 
 def test_every_public_name_has_a_user():
-    sources = [p.read_text() for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
-    unused = _unreferenced(_public_surface(), sources)
+    library = [p.read_text() for p in MODULES]
+    bench = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    unused = _unreferenced(_public_surface(), library, bench)
     assert sorted(unused) == sorted(KEPT_WITHOUT_CALLER)
 
 
 def test_the_check_sees_an_unused_name():
-    sources = ["x = f(1)\n", "obj.used()\n", 'TABLE = ["g"]\n', "def h():\n    pass\n"]
-    surface = ["f", "g", "h", "C.used", "C.unused"]
-    assert _unreferenced(surface, sources) == ["h", "C.unused"]
+    sources = ["x = f(1)\n", "obj.used()\n", 'KEY = "k"\n', "def h():\n    pass\n"]
+    surface = ["f", "g", "h", "k", "C.used", "C.unused"]
+    # a string names a user only in a lookup source
+    assert _unreferenced(surface, sources, ['TABLE = ["g"]\n']) == ["h", "k", "C.unused"]
+
+
+# -- no global numeric state -----------------------------------------------------
+
+
+def _mpmath_imports(source: str) -> list[str]:
+    """Every mpmath import other than ``from mpmath.libmp import ...``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "mpmath"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "mpmath" and node.module != "mpmath.libmp"):
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_library_imports_mpmath_only_as_libmp():
+    found = {p.name: _mpmath_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+    source = ("import mpmath\nimport mpmath.libmp\nfrom mpmath import iv, mp\n"
+              "from mpmath.libmp import mpf_add\n")
+    assert _mpmath_imports(source) == ["mpmath", "mpmath.libmp", "mpmath.iv", "mpmath.mp"]
+
+
+def _numeric_outputs() -> list:
+    """A decay report with arccos root enclosures, the float of an
+    irrational element, Erdos parameters, an enclosure and witnesses."""
+    from fractions import Fraction
+
+    from refinable import (
+        QQ,
+        MaskSpec,
+        QTrigPoly,
+        bspline_mask,
+        decay_probe,
+        erdos_params,
+        field_make,
+        indecomposability_witness,
+    )
+
+    factor = QTrigPoly(QQ, {QQ.rational(e): Fraction(c, 4) for e, c in enumerate((3, -2, 3))})
+    mask = MaskSpec(QQ.rational(3), bspline_mask(2, 3).H * factor)
+    x = field_make(2, 2).theta()
+    ball = mask.H.eval_ball(x / 3 + Fraction(1, 7), 64)
+    return [decay_probe(mask, J=20).to_jsonable(), float(x / 7), erdos_params(x, 2),
+            (ball.re, ball.im, ball.prec),
+            [w.to_jsonable() for w in indecomposability_witness(3, 3)]]
+
+
+def test_numerics_neither_read_nor_set_the_global_precisions():
+    from mpmath import iv, mp
+
+    want = _numeric_outputs()
+    saved = iv.prec, mp.prec
+    try:
+        iv.prec, mp.prec = 77, 31
+        got = _numeric_outputs()
+        assert (iv.prec, mp.prec) == (77, 31)
+    finally:
+        iv.prec, mp.prec = saved
+    assert got == want

@@ -344,6 +344,15 @@ def test_nonpositive_c_is_rejected():
             ErdosCertificate.from_jsonable({**data, "c": str(c)})
 
 
+def test_lambda_at_most_one_is_rejected():
+    # lambda = 0 once loaded and divided by zero in erdos_verify; 1 and -2
+    # loaded and failed only the length law
+    data = erdos_construct(2, [0], 2).to_jsonable()
+    for lam in ("0", "1", "-2"):
+        with pytest.raises(ValueError, match="lambda must be > 1"):
+            ErdosCertificate.from_jsonable({**data, "lambda": [lam]})
+
+
 # -- the lattice window test ---------------------------------------------------
 
 

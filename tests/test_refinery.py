@@ -606,7 +606,9 @@ def test_orbit_floor_matches_enclosing_every_point():
                     mask = MaskSpec(base.lam, H.shift(shift))
                     rep = decay_probe(mask, J=20)
                     xi0 = rep.certificate.xi if rep.targets else QQ.one()
-                    assert (_orbit_abs_floor(mask, xi0, rep.D0, 20, 64)
+                    # the period of the roots is the exponent denominator
+                    assert rep.D0 == mask.H.eden == _period(mask)
+                    assert (_orbit_abs_floor(mask, xi0, 20, 64)
                             == _enclosed_floor(mask, xi0, rep.D0, 20)
                             == rep.epsilon0)
 
@@ -624,7 +626,7 @@ def test_orbit_floor_property(degree, m, factor, shift, p, q, J, prec):
     H = base.H if factor is None else base.H * _palindromic_factor(*factor)
     mask = MaskSpec(base.lam, H.shift(shift))
     xi0, D0 = QQ.rational(Fraction(p, q)), _period(mask)
-    assert _orbit_abs_floor(mask, xi0, D0, J, prec) == _enclosed_floor(mask, xi0, D0, J, prec)
+    assert _orbit_abs_floor(mask, xi0, J, prec) == _enclosed_floor(mask, xi0, D0, J, prec)
 
 
 def test_orbit_floor_ties_and_irrational_orbits(monkeypatch):
@@ -635,7 +637,7 @@ def test_orbit_floor_ties_and_irrational_orbits(monkeypatch):
     H = QTrigPoly(QQ, {QQ.rational(e): Fraction(c, 10) for e, c in enumerate((4, 3, 2, 1))})
     mask = MaskSpec(QQ.rational(2), H)
     xi0 = QQ.rational(Fraction(1, 5))
-    got = _orbit_abs_floor(mask, xi0, 1, 4, 64)
+    got = _orbit_abs_floor(mask, xi0, 4, 64)
     assert calls[0] == 2
     assert got == _enclosed_floor(mask, xi0, 1, 4)
     # lambda = 1 + sqrt 2: irrational arguments are not screened, so
@@ -646,7 +648,7 @@ def test_orbit_floor_ties_and_irrational_orbits(monkeypatch):
     mask = MaskSpec(F.theta() + 1, H)
     xi0 = F.theta() / 7 + Fraction(1, 3)
     calls[0] = 0
-    got = _orbit_abs_floor(mask, xi0, 2, 40, 64)
+    got = _orbit_abs_floor(mask, xi0, 40, 64)
     assert calls[0] == 40
     assert got == _enclosed_floor(mask, xi0, 2, 40)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from iv_reference import boxspline_ft
 from refinable import splinecore
 from refinable.errors import Divergence, GridTooCoarse, NonIntegerMatrix, RankDeficient
 from refinable.exactreal import QQ, field_make
@@ -15,7 +16,6 @@ from refinable.splinecore import (
     BoxSplineSpec,
     GridFunction,
     MaskSpec,
-    boxspline_ft,
     boxspline_ft_f64,
     bspline_mask,
     cascade_solve,
