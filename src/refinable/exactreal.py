@@ -244,6 +244,35 @@ def field_make(n: int, k: int) -> FieldDescriptor:
 QQ = field_make(2, 1)
 
 
+# JSON forms shared by the mask and certificate files: a field is
+# {"n": int, "k": int}, a rational a string or an integer, an element the
+# list of its rational coordinates.  ``what`` names the file in errors.
+
+
+def _json_field(data, what: str) -> FieldDescriptor:
+    """The field of ``data["field"]``; ValueError on any other shape."""
+    field = data.get("field") if isinstance(data, dict) else None
+    if not (isinstance(field, dict) and type(field.get("n")) is int
+            and type(field.get("k")) is int):
+        raise ValueError(f"{what} field must be an object with integers n and k")
+    return field_make(field["n"], field["k"])
+
+
+def _json_rational(q, what: str) -> Fraction:
+    if type(q) not in (int, str):
+        raise ValueError(f"{what} rational {q!r} is not a string or an integer")
+    try:
+        return Fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} rational {q!r} has denominator 0") from None
+
+
+def _json_element(desc: FieldDescriptor, coords, what: str) -> "FieldElement":
+    if not isinstance(coords, list):
+        raise ValueError(f"{what} coordinates {coords!r} are not a list")
+    return desc.element([_json_rational(q, what) for q in coords])
+
+
 def _canonical(desc: FieldDescriptor, num, den: int) -> "FieldElement":
     """The element num / den for integers num (length k) and den != 0."""
     if den < 0:

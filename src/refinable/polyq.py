@@ -131,13 +131,22 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = peval_fraction(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _sturm_variations(p: Poly):
+    """x -> the sign variations at x of the Sturm chain of p's squarefree
+    part, built once and memoised per x.  ValueError where x is a root."""
+    chain = sturm_chain(squarefree_part(p))
+    memo: dict[Fraction, int] = {}
+
+    def variations(x: Fraction) -> int:
+        if x not in memo:
+            values = [peval_fraction(q, x) for q in chain]
+            if values[0] == 0:
+                raise ValueError("interval endpoints must not be roots")
+            signs = [v > 0 for v in values if v != 0]
+            memo[x] = sum(s != t for s, t in zip(signs, signs[1:]))
+        return memo[x]
+
+    return variations
 
 
 def sturm_root_count(p: Poly, a: Fraction, b: Fraction) -> int:
@@ -145,11 +154,8 @@ def sturm_root_count(p: Poly, a: Fraction, b: Fraction) -> int:
 
     Endpoints must not be roots of p.
     """
-    sq = squarefree_part(p)
-    if peval_fraction(sq, a) == 0 or peval_fraction(sq, b) == 0:
-        raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(sq)
-    return _variations(chain, a) - _variations(chain, b)
+    variations = _sturm_variations(p)
+    return variations(a) - variations(b)
 
 
 def isolate_real_roots(p: Poly, a: Fraction, b: Fraction,
@@ -164,9 +170,13 @@ def isolate_real_roots(p: Poly, a: Fraction, b: Fraction,
     if not p:
         raise ZeroDivisionError("cannot isolate roots of the zero polynomial")
     out: list[tuple[Fraction, Fraction]] = []
+    variations = _sturm_variations(p)
+
+    def count(lo: Fraction, hi: Fraction) -> int:
+        return variations(lo) - variations(hi)
 
     def recurse(lo: Fraction, hi: Fraction) -> None:
-        cnt = sturm_root_count(p, lo, hi)
+        cnt = count(lo, hi)
         if cnt == 0:
             return
         if cnt == 1 and hi - lo <= width:
@@ -179,7 +189,7 @@ def isolate_real_roots(p: Poly, a: Fraction, b: Fraction,
             delta = (hi - lo) / 4
             while (peval_fraction(p, mid - delta) == 0
                    or peval_fraction(p, mid + delta) == 0
-                   or sturm_root_count(p, mid - delta, mid + delta) != 1):
+                   or count(mid - delta, mid + delta) != 1):
                 delta /= 2
             recurse(lo, mid - delta)
             recurse(mid + delta, hi)

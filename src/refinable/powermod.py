@@ -44,7 +44,15 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionFailure, InvalidLambda
-from .exactreal import QQ, ExactReal, FieldElement, _mpf_to_fraction, field_make
+from .exactreal import (
+    QQ,
+    ExactReal,
+    FieldElement,
+    _json_element,
+    _json_field,
+    _json_rational,
+    _mpf_to_fraction,
+)
 
 
 def _lift(lam: ExactReal) -> FieldElement:
@@ -204,19 +212,35 @@ class ErdosCertificate:
 
     @staticmethod
     def from_jsonable(data: dict) -> "ErdosCertificate":
-        desc = field_make(data["field"]["n"], data["field"]["k"])
+        """The certificate of ``to_jsonable``; ValueError on any other shape."""
+        desc = _json_field(data, "certificate")
 
-        def fe(coeffs: list[str]) -> FieldElement:
-            return desc.element([Fraction(c) for c in coeffs])
+        def rational(q) -> Fraction:
+            return _json_rational(q, "certificate")
 
+        def fe(coords) -> FieldElement:
+            return _json_element(desc, coords, "certificate")
+
+        def interval(pair) -> tuple[FieldElement, FieldElement]:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"certificate interval {pair!r} is not a pair")
+            return fe(pair[0]), fe(pair[1])
+
+        targets, intervals, g = data.get("targets"), data.get("intervals"), data.get("g")
+        if not isinstance(targets, list):
+            raise ValueError("certificate targets must be a list")
+        if not (isinstance(intervals, list) and intervals):
+            raise ValueError("certificate intervals must be a non-empty list")
+        if not (type(g) is int and g >= 1):
+            raise ValueError("certificate g must be a positive integer")
         cert = ErdosCertificate(
-            lam=fe(data["lambda"]),
-            targets=tuple(Fraction(t) for t in data["targets"]),
-            c=Fraction(data["c"]),
-            g=data["g"],
-            ell0=Fraction(data["ell0"]),
-            intervals=tuple((fe(a), fe(b)) for a, b in data["intervals"]),
-            xi=fe(data["xi"]),
+            lam=fe(data.get("lambda")),
+            targets=tuple(rational(t) for t in targets),
+            c=rational(data.get("c")),
+            g=g,
+            ell0=rational(data.get("ell0")),
+            intervals=tuple(interval(pair) for pair in intervals),
+            xi=fe(data.get("xi")),
         )
         # the derived fields must be the ones the certificate gives
         stored = cert.to_jsonable()

@@ -39,7 +39,14 @@ from .errors import (
     NonIntegerMatrix,
     RankDeficient,
 )
-from .exactreal import ExactReal, FieldDescriptor, FieldElement
+from .exactreal import (
+    ExactReal,
+    FieldDescriptor,
+    FieldElement,
+    _json_element,
+    _json_field,
+    _json_rational,
+)
 from .qtrig import QTrigPoly, _exponent, geometric
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -183,33 +190,17 @@ class MaskSpec:
     @staticmethod
     def from_jsonable(data: dict) -> "MaskSpec":
         """The mask of ``to_jsonable``; ValueError on any other shape."""
-        from .exactreal import field_make
-
-        def rational(q) -> Fraction:
-            if type(q) not in (int, str):
-                raise ValueError(f"mask rational {q!r} is not a string or an integer")
-            return Fraction(q)
-
-        def element(coords) -> FieldElement:
-            if not isinstance(coords, list):
-                raise ValueError(f"mask coordinates {coords!r} are not a list")
-            return desc.element([rational(q) for q in coords])
-
-        field = data.get("field") if isinstance(data, dict) else None
-        if not (isinstance(field, dict) and type(field.get("n")) is int
-                and type(field.get("k")) is int):
-            raise ValueError("mask field must be an object with integers n and k")
+        desc = _json_field(data, "mask")
         terms = data.get("terms")
         if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
             raise ValueError("mask terms must be a list of objects")
-        desc = field_make(field["n"], field["k"])
         H: dict[FieldElement, Fraction] = {}
         for t in terms:
-            d = element(t.get("exponent"))
+            d = _json_element(desc, t.get("exponent"), "mask")
             if d in H:  # a dict would keep only the last coefficient
                 raise ValueError(f"mask exponent {d.to_text()} repeats")
-            H[d] = rational(t.get("coefficient"))
-        return MaskSpec(element(data.get("lambda")), QTrigPoly(desc, H))
+            H[d] = _json_rational(t.get("coefficient"), "mask")
+        return MaskSpec(_json_element(desc, data.get("lambda"), "mask"), QTrigPoly(desc, H))
 
     def __repr__(self) -> str:
         return f"MaskSpec(lambda={self.lam.to_text()}, H={self.H.to_text()})"
@@ -309,28 +300,49 @@ def boxspline_ft_f64(spec: BoxSplineSpec, w: np.ndarray) -> np.ndarray:
 _MINUS_TWO_PI = (-2j * np.pi).imag  # the -2 pi of -2j * np.pi * phase
 
 
-def _unit_phase(p: np.ndarray) -> np.ndarray:
+_TWO_53 = 2.0 ** 53  # float64 holds every integer up to here
+
+
+def _unit_phase(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.mod(p, 1.0).astype(np.float64)`` of a longdouble array, bit for
     bit, with one float64 floor in place of the longdouble remainder.
 
-    n = floor(fl64(p)) equals floor(p) unless fl64(p) rounds up to an
-    integer or |p| >= 2^53.  Where n = floor(p), F = p - n in longdouble
-    is exact for p >= 0, and for p < 0 it is the one rounding np.mod
-    makes when it adds 1 to fmod(p, 1); y = fl64(F) is then np.mod's
-    value.  Elsewhere F (and so y) falls outside [0, 1).  The entries
-    with y outside [0, 1), those where F or y rounded up to 1, and those
-    where a negative F below the float64 range became -0.0 are
-    recomputed by np.mod.  +-inf and nan give nan as np.mod does,
+    Let n = floor(fl64(p)), F = p - n in longdouble and y = fl64(F).
+    Rounding to nearest is monotone and leaves every integer of magnitude
+    at most 2^53 unchanged, so n differs from floor(p) in two ways only:
+
+    * n > floor(p): then p < n <= fl64(p), so F < 0 and y has its sign
+      bit set (a negative y, or -0.0 where F lies below the float64
+      range).
+    * n < floor(p): then m = floor(p) satisfies fl64(p) < m <= p, so
+      fl64(m) <= fl64(p) < m.  So m is not a float64, |m| > 2^53, and
+      fl64(p), which lies between fl64(m) and m, is an integer of
+      magnitude >= 2^53.  Hence n = fl64(p), |n| >= 2^53 and
+      F >= m - n >= 1, so y >= 1.
+
+    Everywhere else n = floor(p).  np.mod takes fmod(p, 1), which is
+    exact, and adds 1 once to a negative nonzero remainder; either way
+    it yields the longdouble fl(p - floor(p)), which is F, so y is
+    np.mod's value.  Only the entries with the sign bit set and those
+    with y >= 1 and |n| >= 2^53 are recomputed by np.mod.  An entry with
+    n = floor(p) whose F rounds to 1.0 (a tiny negative p) keeps
+    y = 1.0, as np.mod gives.  +-inf and nan give nan as np.mod does,
     perhaps with another sign bit.
+
+    ``out`` is a float64 array of p's shape that receives y.  Callers
+    with infinite, nan or out-of-range entries run this under
+    ``np.errstate(invalid="ignore", over="ignore")``.
     """
     p = np.asarray(p)
-    with np.errstate(invalid="ignore", over="ignore"):
-        y = p.astype(np.float64)
-        np.floor(y, out=y)
-        y[...] = p - y
-        bad = np.signbit(y) | (y >= 1)
-        if bad.any():
-            y[bad] = np.mod(p[bad], 1.0)
+    y = np.empty(p.shape) if out is None else out
+    y[...] = p
+    np.floor(y, out=y)
+    fix = np.abs(y) >= _TWO_53
+    np.subtract(p, y, out=y, casting="unsafe")
+    fix &= y >= 1
+    fix |= np.signbit(y)
+    if fix.any():
+        y[fix] = np.mod(p[fix], 1.0)
     return y
 
 
@@ -344,7 +356,8 @@ def _hat_f64(x_l: np.ndarray) -> np.ndarray:
     0.0 - sin keeps the +0 that 1.0 - exp gives at phase 0."""
     x = np.asarray(x_l, dtype=np.float64)
     small = np.abs(x) < 1e-6
-    y = _unit_phase(x_l)
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = _unit_phase(x_l)
     y *= _MINUS_TWO_PI
     num = np.empty(x.shape, dtype=np.complex128)
     num.real = 1.0 - np.cos(y)
@@ -395,14 +408,16 @@ def fourier_product_f64(mask: MaskSpec, w: np.ndarray, J: int) -> np.ndarray:
             arg = arg / lamf
             args[j] = arg
         p = np.empty_like(args)
+        y = np.empty(args.shape)
         re = np.zeros(args.shape)
         im = np.zeros(args.shape)
         part = np.empty(args.shape)
-        for d, c in terms:
-            y = _unit_phase(np.multiply(args, d, out=p))
-            y *= _MINUS_TWO_PI
-            re += np.multiply(c, np.cos(y, out=part), out=part)
-            im += np.multiply(c, np.sin(y, out=part), out=part)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for d, c in terms:
+                _unit_phase(np.multiply(args, d, out=p), out=y)
+                y *= _MINUS_TWO_PI
+                re += np.multiply(c, np.cos(y, out=part), out=part)
+                im += np.multiply(c, np.sin(y, out=part), out=part)
         h = np.empty(args.shape, dtype=np.complex128)
         h.real = re
         h.imag = im
@@ -451,6 +466,7 @@ def spline_time_eval(spec: BoxSplineSpec, n_samples: int = 2048,
 
 
 _CASCADE_BLOCK = 8192  # query points per term group in cascade_solve
+_CASCADE_KEEP = 1 << 15  # query points per call whose offsets cascade_solve keeps
 
 
 def _term_groups(terms: list[tuple[float, float, int, int]]) -> list[tuple]:
@@ -504,11 +520,18 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     added in term order; the result is bitwise equal to adding every
     term on the whole grid in turn.
 
-    A query's cell k (x_k <= q < x_{k+1}, or k = last where q = x_last)
-    is the same in every iteration, so it is found once and kept in the
-    smallest unsigned type that holds the grid indices (2 bytes a point
-    up to 65,536 points); the query itself is recomputed.  Each
-    iteration reads slope_k * (q - x_k) + f_k with slope_k =
+    Nothing about a query but the iterate changes between iterations, so
+    the queries' cells k (x_k <= q < x_{k+1}, or k = last where
+    q = x_last) are found once, and so are the grid indices and the
+    offsets r = q - x_k of the first ``_CASCADE_KEEP`` query points of a
+    call.  Indices and cells are kept in the smallest unsigned type that
+    holds the grid indices (2 bytes up to 65,536 grid points) and r in
+    float64: 12 bytes a point within the budget and 2 (the cell) past
+    it, where each iteration rebuilds the indices and r.  The budget
+    holds the kept arrays to about 0.4 MB, where the largest masks have
+    over 10^5 query points.  The coefficients are repeated per iteration
+    rather than stored, which would add 8 bytes a point.  Each iteration
+    reads slope_k * r + f_k, times c_j, with slope_k =
     (f_{k+1} - f_k) / (x_{k+1} - x_k) and slope_last = 0, the formula of
     ``np.interp``, so a node hit and q = x_last give f_k as there (up to
     the sign of a zero, which adding to the sum cannot show).  The two
@@ -538,7 +561,8 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
     # other points is exact: there the term adds c_j * 0.0 = +-0.0, and the
     # accumulator starts at +0.0 and never becomes -0.0 (a round-to-nearest
     # sum is -0.0 only when both addends are), so adding +-0.0 leaves every
-    # entry unchanged.  Only the bounds are kept, not the query points.
+    # entry unchanged.  Only the bounds are kept here; the groups below
+    # hold the queries' cells and offsets.
     terms = []
     for c, d in zip(mask.refinement_coefficients, mask.translations):
         d = float(d)
@@ -548,11 +572,16 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
         if lo < hi:
             terms.append((float(c), d, lo, hi))
     cell_type = np.min_scalar_type(grid_size - 1)
-    groups = []
+    groups, kept = [], 0
     for sizes, offsets, shifts, coeffs in _term_groups(terms):
-        _idx, q = _group_queries(lx, sizes, offsets, shifts)
-        cells = np.searchsorted(x, q, side="right") - 1
-        groups.append((sizes, offsets, shifts, coeffs, cells.astype(cell_type)))
+        idx, q = _group_queries(lx, sizes, offsets, shifts)
+        k = np.searchsorted(x, q, side="right") - 1
+        stored = None
+        if kept + q.size <= _CASCADE_KEEP:
+            kept += q.size
+            q -= x[k]
+            stored = idx.astype(cell_type), q
+        groups.append((sizes, offsets, shifts, coeffs, k.astype(cell_type), stored))
     dx = np.diff(x)
     slope = np.zeros_like(f)
 
@@ -563,16 +592,20 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
         # sum_j c_j = lambda, so the operator preserves the integral
         new = np.zeros_like(f)
         np.divide(np.diff(f), dx, out=slope[:-1])
-        for sizes, offsets, shifts, coeffs, cells in groups:
+        for sizes, offsets, shifts, coeffs, cells, stored in groups:
+            k = cells.astype(np.intp)
+            if stored is None:
+                idx, r = _group_queries(lx, sizes, offsets, shifts)
+                r -= x[k]
+            else:
+                idx, r = stored
             # np.add.at adds in index order and the slices are laid out
             # term after term, so each entry still receives its terms in
             # increasing j
-            idx, vals = _group_queries(lx, sizes, offsets, shifts)
-            k = cells.astype(np.intp)
-            vals -= x[k]
-            vals *= slope[k]
+            vals = slope[k]
+            vals *= r
             vals += f[k]
-            vals *= np.repeat(coeffs, sizes)
+            vals *= coeffs.repeat(sizes)
             np.add.at(new, idx, vals)
         integral = float(_trapz(new, dx=h))
         drifts.append(abs(integral - 1.0))

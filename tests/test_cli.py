@@ -62,10 +62,12 @@ def test_mask_roundtrip_verify(capsys, tmp_path, counter_file):
 @pytest.mark.parametrize("change", [
     {"field": [10, 2]}, {"terms": "abc"}, {"lambda": 5},
     {"terms": [{"exponent": ["0"], "coefficient": "1"}] * 2},
+    {"terms": [{"exponent": ["0"], "coefficient": "1/0"}]}, {"lambda": ["1/0"]},
 ])
 def test_malformed_mask_exits_2(capsys, tmp_path, counter_file, change):
     # the first three shapes once raised TypeError, a traceback with exit 1
-    # ("refuted"); a repeated exponent once kept only its last coefficient
+    # ("refuted"); a repeated exponent once kept only its last coefficient;
+    # a zero denominator once raised ZeroDivisionError
     mask_path = tmp_path / "mask.json"
     assert run(["mask", "--instance", counter_file, "--out", str(mask_path)]) == 0
     data = json.loads(mask_path.read_text())

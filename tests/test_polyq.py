@@ -54,6 +54,26 @@ def test_isolate_roots():
     assert float(roots[1][0]) == pytest.approx(2 ** 0.5, abs=1e-6)
 
 
+def test_isolation_builds_one_sturm_chain(monkeypatch):
+    # the squarefree part and its Sturm chain are built once per isolation,
+    # not at every bisection node
+    chains = []
+    sturm_chain = polyq.sturm_chain
+    monkeypatch.setattr(polyq, "sturm_chain", lambda p: chains.append(p) or sturm_chain(p))
+    p = polyq.pmul(polyq.pmul(F(-2, 0, 1), F(Fraction(-1, 2), 1)), F(-1, 1))  # ±√2, 1/2, 1
+    p = polyq.pmul(p, F(-1, 1))  # 1 twice
+    width = Fraction(1, 1 << 30)
+    roots = polyq.isolate_real_roots(p, Fraction(-3), Fraction(3), width)
+    assert len(chains) == 1
+    assert len(roots) == 4 and all(hi - lo <= width for lo, hi in roots)
+    for lo, hi in roots:
+        if lo != hi:
+            assert polyq.sturm_root_count(p, lo, hi) == 1
+    assert [float(lo) for lo, _hi in roots] == pytest.approx([-2 ** 0.5, 0.5, 1, 2 ** 0.5])
+    with pytest.raises(ValueError, match="endpoints"):
+        polyq.isolate_real_roots(p, Fraction(1), Fraction(3), width)
+
+
 def test_isolate_exact_rational_root():
     p = polyq.pmul(F(Fraction(-1, 2), 1), F(-2, 1))  # roots 1/2, 2
     roots = polyq.isolate_real_roots(p, Fraction(0), Fraction(3),

@@ -353,6 +353,24 @@ def test_lambda_at_most_one_is_rejected():
             ErdosCertificate.from_jsonable({**data, "lambda": [lam]})
 
 
+@pytest.mark.parametrize("change", [
+    {"field": [10, 2]}, {"targets": 5}, {"lambda": 5}, {"intervals": 7}, {"c": [1]},
+    {"c": "1/0"}, {"field": {"n": "10", "k": 2}}, {"intervals": []},
+    {"intervals": [[["1"]]]}, {"targets": [0.5]}, {"g": "2"}, {"g": 0}, {"xi": None},
+])
+def test_certificate_json_shape_is_checked(change):
+    # the first five once raised TypeError and "1/0" ZeroDivisionError
+    data = erdos_construct(2, [0], 2).to_jsonable()
+    with pytest.raises(ValueError, match="certificate"):
+        ErdosCertificate.from_jsonable({**data, **change})
+
+
+def test_certificate_json_must_be_an_object():
+    for data in ([], None, "certificate"):
+        with pytest.raises(ValueError, match="certificate field"):
+            ErdosCertificate.from_jsonable(data)
+
+
 # -- the lattice window test ---------------------------------------------------
 
 

@@ -118,19 +118,59 @@ def _phase_points():
     return np.array(pts, dtype=np.longdouble)
 
 
+def _phase_edges():
+    # tiny negative values from -2^-60 down past the float64 range, where
+    # fl64(p) is 0, -0.0 or a subnormal and F rounds to 1, and values next
+    # to +-2^53, where float64 stops holding every integer
+    ld = np.longdouble
+    tiny = [-ld(2) ** -e for e in range(60, 1200, 7)]
+    tiny += [-ld(3) * ld(2) ** -e for e in (1074, 1075, 1076, 1100, 16000)]
+    near = []
+    for base in (ld(2) ** 53, ld(2) ** 53 + 1, ld(2) ** 53 - 1, ld(2) ** 53 + 2):
+        for v in (base, np.nextafter(base, ld(0)), np.nextafter(base, ld(2) ** 60),
+                  base + ld(0.5), base - ld(0.5), base + ld(0.25), base + ld(1.5)):
+            near += [v, -v]
+    return np.array(tiny + near, dtype=np.longdouble)
+
+
 def test_unit_phase_matches_longdouble_mod():
-    p = _phase_points()
-    with np.errstate(invalid="ignore"):
+    p = np.concatenate([_phase_points(), _phase_edges()])
+    with np.errstate(invalid="ignore", over="ignore"):
         ref = np.mod(p, 1.0).astype(np.float64)
-    assert splinecore._unit_phase(p).tobytes() == ref.tobytes()
-    grid = p[:60].reshape(3, 20)
-    assert splinecore._unit_phase(grid).tobytes() == ref[:60].tobytes()
-    special = np.array([np.inf, -np.inf, np.nan, 0.5, -0.25], dtype=np.longdouble)
-    with np.errstate(invalid="ignore"):
+        assert splinecore._unit_phase(p).tobytes() == ref.tobytes()
+        grid = p[:60].reshape(3, 20)
+        assert splinecore._unit_phase(grid).tobytes() == ref[:60].tobytes()
+        out = np.empty(p.shape)
+        assert splinecore._unit_phase(p, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+        special = np.array([np.inf, -np.inf, np.nan, 0.5, -0.25], dtype=np.longdouble)
         ref = np.mod(special, 1.0).astype(np.float64)
-    got = splinecore._unit_phase(special)
+        got = splinecore._unit_phase(special)
     assert np.isnan(got).tolist() == np.isnan(ref).tolist()
     assert got[3:].tobytes() == ref[3:].tobytes()
+
+
+def test_unit_phase_recomputes_only_where_np_mod_can_differ(monkeypatch):
+    # the levels w / 6^j of a J = 40 Fourier product: where w < 0 the deep
+    # levels are tiny and negative and y rounds to 1.0, but floor(fl64(p))
+    # = floor(p) at every entry, so np.mod recomputes none of them
+    arg = np.random.default_rng(3).uniform(-50.0, 50.0, 100).astype(np.longdouble)
+    levels = np.empty((40, 100), dtype=np.longdouble)
+    for j in range(40):
+        arg = arg / np.longdouble(6)
+        levels[j] = arg
+    ref = np.mod(levels, 1.0).astype(np.float64)
+    assert np.count_nonzero(ref == 1.0) > 500
+    sizes = []
+    mod = np.mod
+    monkeypatch.setattr(np, "mod", lambda x, *a: sizes.append(np.size(x)) or mod(x, *a))
+    assert splinecore._unit_phase(levels).tobytes() == ref.tobytes()
+    assert sizes == []
+    # the entries that need it still go to np.mod, in one call
+    p = _phase_edges()
+    with np.errstate(invalid="ignore", over="ignore"):
+        splinecore._unit_phase(p)
+    assert len(sizes) == 1 and 0 < sizes[0] < p.size
 
 
 def test_hat_f64_matches_complex_exp_loop():
@@ -352,6 +392,39 @@ def test_cascade_bit_identical_to_per_term_loop(name, mask, monkeypatch):
         monkeypatch.setattr(splinecore, "_CASCADE_BLOCK", block)
         for config in CASCADE_CONFIGS:
             assert_cascade_bit_identical(mask, **config)
+
+
+def test_cascade_builds_queries_once(monkeypatch):
+    # grid indices, cells and offsets are built before the first iteration,
+    # so more iterations make no more calls
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(splinecore, "_group_queries",
+                        counting("queries", splinecore._group_queries))
+    monkeypatch.setattr(np, "searchsorted", counting("searchsorted", np.searchsorted))
+    seen = []
+    for iters in (1, 30):
+        counts.clear()
+        cascade_solve(KERNEL_MASKS[0][1], grid_size=1024, iters=iters)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["queries"] > 0
+
+
+def test_cascade_bit_identical_past_the_offset_budget(monkeypatch):
+    # groups past _CASCADE_KEEP rebuild their indices and offsets in every
+    # iteration; none kept, and some kept and some not, give the same bits
+    monkeypatch.setattr(splinecore, "_CASCADE_BLOCK", 97)
+    for _name, mask in KERNEL_MASKS[:3]:
+        for keep in (0, 700):
+            monkeypatch.setattr(splinecore, "_CASCADE_KEEP", keep)
+            for config in CASCADE_CONFIGS:
+                assert_cascade_bit_identical(mask, **config)
 
 
 def test_cascade_bit_identical_at_default_size():
