@@ -1,5 +1,9 @@
 """Exact refinability analysis for (box-)splines under non-integer
-dilations, with certified avoidance of residues by geometric orbits."""
+dilations, with certified avoidance of residues by geometric orbits.
+
+The names here are exact and load no numpy.  The float kernels (the
+cascade, the Fourier products and the factorization check) are imported
+from ``refinable.splinecore``."""
 
 from .errors import (
     ConstructionFailure,
@@ -7,7 +11,6 @@ from .errors import (
     DescriptorMismatch,
     Divergence,
     DivisionByZero,
-    GridTooCoarse,
     InvalidLambda,
     IrreducibilityError,
     NonIntegerMatrix,
@@ -38,25 +41,15 @@ from .powermod import (
     erdos_verify,
     orbit_distance_scan,
 )
-from .splinecore import (
-    BoxSplineSpec,
-    FactorizationReport,
-    GridFunction,
-    MaskSpec,
-    MultivariateMask,
-    boxspline_ft_f64,
-    bspline_mask,
-    cascade_solve,
-    convolution_factorization_check,
-    fourier_product_f64,
-    integer_dilation_box_mask,
-)
 from .refinery import (
+    BoxSplineSpec,
     ChainStructure,
     CoverageReport,
     DecayReport,
     IndecompWitness,
     LawtonResult,
+    MaskSpec,
+    MultivariateMask,
     MultivariateMaskSpec,
     RefinabilityReport,
     chain_structure,
@@ -66,6 +59,7 @@ from .refinery import (
     decay_probe,
     decide_univariate,
     indecomposability_witness,
+    integer_dilation_box_mask,
     lawton_check,
     mask_construct,
     mask_construct_detailed,

@@ -14,6 +14,11 @@ Subcommands wire the library into reproducible workflows:
                     instance over Q(sqrt(10))
     factorize-check numeric k-fold convolution factorization check
 
+Only ``cascade``, ``ftprobe``, ``factorize-check`` and the ``--bspline``
+shortcut of ``decay`` run a float kernel; they import numpy and
+``splinecore`` when they start.  Every other command is exact and loads
+neither.
+
 Exit codes: 0 success/accepted, 1 refuted or failed check, 2 usage error,
 3 internal consistency error.  Output is byte-identical for identical
 (argv, seed, precision).
@@ -27,31 +32,22 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     ConstructionFailure,
     CycleInconsistency,
     RefinableError,
     RootIsolationFailure,
 )
-from .exactreal import FieldDescriptor, QQ, field_make, parse_element
+from .exactreal import FieldDescriptor, QQ, _json_field, field_make, parse_element
 from .powermod import (
     check_admissibility,
     erdos_construct,
     erdos_params,
     erdos_verify,
 )
-from .splinecore import (
+from .refinery import (
     BoxSplineSpec,
     MaskSpec,
-    boxspline_ft_f64,
-    bspline_mask,
-    cascade_solve,
-    convolution_factorization_check,
-    fourier_product_f64,
-)
-from .refinery import (
     counterexample_instance,
     decay_probe,
     decide_univariate,
@@ -80,11 +76,7 @@ def _load_instance(args) -> dict:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("instance must be a JSON object")
-        field = data["field"]
-        if not (isinstance(field, dict) and type(field.get("n")) is int
-                and type(field.get("k")) is int):
-            raise ValueError("field must be an object with integers n and k")
-        desc = field_make(field["n"], field["k"])
+        desc = _json_field(data, "instance")
         lam = parse_element(str(data["lambda"]), desc)
         raw_cols = data["columns"]
         if not isinstance(raw_cols, list) or not raw_cols:
@@ -239,6 +231,8 @@ def _cmd_erdos(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    from .splinecore import cascade_solve
+
     mask = _mask_from_args(args)
     grid = cascade_solve(mask, grid_size=args.grid, iters=args.iters)
     out = {
@@ -255,6 +249,8 @@ def _cmd_cascade(args) -> int:
 
 def _mask_from_args(args) -> MaskSpec:
     if getattr(args, "bspline", None) is not None:
+        from .splinecore import bspline_mask
+
         return bspline_mask(args.bspline, 2 if args.m is None else args.m)
     inst = _load_instance(args)
     if inst["s"] != 1:
@@ -266,6 +262,10 @@ def _mask_from_args(args) -> MaskSpec:
 
 
 def _cmd_ftprobe(args) -> int:
+    import numpy as np
+
+    from .splinecore import boxspline_ft_f64, fourier_product_f64
+
     if args.points < 1:
         raise ValueError("points must be >= 1")
     inst = _load_instance(args)
@@ -336,6 +336,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_factorize_check(args) -> int:
+    from .splinecore import convolution_factorization_check
+
     inst = _load_instance(args)
     if inst["s"] != 1:
         raise ValueError("univariate instance required")

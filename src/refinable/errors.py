@@ -31,10 +31,6 @@ class ConstructionFailure(RefinableError):
     rule out.  Never ignored silently."""
 
 
-class GridTooCoarse(RefinableError):
-    """Grid step too large relative to the shortest direction."""
-
-
 class Divergence(RefinableError):
     """Cascade iteration residuals grew instead of contracting."""
 

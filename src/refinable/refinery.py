@@ -1,4 +1,11 @@
-"""Decision procedures for the refinability of box splines.
+"""Exact box-spline and mask types, and the decisions on them.
+
+The types: ``BoxSplineSpec`` (a full-rank direction matrix over
+Q(theta)), ``MaskSpec`` (a dilation lambda with a normalized mask
+polynomial H), ``MultivariateMaskSpec`` and the integer-dilation
+``MultivariateMask`` with ``integer_dilation_box_mask``, its exact
+expansion.  Nothing here imports numpy: the float kernels in
+``splinecore`` build on these types, not the other way round.
 
 Is B(x|A) (univariate) or B(x|M) (s-variate) refinable under a dilation
 lambda > 1, and with which mask and translations?  The ground truth is
@@ -39,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Collection, Optional, Sequence, Union
 
 from mpmath.libmp import (
@@ -57,16 +65,23 @@ from . import polyq
 from .errors import (
     CycleInconsistency,
     InvalidLambda,
+    NonIntegerMatrix,
     NonRationalTranslations,
     ProbeExhaustion,
+    RankDeficient,
     RefinabilityError,
     RootIsolationFailure,
 )
 from .exactreal import (
     ExactReal,
+    FieldDescriptor,
     FieldElement,
     QQ,
+    _json_element,
+    _json_field,
+    _json_rational,
     _mpf_to_fraction,
+    field_make,
     int_ratio,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
@@ -76,8 +91,214 @@ from .qtrig import (
     _dot,
     _exponent,
     _zero_exponent,
+    geometric,
 )
-from .splinecore import BoxSplineSpec, MaskSpec, _rank, integer_dilation_box_mask
+
+
+# ---------------------------------------------------------------------------
+# direction matrices
+
+
+class BoxSplineSpec:
+    """An s x n direction matrix of field elements with full rank s.
+
+    ``columns[j]`` is the j-th direction m_j (a length-s tuple).  Rank is
+    checked by exact Gaussian elimination over the field.
+    """
+
+    __slots__ = ("desc", "s", "columns")
+
+    def __init__(self, desc: FieldDescriptor, columns: Sequence[Sequence[ExactReal]]):
+        cols = []
+        for col in columns:
+            vec = tuple(x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
+                        for x in col)
+            if all(x.is_zero for x in vec):
+                raise RankDeficient("zero column in direction matrix")
+            cols.append(vec)
+        if not cols:
+            raise RankDeficient("empty direction matrix")
+        s = len(cols[0])
+        if any(len(c) != s for c in cols):
+            raise ValueError("columns have inconsistent dimension")
+        self.desc = desc
+        self.s = s
+        self.columns = tuple(cols)
+        if _rank(cols, s) != s:
+            raise RankDeficient(f"direction matrix has rank < {s}")
+
+    @staticmethod
+    def univariate(desc: FieldDescriptor, directions: Sequence[ExactReal]) -> "BoxSplineSpec":
+        return BoxSplineSpec(desc, [[d] for d in directions])
+
+    @property
+    def n(self) -> int:
+        return len(self.columns)
+
+    def directions_1d(self) -> tuple[FieldElement, ...]:
+        if self.s != 1:
+            raise ValueError("not a univariate spec")
+        return tuple(col[0] for col in self.columns)
+
+    def is_integer_matrix(self) -> bool:
+        return all(x.is_integer for col in self.columns for x in col)
+
+    def __repr__(self) -> str:
+        cols = "; ".join(",".join(x.to_text() for x in col) for col in self.columns)
+        return f"BoxSplineSpec(s={self.s}, columns=[{cols}])"
+
+
+def _rank(cols, s: int) -> int:
+    """Rank of the s x n matrix with the field-element columns ``cols``."""
+    rows = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
+    rank = 0
+    col = 0
+    n = len(cols)
+    while rank < s and col < n:
+        piv = next((r for r in range(rank, s) if not rows[r][col].is_zero), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(s):
+            if r != rank and not rows[r][col].is_zero:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# masks
+
+
+class MaskSpec:
+    """A dilation lambda > 1 with a normalized mask polynomial H, H(0) = 1.
+
+    The refinement coefficients are c_j = lambda * h_j (so that
+    sum_j c_j = lambda exactly) and the translations d_j are the sorted
+    exponents of H.
+    """
+
+    __slots__ = ("lam", "H")
+
+    def __init__(self, lam: FieldElement, H: QTrigPoly):
+        if not isinstance(lam, FieldElement):
+            lam = H.desc.rational(Fraction(lam))
+        if not lam > 1:
+            raise InvalidLambda("mask dilation must be > 1")
+        if H.coefficient_sum() != 1:
+            raise ValueError("mask must satisfy H(0) = sum h_j = 1")
+        self.lam = lam
+        self.H = H
+
+    @property
+    def desc(self) -> FieldDescriptor:
+        return self.H.desc
+
+    @property
+    def translations(self) -> tuple[FieldElement, ...]:
+        return self.H.exponents()
+
+    @property
+    def mask_coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(self.H.terms[d] for d in self.translations)
+
+    @property
+    def refinement_coefficients(self) -> tuple[FieldElement, ...]:
+        return tuple(self.lam * h for h in self.mask_coefficients)
+
+    def support(self) -> tuple[FieldElement, FieldElement]:
+        """[d_0/(lambda-1), d_N/(lambda-1)], the solution support hull."""
+        d = self.translations
+        lm1 = self.lam - 1
+        return d[0] / lm1, d[-1] / lm1
+
+    def to_jsonable(self) -> dict:
+        desc = self.desc
+        return {
+            "field": {"n": desc.n, "k": desc.k},
+            "lambda": [str(q) for q in self.lam.coeffs],
+            "lambda_text": self.lam.to_text(),
+            "terms": [
+                {"coefficient": str(c), "exponent": [str(q) for q in d.coeffs],
+                 "exponent_text": d.to_text(), "exponent_decimal": f"{float(d):.17g}"}
+                for d, c in self.H.items()
+            ],
+        }
+
+    @staticmethod
+    def from_jsonable(data: dict) -> "MaskSpec":
+        """The mask of ``to_jsonable``; ValueError on any other shape."""
+        desc = _json_field(data, "mask")
+        terms = data.get("terms")
+        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+            raise ValueError("mask terms must be a list of objects")
+        H: dict[FieldElement, Fraction] = {}
+        for t in terms:
+            d = _json_element(desc, t.get("exponent"), "mask")
+            if d in H:  # a dict would keep only the last coefficient
+                raise ValueError(f"mask exponent {d.to_text()} repeats")
+            H[d] = _json_rational(t.get("coefficient"), "mask")
+        return MaskSpec(_json_element(desc, data.get("lambda"), "mask"), QTrigPoly(desc, H))
+
+    def __repr__(self) -> str:
+        return f"MaskSpec(lambda={self.lam.to_text()}, H={self.H.to_text()})"
+
+
+@dataclass(frozen=True)
+class MultivariateMask:
+    """Mask of an s-variate refinement equation B(x) = sum c_j B(m x - j).
+
+    ``terms`` maps integer translation vectors j to mask coefficients
+    h_j with sum h_j = 1; the refinement coefficients are
+    c_j = m^s * h_j.
+    """
+
+    m: int
+    s: int
+    terms: dict[tuple[int, ...], Fraction]
+
+    def to_jsonable(self) -> dict:
+        return {
+            "dilation": self.m,
+            "s": self.s,
+            "terms": [
+                {"translation": list(j), "h": str(c),
+                 "c": str(c * self.m ** self.s)}
+                for j, c in sorted(self.terms.items())
+            ],
+        }
+
+
+def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
+    """Exact mask of B(x|M) under an integer dilation m >= 2.
+
+    Expands H(w) = m^(-n) prod_j sum_{t=0}^{m-1} exp(-2 pi i t w.m_j)
+    as a product of ``geometric`` factors, with scalar exponents for
+    s = 1 and ``ExponentVector`` exponents otherwise.  Univariate specs
+    give a MaskSpec; s >= 2 gives a MultivariateMask whose refinement
+    coefficients c_j = m^s h_j equal m^(s-n) #{alpha : M alpha = j}.
+    """
+    if m < 2:
+        raise InvalidLambda("integer dilation must be >= 2")
+    if not spec.is_integer_matrix():
+        raise NonIntegerMatrix("integer-dilation mask needs an integer matrix")
+    desc = spec.desc
+    dirs = spec.directions_1d() if spec.s == 1 else spec.columns
+    H = QTrigPoly.constant(desc, like=_exponent(desc, dirs[0]))
+    for d in dirs:
+        H = H * geometric(desc, m, d)
+    H = H.scale(Fraction(1, m ** spec.n))
+    if spec.s == 1:
+        return MaskSpec(desc.rational(m), H)
+    # each exponent vector d = M alpha is the translation of B(mx - d)
+    # integer columns give integer exponents, so H.eden is 1
+    return MultivariateMask(m=m, s=spec.s, terms={
+        n: Fraction(c, H.den) for n, c in H.rational_exponents()})
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +458,10 @@ def mask_construct(A: Sequence[ExactReal], lam: ExactReal) -> Optional[MaskSpec]
 
 def verify_mask_identity(A: Sequence[ExactReal], lam: ExactReal,
                          mask: MaskSpec) -> bool:
-    """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w)."""
+    """Exact check of prod Q(lambda m_j w) = lambda^n H(w) prod Q(m_j w),
+    for a mask whose dilation is the instance's lambda."""
     lam_e, _, cols, _ = _prepare(A, lam)
-    return _mask_identity(cols, lam_e, mask.H)
+    return mask.lam == lam_e and _mask_identity(cols, lam_e, mask.H)
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +942,9 @@ class MultivariateMaskSpec:
 
 def _probe_vectors(s: int):
     """Integer vectors ordered by sup-norm shell, then lexicographically."""
-    from itertools import product as iproduct
-
     r = 1
     while True:
-        shell = [v for v in iproduct(range(-r, r + 1), repeat=s)
+        shell = [v for v in product(range(-r, r + 1), repeat=s)
                  if max(abs(x) for x in v) == r]
         shell.sort()
         yield from shell
@@ -1255,8 +1475,6 @@ def indecomposability_witness(P1_max: int = 20, P2_max: int = 20,
     p_1(w0) = 0 while p_1(sqrt(10) w0) != 0 and p_1(sqrt(10) w)/p_1(w)
     cannot be a mask polynomial.
     """
-    from .exactreal import field_make
-
     F = field_make(10, 2)
     theta = F.theta()
     binomial = QTrigPoly.binomial(F, 1)  # 1 - E(w)
@@ -1293,8 +1511,6 @@ def counterexample_instance():
     """(field, dilation, directions) for B(x | (1, sqrt(5/2))) under
     sqrt(10): the refinable spline whose translation set
     {0..4} u {5/sqrt(10) + 0..4} lies in no arithmetic progression."""
-    from .exactreal import field_make
-
     F = field_make(10, 2)
     th = F.theta()
     return F, th, (F.one(), th / 2)

@@ -1,24 +1,24 @@
-"""Box splines and refinement-equation numerics.
+"""Float numerics of the refinement equation.
 
 Fourier side: float evaluation of the box-spline transform
-prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j), the float
-truncated product prod_j H(lambda^-j w) of a mask, and integer-dilation
-masks expanded exactly.
+prod_j (1 - exp(-2 pi i xi.m_j)) / (2 pi i xi.m_j) and the float
+truncated product prod_j H(lambda^-j w) of a mask.
 
-Time side: direct convolution of scaled indicators as the ground-truth
-spline evaluator, and the cascade fixed-point iteration
+Time side: the cascade fixed-point iteration
 f_{k+1}(x) = sum_j c_j f_k(lambda x - d_j) on a uniform grid with linear
 interpolation, which approximates the distribution solution supported
-in [d_0/(lambda-1), d_N/(lambda-1)].
+in [d_0/(lambda-1), d_N/(lambda-1)], and the numeric check of the k-fold
+convolution factorization built on it.  ``bspline_mask`` gives the
+cardinal B-spline masks the cascade is tried on.
 
 Grid computations are float64/numpy with fixed summation order, so
 outputs are deterministic for fixed inputs.
 
-The convolution oracle ``spline_time_eval`` and the brute-force
-``count_representations`` are not exported: the tests use them as
-references for ``cascade_solve`` and ``integer_dilation_box_mask``.
-The enclosure transform that checks ``boxspline_ft_f64`` lives with the
-tests' other interval references.
+The exact types these kernels read, ``BoxSplineSpec`` and ``MaskSpec``,
+live in ``refinery``, which never imports this module, so the exact
+decisions run without numpy.  The references that check the kernels
+(a convolution oracle for ``cascade_solve`` and an enclosure transform
+for ``boxspline_ft_f64``) live with the tests.
 """
 
 from __future__ import annotations
@@ -26,190 +26,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Optional, Sequence
 
 import numpy as np
 from mpmath.libmp import to_str
 
-from .errors import (
-    Divergence,
-    GridTooCoarse,
-    InvalidLambda,
-    NonIntegerMatrix,
-    RankDeficient,
+from .errors import Divergence, InvalidLambda, RefinabilityError
+from .exactreal import QQ, FieldElement
+from .qtrig import QTrigPoly, geometric
+from .refinery import (
+    BoxSplineSpec,
+    MaskSpec,
+    mask_construct_detailed,
+    minimal_integer_power,
 )
-from .exactreal import (
-    ExactReal,
-    FieldDescriptor,
-    FieldElement,
-    _json_element,
-    _json_field,
-    _json_rational,
-)
-from .qtrig import QTrigPoly, _exponent, geometric
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ---------------------------------------------------------------------------
-# direction matrices
-
-
-class BoxSplineSpec:
-    """An s x n direction matrix of field elements with full rank s.
-
-    ``columns[j]`` is the j-th direction m_j (a length-s tuple).  Rank is
-    checked by exact Gaussian elimination over the field.
-    """
-
-    __slots__ = ("desc", "s", "columns")
-
-    def __init__(self, desc: FieldDescriptor, columns: Sequence[Sequence[ExactReal]]):
-        cols = []
-        for col in columns:
-            vec = tuple(x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
-                        for x in col)
-            if all(x.is_zero for x in vec):
-                raise RankDeficient("zero column in direction matrix")
-            cols.append(vec)
-        if not cols:
-            raise RankDeficient("empty direction matrix")
-        s = len(cols[0])
-        if any(len(c) != s for c in cols):
-            raise ValueError("columns have inconsistent dimension")
-        self.desc = desc
-        self.s = s
-        self.columns = tuple(cols)
-        if _rank(cols, s) != s:
-            raise RankDeficient(f"direction matrix has rank < {s}")
-
-    @staticmethod
-    def univariate(desc: FieldDescriptor, directions: Sequence[ExactReal]) -> "BoxSplineSpec":
-        return BoxSplineSpec(desc, [[d] for d in directions])
-
-    @property
-    def n(self) -> int:
-        return len(self.columns)
-
-    def directions_1d(self) -> tuple[FieldElement, ...]:
-        if self.s != 1:
-            raise ValueError("not a univariate spec")
-        return tuple(col[0] for col in self.columns)
-
-    def is_integer_matrix(self) -> bool:
-        return all(x.is_integer for col in self.columns for x in col)
-
-    def __repr__(self) -> str:
-        cols = "; ".join(",".join(x.to_text() for x in col) for col in self.columns)
-        return f"BoxSplineSpec(s={self.s}, columns=[{cols}])"
-
-
-def _rank(cols, s: int) -> int:
-    """Rank of the s x n matrix with the field-element columns ``cols``."""
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
-    rank = 0
-    col = 0
-    n = len(cols)
-    while rank < s and col < n:
-        piv = next((r for r in range(rank, s) if not rows[r][col].is_zero), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(s):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# masks
-
-
-class MaskSpec:
-    """A dilation lambda > 1 with a normalized mask polynomial H, H(0) = 1.
-
-    The refinement coefficients are c_j = lambda * h_j (so that
-    sum_j c_j = lambda exactly) and the translations d_j are the sorted
-    exponents of H.
-    """
-
-    __slots__ = ("lam", "H")
-
-    def __init__(self, lam: FieldElement, H: QTrigPoly):
-        if not isinstance(lam, FieldElement):
-            lam = H.desc.rational(Fraction(lam))
-        if not lam > 1:
-            raise InvalidLambda("mask dilation must be > 1")
-        if H.coefficient_sum() != 1:
-            raise ValueError("mask must satisfy H(0) = sum h_j = 1")
-        self.lam = lam
-        self.H = H
-
-    @property
-    def desc(self) -> FieldDescriptor:
-        return self.H.desc
-
-    @property
-    def translations(self) -> tuple[FieldElement, ...]:
-        return self.H.exponents()
-
-    @property
-    def mask_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(self.H.terms[d] for d in self.translations)
-
-    @property
-    def refinement_coefficients(self) -> tuple[FieldElement, ...]:
-        return tuple(self.lam * h for h in self.mask_coefficients)
-
-    def support(self) -> tuple[FieldElement, FieldElement]:
-        """[d_0/(lambda-1), d_N/(lambda-1)], the solution support hull."""
-        d = self.translations
-        lm1 = self.lam - 1
-        return d[0] / lm1, d[-1] / lm1
-
-    def to_jsonable(self) -> dict:
-        desc = self.desc
-        return {
-            "field": {"n": desc.n, "k": desc.k},
-            "lambda": [str(q) for q in self.lam.coeffs],
-            "lambda_text": self.lam.to_text(),
-            "terms": [
-                {"coefficient": str(c), "exponent": [str(q) for q in d.coeffs],
-                 "exponent_text": d.to_text(), "exponent_decimal": f"{float(d):.17g}"}
-                for d, c in self.H.items()
-            ],
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "MaskSpec":
-        """The mask of ``to_jsonable``; ValueError on any other shape."""
-        desc = _json_field(data, "mask")
-        terms = data.get("terms")
-        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
-            raise ValueError("mask terms must be a list of objects")
-        H: dict[FieldElement, Fraction] = {}
-        for t in terms:
-            d = _json_element(desc, t.get("exponent"), "mask")
-            if d in H:  # a dict would keep only the last coefficient
-                raise ValueError(f"mask exponent {d.to_text()} repeats")
-            H[d] = _json_rational(t.get("coefficient"), "mask")
-        return MaskSpec(_json_element(desc, data.get("lambda"), "mask"), QTrigPoly(desc, H))
-
-    def __repr__(self) -> str:
-        return f"MaskSpec(lambda={self.lam.to_text()}, H={self.H.to_text()})"
+# cardinal B-spline masks
 
 
 def bspline_mask(degree: int, m: int) -> MaskSpec:
     """The cardinal B-spline mask ((1 + z + ... + z^(m-1)) / m)^(degree+1)."""
-    from .exactreal import QQ
-
     if m < 2:
         raise InvalidLambda("integer dilation must be >= 2")
     if degree < 0:
@@ -431,40 +271,6 @@ def fourier_product_f64(mask: MaskSpec, w: np.ndarray, J: int) -> np.ndarray:
 # time side
 
 
-def spline_time_eval(spec: BoxSplineSpec, n_samples: int = 2048,
-                     step: Optional[float] = None) -> GridFunction:
-    """Ground-truth univariate box-spline values by iterated convolution.
-
-    Each direction m contributes the scaled indicator of [min(0,m),
-    max(0,m)] with height 1/|m|; the factors are cell-averaged on the
-    grid and convolved with trapezoid weighting (np.convolve * h).
-    Support is [sum_j min(0, m_j), sum_j max(0, m_j)].
-    """
-    dirs = [float(d) for d in spec.directions_1d()]
-    lo = sum(min(0.0, d) for d in dirs)
-    hi = sum(max(0.0, d) for d in dirs)
-    h = float(step) if step is not None else (hi - lo) / (n_samples - 1)
-    min_dir = min(abs(d) for d in dirs)
-    if h > min_dir / 8:
-        raise GridTooCoarse(f"step {h:.3g} > min|m_j|/8 = {min_dir / 8:.3g}")
-
-    def indicator_cells(m: float) -> tuple[float, np.ndarray]:
-        a, b = min(0.0, m), max(0.0, m)
-        n = int(math.ceil((b - a) / h)) + 1
-        xs = a + h * np.arange(n + 1)
-        left = np.clip(xs - h / 2, a, b)
-        right = np.clip(xs + h / 2, a, b)
-        vals = (right - left) / h / (b - a)
-        return a, vals
-
-    origin, acc = indicator_cells(dirs[0])
-    for d in dirs[1:]:
-        o, cells = indicator_cells(d)
-        acc = np.convolve(acc, cells) * h
-        origin += o
-    return GridFunction(origin, h, acc, meta={"kind": "convolution-oracle"})
-
-
 _CASCADE_BLOCK = 8192  # query points per term group in cascade_solve
 _CASCADE_KEEP = 1 << 15  # query points per call whose offsets cascade_solve keeps
 
@@ -629,82 +435,6 @@ def cascade_solve(mask: MaskSpec, grid_size: int = 1024, iters: int = 30,
 
 
 # ---------------------------------------------------------------------------
-# integer-dilation box-spline masks
-
-
-@dataclass(frozen=True)
-class MultivariateMask:
-    """Mask of an s-variate refinement equation B(x) = sum c_j B(m x - j).
-
-    ``terms`` maps integer translation vectors j to mask coefficients
-    h_j with sum h_j = 1; the refinement coefficients are
-    c_j = m^s * h_j.
-    """
-
-    m: int
-    s: int
-    terms: dict[tuple[int, ...], Fraction]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dilation": self.m,
-            "s": self.s,
-            "terms": [
-                {"translation": list(j), "h": str(c),
-                 "c": str(c * self.m ** self.s)}
-                for j, c in sorted(self.terms.items())
-            ],
-        }
-
-
-def count_representations(spec: BoxSplineSpec, m: int, j: Sequence[int]) -> int:
-    """#{alpha in {0..m-1}^n : M alpha = j}: the refinement coefficient
-    of translation j is m^(s-n) times this count.
-
-    Brute-force enumeration; serves as the independent oracle for
-    integer_dilation_box_mask (the convention is fixed by the identity
-    Bhat(m w) = H(w) Bhat(w), cf. B_0(x) = sum_{t<m} B_0(mx - t)).
-    """
-    target = tuple(int(v) for v in j)
-    cols = [[c.as_integer() for c in col] for col in spec.columns]
-    count = 0
-    for alpha in iter_product(range(m), repeat=spec.n):
-        vec = tuple(sum(a * cols[t][i] for t, a in enumerate(alpha))
-                    for i in range(spec.s))
-        if vec == target:
-            count += 1
-    return count
-
-
-def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
-    """Exact mask of B(x|M) under an integer dilation m >= 2.
-
-    Expands H(w) = m^(-n) prod_j sum_{t=0}^{m-1} exp(-2 pi i t w.m_j)
-    as a product of ``geometric`` factors, with scalar exponents for
-    s = 1 and ``ExponentVector`` exponents otherwise.  Univariate specs
-    give a MaskSpec; s >= 2 gives a MultivariateMask whose refinement
-    coefficients c_j = m^s h_j equal m^(s-n) #{alpha : M alpha = j}
-    (cross-checkable with count_representations).
-    """
-    if m < 2:
-        raise InvalidLambda("integer dilation must be >= 2")
-    if not spec.is_integer_matrix():
-        raise NonIntegerMatrix("integer-dilation mask needs an integer matrix")
-    desc = spec.desc
-    dirs = spec.directions_1d() if spec.s == 1 else spec.columns
-    H = QTrigPoly.constant(desc, like=_exponent(desc, dirs[0]))
-    for d in dirs:
-        H = H * geometric(desc, m, d)
-    H = H.scale(Fraction(1, m ** spec.n))
-    if spec.s == 1:
-        return MaskSpec(desc.rational(m), H)
-    # each exponent vector d = M alpha is the translation of B(mx - d)
-    # integer columns give integer exponents, so H.eden is 1
-    return MultivariateMask(m=m, s=spec.s, terms={
-        n: Fraction(c, H.den) for n, c in H.rational_exponents()})
-
-
-# ---------------------------------------------------------------------------
 # convolution factorization
 
 
@@ -748,9 +478,6 @@ def convolution_factorization_check(A: Sequence[FieldElement], lam: FieldElement
     and the sup-norm relative distance to the direct cascade solution of
     the original equation is reported.
     """
-    from .errors import RefinabilityError
-    from .refinery import mask_construct_detailed, minimal_integer_power
-
     mask, witness, _shift = mask_construct_detailed(A, lam)
     if mask is None:
         raise RefinabilityError(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gen_instances import accepted_batch, instance_batch
+from spline_oracles import spline_time_eval
 from refinable.cli import run as cli_run
 from refinable.exactreal import QQ, field_make
 from refinable.powermod import (
@@ -21,15 +22,14 @@ from refinable.powermod import (
     orbit_distance_scan,
 )
 from refinable.splinecore import (
-    BoxSplineSpec,
     boxspline_ft_f64,
     bspline_mask,
     cascade_solve,
     convolution_factorization_check,
     fourier_product_f64,
-    spline_time_eval,
 )
 from refinable.refinery import (
+    BoxSplineSpec,
     coverage_oracle,
     counterexample_instance,
     decay_probe,

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from refinable.exactreal import QQ
 from refinable.refinery import mask_construct
 from refinable.splinecore import cascade_solve, fourier_product_f64
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 COUNTER = {"field": {"n": 10, "k": 2}, "lambda": "t", "columns": ["1", "1/2*t"]}
 MV = {"field": {"n": 10, "k": 2}, "lambda": "t",
       "columns": [["1", "0"], ["0", "1"], ["1/2*t", "0"], ["0", "1/2*t"]]}
@@ -57,6 +61,20 @@ def test_mask_roundtrip_verify(capsys, tmp_path, counter_file):
     code, data = run_json(capsys, ["check", "--instance", counter_file,
                                    "--verify-mask", str(mask_path)])
     assert code == 0 and data["mask_identity"] is True
+
+
+def test_verify_mask_with_another_lambda_exits_1(capsys, tmp_path):
+    # the identity was once re-multiplied with the instance's lambda only,
+    # so a mask file naming lambda = 3 verified against lambda = 2
+    inline = ["--field", "2,1", "--lambda", "2", "--columns", "1;1"]
+    mask_path = tmp_path / "mask.json"
+    assert run(["mask", *inline, "--out", str(mask_path)]) == 0
+    data = json.loads(mask_path.read_text())
+    data["mask"]["lambda"] = ["3"]
+    mask_path.write_text(json.dumps(data))
+    code, out = run_json(capsys, ["check", *inline, "--verify-mask", str(mask_path)])
+    assert code == 1
+    assert out["report"]["verdict"] == "refinable" and out["mask_identity"] is False
 
 
 @pytest.mark.parametrize("change", [
@@ -174,6 +192,69 @@ def test_degenerate_inputs_exit_2(capsys, tmp_path, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_instance_field_is_read_like_a_mask_field(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({**COUNTER, "field": [10, 2]}))
+    assert run(["check", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: instance field must be an object with integers n and k\n"
+
+
+def _fresh_run(argv: list[str], cwd: Path) -> tuple[int, str, bool, bool]:
+    """``run(argv)`` in a new interpreter: the exit code, stdout, and
+    whether numpy and ``refinable.splinecore`` were loaded afterwards."""
+    code = ("import json, sys\n"
+            "from refinable.cli import run\n"
+            f"code = run({argv!r})\n"
+            "loaded = [m in sys.modules for m in ('numpy', 'refinable.splinecore')]\n"
+            "print(json.dumps([code, *loaded]))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    out, _, last = done.stdout.rstrip("\n").rpartition("\n")
+    code, numpy_loaded, floats_loaded = json.loads(last)
+    return code, out, numpy_loaded, floats_loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--instance", "counter.json"],
+    ["mask", "--instance", "counter.json"],
+    ["mvcheck", "--instance", "mv.json"],
+    ["lawton", "--p", "1", "--d", "0", "--m", "2"],
+    ["erdos", "--lambda", "2", "--targets", "0", "--depth", "4"],
+    ["decay", "--field", "2,1", "--lambda", "3", "--columns", "1;1", "--J", "20"],
+    ["counterexample"],
+], ids=lambda argv: argv[0])
+def test_exact_commands_load_no_numpy(tmp_path, argv):
+    (tmp_path / "counter.json").write_text(json.dumps(COUNTER))
+    (tmp_path / "mv.json").write_text(json.dumps(MV))
+    code, out, numpy_loaded, floats_loaded = _fresh_run(argv, tmp_path)
+    assert code == 0 and out.startswith("{")
+    assert not numpy_loaded and not floats_loaded
+
+
+def test_float_commands_import_numpy_on_demand(capsys, tmp_path, monkeypatch):
+    # in a fresh process the float handlers import numpy and splinecore
+    # themselves, and print the pinned values of test_numeric_output_golden
+    # and what factorize-check prints in this process
+    monkeypatch.chdir(tmp_path)
+    Path("counter.json").write_text(json.dumps(COUNTER))
+    argv = ["cascade", "--instance", "counter.json", "--grid", "256", "--iters", "12",
+            "--format", "csv", "--out", "grid.csv"]
+    code, _, numpy_loaded, _ = _fresh_run(argv, tmp_path)
+    assert code == 0 and numpy_loaded
+    assert hashlib.sha256(Path("grid.csv").read_bytes()).hexdigest() == \
+        "22f59f5a7a3f5f79c16a3ec87575480cd580fb16d9e56fa284f4e61b9a7e3c2d"
+    code, out, numpy_loaded, _ = _fresh_run(
+        ["ftprobe", "--instance", "counter.json", "--J", "40", "--points", "40"], tmp_path)
+    assert code == 0 and numpy_loaded
+    assert repr(json.loads(out)["max_abs_deviation"]) == "2.0434424045405772e-16"
+    argv = ["factorize-check", "--instance", "counter.json", "--grid", "1024",
+            "--iters", "20"]
+    assert run(argv) == 0
+    assert _fresh_run(argv, tmp_path) == (0, capsys.readouterr().out.rstrip("\n"), True, True)
 
 
 def test_numeric_output_golden(capsys, tmp_path, counter_file):

@@ -1,11 +1,12 @@
 """Every module of the package uses each name it imports, every public
-name has a user, and the numerics hold no global state: mpmath comes in
-only as ``mpmath.libmp``, and no precision setting of mpmath's contexts
-changes a result or is changed."""
+name has a user, the exact core never loads the float numerics, and the
+numerics hold no global state: mpmath comes in only as ``mpmath.libmp``,
+and no precision setting of mpmath's contexts changes a result or is
+changed."""
 
 import ast
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 
@@ -67,18 +68,24 @@ KEPT_WITHOUT_CALLER = {
 
 
 def _public_surface() -> list[str]:
-    """Every name ``refinable/__init__.py`` imports, and "Class.method"
-    for each public method or property of an exported class."""
+    """Every name ``refinable/__init__.py`` imports and every public name
+    that ``refinable/splinecore.py`` defines, and "Class.method" for each
+    public method or property of those classes."""
     import inspect
 
     import refinable
+    from refinable import splinecore
 
     tree = ast.parse((SRC / "__init__.py").read_text())
-    names = [alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    surface = list(names)
-    for name in names:
-        obj = getattr(refinable, name)
+    exported = [(refinable, alias.asname or alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    tree = ast.parse((SRC / "splinecore.py").read_text())
+    exported += [(splinecore, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")]
+    surface = [name for _, name in exported]
+    for module, name in exported:
+        obj = getattr(module, name)
         if inspect.isclass(obj):
             surface += [f"{name}.{attr}" for attr, val in vars(obj).items()
                         if not attr.startswith("_")
@@ -113,11 +120,90 @@ def test_every_public_name_has_a_user():
     assert sorted(unused) == sorted(KEPT_WITHOUT_CALLER)
 
 
+def test_the_surface_holds_the_float_names():
+    surface = _public_surface()
+    assert {"cascade_solve", "GridFunction.to_csv", "FactorizationReport.to_jsonable",
+            "bspline_mask", "BoxSplineSpec.univariate"} <= set(surface)
+    assert "_unit_phase" not in surface
+
+
 def test_the_check_sees_an_unused_name():
     sources = ["x = f(1)\n", "obj.used()\n", 'KEY = "k"\n', "def h():\n    pass\n"]
     surface = ["f", "g", "h", "k", "C.used", "C.unused"]
     # a string names a user only in a lookup source
     assert _unreferenced(surface, sources, ['TABLE = ["g"]\n']) == ["h", "k", "C.unused"]
+
+
+# -- an acyclic exact core ------------------------------------------------------
+
+# The handlers that run a float kernel import numpy and splinecore
+# themselves, so the exact commands load neither.
+NUMERIC_HANDLERS = {("cli", "_cmd_cascade"), ("cli", "_cmd_ftprobe"),
+                    ("cli", "_cmd_factorize_check"), ("cli", "_mask_from_args")}
+
+
+def _imports(source: str) -> list[tuple[str, Optional[str]]]:
+    """(module, enclosing function or None) for every import; a relative
+    import within the package is named ``refinable.<module>``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((a.name, func) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                if not child.level:
+                    found.append((child.module, func))
+                elif child.module:
+                    found.append((f"refinable.{child.module}", func))
+                else:
+                    found.extend((f"refinable.{a.name}", func) for a in child.names)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _layering_faults(sources: dict[str, str]) -> list[str]:
+    """Imports that break the stack: numpy or splinecore outside
+    splinecore and cli, and a function-level import of numpy or a
+    package module outside cli's numeric handlers."""
+    faults = []
+    for name, source in sorted(sources.items()):
+        for module, func in _imports(source):
+            numeric = module.split(".")[0] == "numpy" or module == "refinable.splinecore"
+            if numeric and name not in ("splinecore", "cli"):
+                faults.append(f"{name} imports {module}")
+            if (func is not None and (numeric or module.startswith("refinable"))
+                    and (name, func) not in NUMERIC_HANDLERS):
+                faults.append(f"{name}.{func} imports {module}")
+    return faults
+
+
+def test_exact_core_never_imports_the_float_numerics():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _layering_faults(sources) == []
+    assert all(module != "refinable.splinecore"
+               for module, _ in _imports(sources["refinery"]))
+
+
+def test_the_layering_check_sees_a_back_edge():
+    sources = {
+        "refinery": "from .splinecore import cascade_solve\n",
+        "qtrig": "import numpy as np\n",
+        "splinecore": "import numpy as np\ndef f():\n    from . import refinery\n",
+        "cli": ("def _cmd_ftprobe(a):\n    import numpy\n    from .splinecore import g\n"
+                "def _cmd_check(a):\n    from .refinery import h\n"),
+    }
+    assert _layering_faults(sources) == [
+        "cli._cmd_check imports refinable.refinery",
+        "qtrig imports numpy",
+        "refinery imports refinable.splinecore",
+        "splinecore.f imports refinable.refinery",
+    ]
 
 
 # -- no global numeric state -----------------------------------------------------
@@ -152,12 +238,12 @@ def _numeric_outputs() -> list:
         QQ,
         MaskSpec,
         QTrigPoly,
-        bspline_mask,
         decay_probe,
         erdos_params,
         field_make,
         indecomposability_witness,
     )
+    from refinable.splinecore import bspline_mask
 
     factor = QTrigPoly(QQ, {QQ.rational(e): Fraction(c, 4) for e, c in enumerate((3, -2, 3))})
     mask = MaskSpec(QQ.rational(3), bspline_mask(2, 3).H * factor)

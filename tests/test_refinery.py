@@ -22,9 +22,11 @@ from refinable import exactreal, polyq
 from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly, geometric
-from refinable.splinecore import BoxSplineSpec, MaskSpec, bspline_mask
+from refinable.splinecore import bspline_mask
 from refinable.refinery import (
+    BoxSplineSpec,
     ChainStructure,
+    MaskSpec,
     _cyclotomic_poly,
     _log_ratio_ceil,
     _mask_division,
@@ -143,6 +145,17 @@ def test_mask_identity_exact(counter):
     # a tampered mask fails
     bad = MaskSpec(lam, geometric(desc, 10, Fraction(1, 2)).scale(Fraction(1, 10)))
     assert not verify_mask_identity(A, lam, bad)
+
+
+def test_mask_identity_needs_the_instance_lambda(counter):
+    # the identity is re-multiplied with the instance's lambda, so a mask
+    # that names another dilation once verified
+    mask = mask_construct([1, 1], 2)
+    assert verify_mask_identity([1, 1], 2, mask)
+    assert not verify_mask_identity([1, 1], 2, MaskSpec(QQ.rational(3), mask.H))
+    desc, lam, A = counter
+    mask = mask_construct(A, lam)
+    assert not verify_mask_identity(A, lam, MaskSpec(lam + 1, mask.H))
 
 
 def test_integer_lambda_with_irrational_column():
@@ -700,8 +713,7 @@ def test_decay_probe_does_not_import_sympy():
             "from fractions import Fraction\n"
             "from refinable.exactreal import QQ\n"
             "from refinable.qtrig import QTrigPoly\n"
-            "from refinable.refinery import decay_probe\n"
-            "from refinable.splinecore import MaskSpec\n"
+            "from refinable.refinery import MaskSpec, decay_probe\n"
             "H = QTrigPoly(QQ, {QQ.rational(e): Fraction(c) for e, c in enumerate((2, -3, 2))})\n"
             "rep = decay_probe(MaskSpec(QQ.rational(2), H), J=10)\n"
             "assert rep.roots and not rep.roots[0].exact\n"
