@@ -61,6 +61,15 @@ USAGE_ERRORS = (ValueError, KeyError, json.JSONDecodeError)
 INTERNAL_ERRORS = (CycleInconsistency, ConstructionFailure, RootIsolationFailure)
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    """The rational a command-line value gives; ValueError, a usage error,
+    for a zero denominator as for any other malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} value {text!r} has denominator 0") from None
+
+
 def _parse_field(text: str) -> FieldDescriptor:
     n, k = (int(v) for v in text.split(","))
     return field_make(n, k)
@@ -201,7 +210,7 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_lawton(args) -> int:
-    p = [Fraction(v) for v in args.p.split(",")]
+    p = [_rational(v, "--p") for v in args.p.split(",")]
     res = lawton_check(p, args.d, args.m)
     out = {"config": _config_echo(args), "result": res.to_jsonable()}
     _emit(args, out)
@@ -211,10 +220,10 @@ def _cmd_lawton(args) -> int:
 def _cmd_erdos(args) -> int:
     desc = _parse_field(args.field) if args.field else QQ
     lam = parse_element(args.lam, desc)
-    targets = [Fraction(t) for t in args.targets.split(";")]
+    targets = [_rational(t, "--targets") for t in args.targets.split(";")]
     g, c_default = erdos_params(lam, len(targets))
     out = {"config": _config_echo(args), "g": g, "c_default": str(c_default)}
-    c = Fraction(args.c) if args.c else None
+    c = _rational(args.c, "--c") if args.c else None
     if c is not None:
         adm = check_admissibility(lam, len(targets), g, c)
         out["admissibility"] = adm

@@ -26,7 +26,11 @@ sum_j |N_j|, while |x| * D * 2^p doubles with p; p starts at 64 and
 doubles until the enclosure decides.  Zero and rational elements are
 decided from N_0 and D, so the loop always ends.  ``floor`` takes an
 integer factor q into the enclosure (q * lo <= q * x * D * 2^p <= q * hi),
-so floor(q x) costs no product element.
+so floor(q x) costs no product element.  The order comparisons take the
+sign of a.num * b.den - b.num * a.den, which has the sign of a - b,
+without reducing it to lowest terms.  ``fixed_point(p)`` encloses
+x * 2^p between integers at most 2 apart, at the precision the
+coordinates need.
 
 Values are immutable; every operation is a pure function.  Enclosures
 (``ball_mpi``) are raw ``mpmath.libmp`` interval tuples (lo, hi),
@@ -42,7 +46,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from mpmath.libmp import (
@@ -603,23 +607,46 @@ class FieldElement:
                 x += n_j / den * t
         return x
 
+    def _scaled_bounds(self, p: int) -> tuple[int, int]:
+        """Integers lo <= x * D * 2^p <= hi, hi - lo <= sum |N_j|: the
+        directed sum of the numerators against the theta-power bounds."""
+        lo = hi = 0
+        for n_j, (t_lo, t_hi) in zip(self.num, self.desc.theta_power_bounds(p)):
+            if n_j > 0:
+                lo += n_j * t_lo
+                hi += n_j * t_hi
+            elif n_j < 0:
+                lo += n_j * t_hi
+                hi += n_j * t_lo
+        return lo, hi
+
     def _enclosures(self) -> Iterator[tuple[int, int, int]]:
         """Integers (lo, hi, D << p) with lo <= x * D * 2^p <= hi, for
         p = 64, 128, ...  The width hi - lo stays at most sum |N_j| as p
         doubles."""
-        num, den = self.num, self.den
+        den = self.den
         p = _SIGN_START_PREC
         while True:
-            lo = hi = 0
-            for n_j, (t_lo, t_hi) in zip(num, self.desc.theta_power_bounds(p)):
-                if n_j > 0:
-                    lo += n_j * t_lo
-                    hi += n_j * t_hi
-                elif n_j < 0:
-                    lo += n_j * t_hi
-                    hi += n_j * t_lo
-            yield lo, hi, den << p
+            yield (*self._scaled_bounds(p), den << p)
             p *= 2
+
+    def fixed_point(self, p: int) -> tuple[int, int]:
+        """Integers lo <= x * 2^p <= hi with hi - lo <= 2, for p >= 0.
+
+        The bounds of x * D * 2^t are taken at t >= p + bitlen(sum |N_j|),
+        rounded up to a multiple of 64 so the theta-power bounds are
+        shared, and divided by D * 2^(t - p) outward: their width
+        sum |N_j| shrinks below one unit however far the coordinates
+        cancel.  Numerators and denominator need not be in lowest terms.
+        """
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            v = num[0] << p
+            return v // den, -(-v // den)
+        t = -(-(p + sum(map(abs, num)).bit_length()) // 64) * 64
+        lo, hi = self._scaled_bounds(t)
+        den <<= t - p
+        return lo // den, -(-hi // den)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; never decided numerically for zero."""
@@ -645,17 +672,41 @@ class FieldElement:
 
     # -- order ----------------------------------------------------------
 
+    def _cmp(self, other) -> int:
+        """Sign of self - other, from the numerators cross-multiplied by
+        the denominators: a.num * b.den - b.num * a.den has the sign of
+        the difference, so no gcd-normalised difference is built."""
+        a = self
+        if type(other) is not FieldElement or other.desc is not a.desc:
+            if type(other) in _RATIONAL_TYPES:
+                p, q = other.numerator, other.denominator
+                num = a.num
+                d0 = num[0] * q - p * a.den
+                if not any(num[1:]):
+                    return (d0 > 0) - (d0 < 0)
+                return FieldElement(a.desc, (d0, *[x * q for x in num[1:]]), 1).sign()
+            a, other = _coerce_pair(a, other)
+        an, ad, bn, bd = a.num, a.den, other.num, other.den
+        if ad == bd:
+            diff = tuple(map(sub, an, bn))
+        else:
+            diff = tuple([x * bd - y * ad for x, y in zip(an, bn)])
+        if not any(diff[1:]):
+            d0 = diff[0]
+            return (d0 > 0) - (d0 < 0)
+        return FieldElement(a.desc, diff, 1).sign()
+
     def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     # -- text form --------------------------------------------------------
 

@@ -29,10 +29,48 @@ C = cQ and R_i = r_i Q are integers, and the points within distance
 < c of r_i + Z are the open intervals (K - C, K + C) / Q with integers
 K = R_i (mod Q).  For an integer m, m > X iff m > floor(X) and m < Y
 iff m < ceil(Y), so floor(Q x) and ceil(Q y) of the window [x, y] give
-the k-range of every target with integer arithmetic alone: one exact
-floor per endpoint, whatever the number of targets.  The remaining
-comparisons (gap lengths, nesting) are decided by the exact sign
-routine.
+the k-range of every target with integer arithmetic alone, whatever the
+number of targets.
+
+Step M -> M+1 runs in its own frame u = x lambda^(g(M+1)).  Let U be
+the left end of I_M in the frame x lambda^(gM) of the step before
+(U = a_0 at M = 0).  For n = gM + j, 0 <= j < g:
+
+    the window I_M lambda^n is [U lambda^j, (U + ell0) lambda^j],
+    the removed intervals are (k + r - c, k + r + c) lambda^(g - j),
+    the window in the frame is [U lambda^g, (U + ell0) lambda^g],
+    and the gap length to find is ell0,
+
+since |I_M| lambda^(gM) = ell0 exactly.  Only the g + 1 powers
+lambda^0 .. lambda^g enter, never lambda^n.  The chosen gap start u is
+the next U; it goes back to absolute coordinates once per step,
+a_{M+1} = u lambda^(-g(M+1)) = (u / ell0) |I_{M+1}|, and not at all
+when the gap starts at the window's left end, where a_{M+1} = a_M.
+Scaling by lambda^(g(M+1)) > 0 keeps order, so the gaps, their order
+and the one chosen are those of the absolute construction, and the
+certificate is the same element for element.
+
+The window ends x = U lambda^j and y = (U + ell0) lambda^j are stepped
+as unreduced numerators and denominator (no gcd), which says exactly
+whether an end is rational; floor(Q x) of a rational end is an integer
+division.  For an irrational end the floor comes from fixed-point
+integer enclosures: once per step, lo_U <= U 2^P <= hi_U with
+P = bitlen(Q) + 64 (``FieldElement.fixed_point``), and once per
+precision L_lo <= lambda^j 2^p <= L_hi with p >= P + bitlen(U).  Every
+factor is non-negative (U > 0 and lambda > 0, so the floors lo_U and
+L_lo are >= 0), so the products keep their order:
+
+    Q lo_U L_lo  <=  Q x 2^(P + p)  <=  Q hi_U L_hi.
+
+floor is monotone, so when both bounds shifted right by P + p give the
+same integer, that integer is floor(Q x), exactly.  For y the same holds
+with lo_U + floor(ell0 2^P) and hi_U + ceil(ell0 2^P), and Q y is an
+integer only if y is rational, so ceil(Q y) = floor(Q y) + 1 for an
+irrational y.  The bounds are a few lambda^j 2^-64 apart in units of
+Q x; where they straddle an integer, ``_k_ranges`` decides on the
+unreduced ends with exact floors.  Every k-range is therefore exact.
+The remaining comparisons (gap lengths, nesting) are decided by the
+exact order of ``FieldElement``.
 """
 
 from __future__ import annotations
@@ -282,12 +320,19 @@ def _k_ranges(x: FieldElement, y: FieldElement,
     in the other order the least floor and the greatest ceil of the two
     endpoints are the ones above.  Needs C > 0.
     """
-    q, cq, residues = lattice
+    q = lattice[0]
     fx = x.floor(q)
     fy = y.floor(q)
-    lo = min(fx, fy)
-    hi = max(fx if _on_lattice(x, q) else fx + 1,
-             fy if _on_lattice(y, q) else fy + 1)
+    return _lattice_ranges(min(fx, fy),
+                           max(fx if _on_lattice(x, q) else fx + 1,
+                               fy if _on_lattice(y, q) else fy + 1), lattice)
+
+
+def _lattice_ranges(lo: int, hi: int, lattice: tuple[int, int, tuple[int, ...]]
+                    ) -> list[tuple[int, int]]:
+    """Each target's k-range for a window with floor(Qx) = lo and
+    ceil(Qy) = hi (the formula of ``_k_ranges``)."""
+    q, cq, residues = lattice
     return [(-((r + cq - lo - 1) // q), (hi - 1 + cq - r) // q) for r in residues]
 
 
@@ -349,6 +394,7 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
     ell0 / lambda^(g(M+1)).  Among candidate gaps the leftmost is taken
     and the subinterval is left-aligned (determinism); if a base gap
     touches 0 or 1 the placement moves just inside, keeping I_0 in (0,1).
+    The steps run in each step's own frame (module docstring).
 
     A user-supplied smaller c > 0 is accepted (ValueError for c <= 0);
     admissibility of the default c is a theorem, so a failed gap search
@@ -392,32 +438,126 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
         raise ConstructionFailure("no admissible base interval of length ell0")
 
     intervals = [base]
-    cur = base
-    lam_pow = one  # lambda^n, n = gM at loop entry
-    lam_neg_pow = one  # lambda^(-n): the removed set is S_c lambda^(-n)
-    lam_inv_g = lam_inv ** g
-    for M in range(depth):
-        removed = []
-        for _n in range(g * M, g * (M + 1)):
-            removed.extend(_removed_intervals(cur[0], cur[1], lam_neg_pow,
-                                              lam_pow, targets_q, c))
-            lam_pow = lam_pow * lam_e
-            lam_neg_pow = lam_neg_pow * lam_inv
-        ell = ell * lam_inv_g
-        chosen = None
-        for a, b in _gaps(cur[0], cur[1], removed):
-            if (b - a) >= ell:
-                chosen = (a, a + ell)
-                break
-        if chosen is None:
-            raise ConstructionFailure(
-                f"no gap of length ell0/lambda^(g*{M + 1}) inside I_{M}")
-        cur = chosen
-        intervals.append(cur)
-
+    if depth:
+        intervals += _steps(lam_e, lam_inv ** g, g, targets_q, c, ell0, base[0], depth)
+    cur = intervals[-1]
     xi = (cur[0] + cur[1]) / 2
     return ErdosCertificate(lam=lam_e, targets=targets_q, c=c, g=g,
                             ell0=ell0, intervals=tuple(intervals), xi=xi)
+
+
+# bits of the step enclosures beyond those of Q: an enclosed floor of Q x
+# is undecided only within a few lambda^j 2^-64 of an integer
+_GUARD_BITS = 64
+
+
+def _steps(lam: FieldElement, lam_inv_g: FieldElement, g: int,
+           targets: tuple[Fraction, ...], c: Fraction, ell0: Fraction,
+           a: FieldElement, depth: int) -> list[tuple[FieldElement, FieldElement]]:
+    """I_1, ..., I_depth after I_0 = [a, a + ell0], by the step frame of
+    the module docstring; ``lam_inv_g`` is lambda^(-g)."""
+    desc = lam.desc
+    lattice = _lattice(targets, c)
+    q = lattice[0]
+    prec = q.bit_length() + _GUARD_BITS
+    powers = [desc.one()]
+    for _ in range(g):
+        powers.append(powers[-1] * lam)
+    ell_g = powers[g] * ell0  # the window's length in the step frame
+    e_lo, e_hi = desc.rational(ell0).fixed_point(prec)
+    ends = [(r - c, r + c) for r in targets]
+    lam_bounds: dict[int, list[tuple[int, int]]] = {}
+    rational = lam.is_rational
+    ell = desc.rational(ell0)
+    u = a  # I_M's left end in the frame x lambda^(gM)
+    out = []
+    for M in range(depth):
+        v = u + ell0
+        bounds = None  # enclosures, for the steps where an end can be irrational
+        if not (rational and u.is_rational):
+            u_lo, u_hi = u.fixed_point(prec)
+            # lambda^j to as many bits past the point as u has before it
+            p = -(-max(prec, u_hi.bit_length()) // 64) * 64
+            ql = lam_bounds.get(p)
+            if ql is None:
+                ql = lam_bounds[p] = [(q * lo, q * hi) for lo, hi in
+                                      (w.fixed_point(p) for w in powers[:g])]
+            bounds = ((u_lo, u_hi), (u_lo + e_lo, u_hi + e_hi), ql, prec + p)
+        x, y = (u.num, u.den), (v.num, v.den)
+        removed = []
+        for j in range(g):
+            if j:
+                x, y = _times(*x, lam), _times(*y, lam)
+            floors = _window_floors(x, y, q, bounds, j)
+            if floors is None:
+                ranges = _k_ranges(FieldElement(desc, tuple(x[0]), x[1]),
+                                   FieldElement(desc, tuple(y[0]), y[1]), lattice)
+            else:
+                ranges = _lattice_ranges(*floors, lattice)
+            scale = powers[g - j]
+            for (lo, hi), (k_first, k_last) in zip(ends, ranges):
+                for k in range(k_first, k_last + 1):
+                    removed.append(((k + lo) * scale, (k + hi) * scale))
+        left = u * powers[g]
+        ell = ell * lam_inv_g
+        start = left
+        if removed:
+            start = next((s for s, t in _gaps(left, left + ell_g, removed)
+                          if t - s >= ell0), None)
+            if start is None:
+                raise ConstructionFailure(
+                    f"no gap of length ell0/lambda^(g*{M + 1}) inside I_{M}")
+            if start != left:
+                a = start / ell0 * ell
+        u = start
+        out.append((a, a + ell))
+    return out
+
+
+def _times(num, den: int, lam: FieldElement) -> tuple[list[int], int]:
+    """Numerators and denominator of (num / den) * lam, unreduced: the
+    numerators convolved with lam's and folded by theta^k = n, no gcd."""
+    k, n = lam.desc.k, lam.desc.n
+    out = [0] * k
+    for i, x in enumerate(num):
+        if x:
+            for j, y in enumerate(lam.num):
+                if y:
+                    if i + j < k:
+                        out[i + j] += x * y
+                    else:
+                        out[i + j - k] += n * x * y
+    return out, den * lam.den
+
+
+def _window_floors(x, y, q: int, bounds, j: int) -> Optional[tuple[int, int]]:
+    """floor(q x) and ceil(q y) of the window [x, y] = [u, u + ell0] lambda^j
+    with u > 0, or None where the enclosures leave one undecided.
+
+    x and y are unreduced (numerators, denominator) pairs.  A rational end
+    is decided by integer division; an irrational y has q y irrational, so
+    ceil(q y) = floor(q y) + 1.  For an irrational end, ``bounds`` is
+    ((lo, hi), (lo', hi'), ql, shift): lo <= u 2^P <= hi and
+    lo' <= (u + ell0) 2^P <= hi', ql[j] = (q L_lo, q L_hi) with
+    L_lo <= lambda^j 2^p <= L_hi, and shift = P + p, so the products of
+    the lower and of the upper bounds bound q x 2^shift and q y 2^shift.
+    """
+    num, den = x
+    if any(num[1:]):
+        (lo, hi), _, ql, shift = bounds
+        fx = lo * ql[j][0] >> shift
+        if fx != hi * ql[j][1] >> shift:
+            return None
+    else:
+        fx = q * num[0] // den
+    num, den = y
+    if any(num[1:]):
+        _, (lo, hi), ql, shift = bounds
+        fy = lo * ql[j][0] >> shift
+        if fy != hi * ql[j][1] >> shift:
+            return None
+        return fx, fy + 1
+    return fx, -(-q * num[0] // den)
 
 
 @dataclass(frozen=True)

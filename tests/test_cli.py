@@ -175,6 +175,9 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
 @pytest.mark.parametrize("argv", [
     ["check", "--field", "2,2", "--lambda", "1/0", "--columns", "1"],
     ["check", "--field", "2,2", "--lambda", "t", "--columns", "1/0"],
+    ["erdos", "--lambda", "2", "--targets", "1/0", "--depth", "2"],
+    ["erdos", "--lambda", "2", "--targets", "0", "--depth", "2", "--c", "1/0"],
+    ["lawton", "--p", "1/0,1", "--d", "1", "--m", "2"],
     ["decay", "--bspline", "1", "--m", "2", "--J", "0"],
     ["cascade", "--bspline", "-1", "--m", "2"],
     ["check", "--instance", {**COUNTER, "columns": []}],

@@ -382,3 +382,65 @@ def test_arithmetic_matches_the_fraction_coordinate_reference(nk, xs, ys):
         else:
             assert not z.is_integer and z != rz.coeffs[0]
 
+
+
+# -- order without a normalised difference --------------------------------------
+
+
+@st.composite
+def _comparison_case(draw):
+    """(a, b, near): b an element of a's field, an int or a Fraction; when
+    near, a - b is irrational and within 2^-150 of 0, so its first
+    enclosure does not decide the sign."""
+    desc = field_make(*draw(st.sampled_from(_FIELDS)))
+    a = desc.element(draw(st.lists(_coordinate, min_size=desc.k, max_size=desc.k)))
+    kind = draw(st.sampled_from(("equal", "element", "int", "fraction", "near")))
+    if kind == "equal":
+        return a, desc.element(list(a.coeffs)), False
+    if kind == "element":
+        return a, desc.element(draw(st.lists(_coordinate, min_size=desc.k,
+                                             max_size=desc.k))), False
+    bits = draw(st.sampled_from([150, 300, 700]))
+    if kind in ("int", "fraction"):
+        if draw(st.booleans()):
+            b = a.floor() + draw(st.integers(-1, 1))
+            return a, b if kind == "int" else Fraction(b), False
+        if kind == "int":
+            return a, draw(st.integers(-40, 40)), False
+        # a rational within 2^-bits of a
+        b = Fraction(a.floor(1 << bits) + draw(st.integers(0, 1)), 1 << bits)
+        return a, b, not a.is_rational
+    if desc.k == 1:
+        return a, a + Fraction(draw(st.sampled_from([-1, 1])), 1 << bits), False
+    # a - b = theta^j - t / 2^bits with t = floor(theta^j 2^bits) or t + 1
+    j = draw(st.integers(1, desc.k - 1))
+    t = desc.theta_power_bounds(bits)[j][0] + draw(st.integers(0, 1))
+    return a, a - desc.element([0] * j + [1]) + Fraction(t, 1 << bits), True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_comparison_case())
+def test_order_comparisons_agree_with_the_sign_of_the_difference(case):
+    a, b, near = case
+    s = (a - b).sign()
+    assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (b > a, b >= a, b < a, b <= a) == (s < 0, s <= 0, s > 0, s >= 0)
+    if near:
+        lo, hi, _ = next((a - b)._enclosures())
+        assert lo <= 0 <= hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(lambda nk, xs: field_make(*nk).element(xs[:nk[1]]),
+              st.sampled_from(_FIELDS), st.lists(_coordinate, min_size=3, max_size=3)),
+    _quadratic().map(lambda case: field_make(case[0], 2).element(case[1:]))),
+    st.sampled_from([0, 1, 64, 200]), st.integers(1, 6))
+def test_fixed_point_is_at_most_two_units_wide(x, p, factor):
+    # coordinates that cancel to far below their size, and a form not in
+    # lowest terms, still give a width of at most 2
+    for y in (x, FieldElement(x.desc, tuple(n * factor for n in x.num), x.den * factor)):
+        lo, hi = y.fixed_point(p)
+        assert 0 <= hi - lo <= 2
+        scaled = x * (1 << p)
+        assert (scaled - lo).sign() >= 0 and (scaled - hi).sign() <= 0

@@ -5,18 +5,24 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from refinable import powermod
 from refinable.errors import InvalidLambda
-from refinable.exactreal import QQ, FieldElement, field_make
+from refinable.exactreal import QQ, ExactReal, FieldElement, field_make
 from refinable.powermod import (
     ErdosCertificate,
+    _check_c,
+    _gaps,
     _k_ranges,
     _lattice,
+    _lift,
     _removed_intervals,
+    _sqrt_lower_bound,
     check_admissibility,
     dist_to_int,
     erdos_construct,
@@ -284,6 +290,181 @@ def test_removed_intervals_match_the_division_reference(case):
         [(a.coeffs, b.coeffs) for a, b in want]
 
 
+# -- the step frame against the per-n construction -----------------------------
+
+
+def _erdos_construct_per_n(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
+                            depth: int, c: Optional[Fraction] = None) -> ErdosCertificate:
+    """The construction as it ran before the step frame: every n removes
+    S_c lambda^(-n) from I_M in absolute coordinates, with lo lambda^n and
+    hi lambda^n formed as products and lambda^(-n) walked at every n."""
+    lam_e = _lift(lam)
+    if not lam_e > 1:
+        raise InvalidLambda("dilation must be > 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    targets_q = tuple(Fraction(t) for t in targets)
+    g, c_default = erdos_params(lam_e, len(targets_q))
+    if c is None:
+        c = c_default
+    _check_c(c)
+    desc = lam_e.desc
+    one = desc.one()
+    zero = desc.zero()
+    ell0 = _sqrt_lower_bound(2 * lam_e * c)
+    lam_inv = lam_e.inverse()  # the construction's only field inverse
+
+    # base: remove lambda * S_c from (0, 1)
+    removed = _removed_intervals(zero, one, lam_e, lam_inv, targets_q, c)
+    ell = desc.rational(ell0)
+    base = None
+    for a, b in _gaps(zero, one, removed):
+        if not (b - a) >= ell:
+            continue
+        if a > 0 and a + ell < 1:
+            base = (a, a + ell)
+        elif a == 0 and b < 1 and b - ell > 0:
+            base = (b - ell, b)
+        elif a == 0 and b == 1:
+            left = (1 - ell) / 2
+            base = (left, left + ell)
+        else:
+            continue
+        break
+    if base is None:
+        raise ConstructionFailure("no admissible base interval of length ell0")
+
+    intervals = [base]
+    cur = base
+    lam_pow = one  # lambda^n, n = gM at loop entry
+    lam_neg_pow = one  # lambda^(-n): the removed set is S_c lambda^(-n)
+    lam_inv_g = lam_inv ** g
+    for M in range(depth):
+        removed = []
+        for _n in range(g * M, g * (M + 1)):
+            removed.extend(_removed_intervals(cur[0], cur[1], lam_neg_pow,
+                                              lam_pow, targets_q, c))
+            lam_pow = lam_pow * lam_e
+            lam_neg_pow = lam_neg_pow * lam_inv
+        ell = ell * lam_inv_g
+        chosen = None
+        for a, b in _gaps(cur[0], cur[1], removed):
+            if (b - a) >= ell:
+                chosen = (a, a + ell)
+                break
+        if chosen is None:
+            raise ConstructionFailure(
+                f"no gap of length ell0/lambda^(g*{M + 1}) inside I_{M}")
+        cur = chosen
+        intervals.append(cur)
+
+    xi = (cur[0] + cur[1]) / 2
+    return ErdosCertificate(lam=lam_e, targets=targets_q, c=c, g=g,
+                            ell0=ell0, intervals=tuple(intervals), xi=xi)
+
+
+
+def _lambda(draw):
+    """lambda in Q, Q(sqrt n) or Q(n^(1/3)), at least 6/5 (g grows as
+    lambda nears 1); in the fields often with a rational part as well."""
+    kind = draw(st.sampled_from(("Q", "quadratic", "cubic")))
+    if kind == "Q":
+        return QQ.rational(_fraction(draw, Fraction(6, 5), 12, 7))
+    if kind == "quadratic":
+        theta = field_make(draw(st.sampled_from(_NON_SQUARES)), 2).theta()
+    else:
+        theta = field_make(draw(st.sampled_from([2, 3, 5, 7, 10, 12, 20])), 3).theta()
+    lam = _fraction(draw, Fraction(1, 2), 3, 4) * theta + _fraction(draw, -1, 2, 3)
+    assume(lam >= Fraction(6, 5) and lam <= 12)
+    return lam
+
+
+@st.composite
+def _construction_case(draw):
+    lam = _lambda(draw)
+    # 1-4 targets, some outside [0, 1) (the same class r + Z)
+    targets = sorted({_fraction(draw, -1, 2, 7) for _ in range(draw(st.integers(1, 4)))})
+    c = None
+    if draw(st.booleans()):
+        # a smaller user c, rational for every lambda
+        _, c_default = erdos_params(lam, len(targets))
+        c = c_default * Fraction(draw(st.integers(1, 9)), draw(st.integers(10, 40)))
+    return lam, targets, draw(st.integers(0, 12)), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_construction_case())
+def test_step_frame_matches_the_per_n_construction(case):
+    lam, targets, depth, c = case
+    got = erdos_construct(lam, targets, depth, c=c)
+    assert got.to_jsonable() == _erdos_construct_per_n(lam, targets, depth, c=c).to_jsonable()
+
+
+def test_every_step_on_the_exact_fallback_gives_the_same_certificates(monkeypatch):
+    # with no window decided by the enclosures, each n of each step takes
+    # the exact floors of _k_ranges on its unreduced ends
+    expected = []
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        expected.append((lam, targets, depth, erdos_construct(lam, targets, depth).to_json()))
+    calls = [0]
+    k_ranges = powermod._k_ranges
+
+    def counting(*args):
+        calls[0] += 1
+        return k_ranges(*args)
+
+    monkeypatch.setattr(powermod, "_window_floors", lambda *args: None)
+    monkeypatch.setattr(powermod, "_k_ranges", counting)
+    for lam, targets, depth, text in expected:
+        calls[0] = 0
+        cert = erdos_construct(lam, targets, depth)
+        assert cert.to_json() == text
+        # the base step and every n of every step
+        assert calls[0] == 1 + cert.g * depth
+
+
+@pytest.mark.parametrize("guard_bits", [powermod._GUARD_BITS, 0])
+def test_enclosed_floors_are_the_exact_floors(monkeypatch, guard_bits):
+    # every window the enclosures decide gets the exact floor(Q x) and
+    # ceil(Q y); at the default precision they decide every window of the
+    # golden tasks, and at P = bitlen(Q) the enclosures are a few units of
+    # Q x wide, so many windows go to the exact fallback
+    window_floors = powermod._window_floors
+    outcomes = {"decided": 0, "undecided": 0}
+    desc = [None]
+
+    def checked(x, y, q, bounds, j):
+        floors = window_floors(x, y, q, bounds, j)
+        if floors is None:
+            outcomes["undecided"] += 1
+            return None
+        outcomes["decided"] += 1
+        lo = FieldElement(desc[0], tuple(x[0]), x[1]).floor(q)
+        end = FieldElement(desc[0], tuple(y[0]), y[1])
+        hi = end.floor(q) + (not powermod._on_lattice(end, q))
+        assert floors == (lo, hi)
+        return floors
+
+    expected = []
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        expected.append((lam, targets, depth, erdos_construct(lam, targets, depth).to_json()))
+    monkeypatch.setattr(powermod, "_GUARD_BITS", guard_bits)
+    monkeypatch.setattr(powermod, "_window_floors", checked)
+    for lam, targets, depth, text in expected:
+        desc[0] = powermod._lift(lam).desc
+        assert erdos_construct(lam, targets, depth).to_json() == text
+    if guard_bits:
+        assert outcomes["undecided"] == 0 and outcomes["decided"] > 0
+    else:
+        assert outcomes["decided"] > 0 and outcomes["undecided"] > 0
+
+
 def test_construction_inverts_a_bounded_number_of_times(monkeypatch):
     inverse = FieldElement.inverse
     calls = [0]
@@ -321,8 +502,9 @@ def test_each_step_floors_twice_whatever_the_targets(monkeypatch):
             for depth in (2, 6):
                 calls["floor"] = 0
                 cert = erdos_construct(lam, targets, depth)
-                # the base step and every n of every step
-                assert calls["floor"] == 2 * (1 + cert.g * depth)
+                # the base step floors twice; a step's n floors twice only
+                # where its enclosures leave the window undecided
+                assert calls["floor"] <= 2 * (1 + cert.g * depth)
                 calls["floor"] = calls["inverse"] = 0
                 erdos_verify(cert)
                 # every n in [-1, guaranteed_depth], then the midpoint scan's
