@@ -30,7 +30,8 @@ from .exactreal import (
     int_ratio,
     parse_element,
 )
-from .qtrig import ComplexBall, ExponentVector, QTrigPoly, geometric
+from .enclosure import ComplexBall
+from .qtrig import ExponentVector, QTrigPoly, geometric
 from .powermod import (
     ErdosCertificate,
     VerifyReport,

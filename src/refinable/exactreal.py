@@ -32,11 +32,14 @@ without reducing it to lowest terms.  ``fixed_point(p)`` encloses
 x * 2^p between integers at most 2 apart, at the precision the
 coordinates need.
 
-Values are immutable; every operation is a pure function.  Enclosures
-(``ball_mpi``) are raw ``mpmath.libmp`` interval tuples (lo, hi),
-computed by Horner over the coordinates q_j at a precision the caller
-passes, and ``float`` is the midpoint of a 64-bit enclosure rounded to
-nearest.  No numeric code here reads or sets a global precision.
+``float`` reads the same enclosure: p doubles from 64 until both ends
+of ``fixed_point(p)``, divided by 2^p, round to one float.  Rounding is
+monotone and an irrational value is never a tie, so that float is the
+correctly rounded value, however far the coordinates cancel.  Nothing
+here imports mpmath; the floating enclosures of the layers above live
+in ``enclosure``.
+
+Values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -49,56 +52,11 @@ from math import gcd
 from operator import add, sub
 from typing import Iterator, Optional, Sequence, Union
 
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_pos,
-    mpf_shift,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    mpi_sqrt,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    to_float,
-    to_rational,
-)
-
 from .errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 
 RationalLike = Union[int, Fraction]
 
 _SIGN_START_PREC = 64
-
-
-_MPI_ZERO = (fzero, fzero)
-
-
-def _mpi_int(n: int, prec: int) -> tuple:
-    """Raw interval of the integer n at ``prec`` bits, rounded outward
-    when n is wider."""
-    lo = from_int(n, prec, round_floor)
-    if n.bit_length() <= prec:
-        return lo, lo
-    return lo, from_int(n, prec, round_ceiling)
-
-
-def _mpi_fraction(q: Fraction, prec: int) -> tuple:
-    """Raw interval of the rational q at ``prec`` bits: the numerator and
-    denominator intervals divided."""
-    if q.denominator == 1:
-        return _mpi_int(q.numerator, prec)
-    return mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
-
-
-def _mpf_to_fraction(raw) -> Fraction:
-    """Exact value of a finite raw mpf tuple (``x._mpf_``) as a Fraction."""
-    p, q = to_rational(raw)
-    return Fraction(int(p), int(q))
 
 
 def _int_nthroot(n: int, p: int) -> tuple[int, bool]:
@@ -137,7 +95,7 @@ class FieldDescriptor:
     For k = 1 the field is Q itself and the radicand plays no role.
     """
 
-    __slots__ = ("n", "k", "_zeros", "_theta_f64", "_theta_cache", "_power_bounds")
+    __slots__ = ("n", "k", "_zeros", "_theta_f64", "_power_bounds")
 
     def __init__(self, n: int, k: int):
         if k < 1:
@@ -154,7 +112,6 @@ class FieldDescriptor:
         self.k = k
         self._zeros = (0,) * (k - 1)
         self._theta_f64 = tuple(n ** (j / k) for j in range(1, k))
-        self._theta_cache: dict[int, object] = {}
         self._power_bounds: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # Two descriptors denote the same field iff degrees match and, for
@@ -177,22 +134,6 @@ class FieldDescriptor:
     @property
     def is_rational_field(self) -> bool:
         return self.k == 1
-
-    def theta_mpi(self, prec: int) -> tuple:
-        """Raw interval of theta at ``prec`` bits, cached per precision: the
-        square root of n for k = 2, exp(log(n) / k) for k >= 3."""
-        cached = self._theta_cache.get(prec)
-        if cached is not None:
-            return cached
-        n = _mpi_int(self.n, prec)
-        if self.k == 1:
-            val = n
-        elif self.k == 2:
-            val = mpi_sqrt(n, prec)
-        else:
-            val = mpi_exp(mpi_div(mpi_log(n, prec), _mpi_int(self.k, prec), prec), prec)
-        self._theta_cache[prec] = val
-        return val
 
     def theta_power_bounds(self, p: int) -> tuple[tuple[int, int], ...]:
         """Integers (lo_j, hi_j) with lo_j <= theta^j * 2^p <= hi_j for
@@ -574,27 +515,21 @@ class FieldElement:
 
     # -- numerics ---------------------------------------------------------
 
-    def ball_mpi(self, prec: int) -> tuple:
-        """Raw interval of the value at ~prec bits: Horner over the
-        coordinates at wp = prec + 8 + 2k bits with ``mpi_mul``/``mpi_add``."""
-        wp = prec + 8 + 2 * self.desc.k
-        th = self.desc.theta_mpi(wp)
-        acc = _MPI_ZERO
-        for c in reversed(self.coeffs):
-            acc = mpi_add(mpi_mul(acc, th, wp), _mpi_fraction(c, wp), wp)
-        return acc
-
-    def _mid_mpf(self, prec: int) -> tuple:
-        """Raw midpoint of ``ball_mpi(prec)``: both endpoints rounded to
-        nearest at ``prec`` bits, summed the same way and halved."""
-        lo, hi = self.ball_mpi(prec)
-        return mpf_shift(mpf_add(mpf_pos(lo, prec, round_nearest),
-                                 mpf_pos(hi, prec, round_nearest), prec, round_nearest), -1)
-
     def __float__(self) -> float:
-        if self.is_rational:
-            return self.num[0] / self.den
-        return to_float(self._mid_mpf(64), rnd=round_nearest)
+        """The nearest float, ties to even.  An irrational value is never
+        a tie: p doubles from 64 until both ends of ``fixed_point(p)``
+        round to one float (on one side of zero), which is then the
+        nearest float to the value."""
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return num[0] / den
+        p = _SIGN_START_PREC
+        while True:
+            lo, hi = self.fixed_point(p)
+            f = _dyadic_float(lo, p)
+            if f == _dyadic_float(hi, p) and (lo < 0) == (hi < 0):
+                return f
+            p *= 2
 
     def _f64_key(self) -> float:
         """A float near the value, for presorting only: not correctly
@@ -753,6 +688,15 @@ def _rational_hash(p: int, q: int) -> int:
         h = sys.hash_info.inf
     h = h if p >= 0 else -h
     return -2 if h == -1 else h
+
+
+def _dyadic_float(n: int, p: int) -> float:
+    """n / 2^p rounded to the nearest float (int division rounds
+    correctly), +-inf beyond the float range."""
+    try:
+        return n / (1 << p)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _sum(an, ad: int, bn, bd: int) -> tuple[tuple[int, ...], int]:

@@ -90,6 +90,8 @@ def pcompose_power(p: Poly, m: int) -> Poly:
 
 
 def ppow(p: Poly, e: int) -> Poly:
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     out: Poly = (Fraction(1),)
     for _ in range(e):
         out = pmul(out, p)

@@ -81,6 +81,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .enclosure import rational_lower_bound
 from .errors import ConstructionFailure, InvalidLambda
 from .exactreal import (
     QQ,
@@ -89,7 +90,6 @@ from .exactreal import (
     _json_element,
     _json_field,
     _json_rational,
-    _mpf_to_fraction,
 )
 
 
@@ -136,29 +136,19 @@ def erdos_params(lam: ExactReal, m: int) -> tuple[int, Fraction]:
     c_exact = (lam_e - 1) ** 2 / (20 * (m + 2) ** 2 * lam_e ** 3)
     if c_exact.is_rational:
         return g, c_exact.as_fraction()
-    return g, _rational_lower_bound(c_exact)
+    return g, rational_lower_bound(c_exact)
 
 
 def _check_c(c: Fraction) -> None:
-    # a c <= 0 would send _rational_lower_bound into an endless loop and
+    # a c <= 0 would send rational_lower_bound into an endless loop and
     # make every certificate vacuous
     if not c > 0:
         raise ValueError("c must be > 0")
 
 
-def _rational_lower_bound(x: FieldElement, bits: int = 64) -> Fraction:
-    """A positive rational q <= x (x must be positive)."""
-    prec = bits
-    while True:
-        lo = _mpf_to_fraction(x.ball_mpi(prec)[0])
-        if lo > 0:
-            return lo
-        prec *= 2
-
-
 def _sqrt_lower_bound(x: FieldElement, bits: int = 48) -> Fraction:
     """A dyadic ell with 0 < ell and ell^2 <= x (verified exactly)."""
-    lo = _rational_lower_bound(x, bits + 16)
+    lo = rational_lower_bound(x, bits + 16)
     scale = 1 << bits
     ell = Fraction(math.isqrt((lo * scale * scale).__floor__()), scale)
     while ell > 0 and not (x - ell * ell) >= 0:

@@ -10,9 +10,10 @@ fixed real field Q(theta) of degree k: a ``FieldElement`` for s = 1, an
 exact, so terms merge and cancel exactly; products, shifts and
 divisibility by binomials 1 - E(m, w) are computed symbolically for
 every s.  For s = 1 there is also evaluation at a real point to an
-outward-rounded complex enclosure, on raw ``mpmath.libmp`` intervals at
-a precision the caller passes (the tests check it bit for bit against
-the same loop on mpmath's ``iv`` interval objects).
+outward-rounded complex enclosure at a precision the caller passes:
+``eval_ball`` keeps the per-precision enclosures of its terms and hands
+the term loop to ``enclosure``, the one module that works on raw
+``mpmath.libmp`` intervals.  Nothing here imports mpmath.
 
 Both sides of a term are stored fraction-free.  Coefficients are
 integer numerators over one positive common denominator in lowest
@@ -32,38 +33,15 @@ kept outside the term map by the callers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
-from mpmath.libmp import (
-    mpf_pi,
-    mpi_abs,
-    mpi_add,
-    mpi_cos_sin,
-    mpi_delta,
-    mpi_mid,
-    mpi_mul,
-    mpi_neg,
-    round_ceiling,
-    round_floor,
-    to_float,
-)
-
+from .enclosure import ComplexBall, eval_terms, term_balls
 from .errors import DescriptorMismatch, ZeroPolynomial
-from .exactreal import (
-    _MPI_ZERO,
-    ExactReal,
-    FieldDescriptor,
-    FieldElement,
-    _canonical,
-    _mpf_to_fraction,
-    _mpi_fraction,
-    _mpi_int,
-)
+from .exactreal import ExactReal, FieldDescriptor, FieldElement, _canonical
 
 
 class ExponentVector(tuple):
@@ -194,57 +172,6 @@ def _lowest(num: dict[tuple, int], eden: int) -> tuple[dict[tuple, int], int]:
         if g == 1:
             return num, eden
     return {tuple([x // g for x in d]): c for d, c in num.items()}, eden // g
-
-
-class ComplexBall:
-    """Rectangular complex enclosure: raw ``mpmath.libmp`` intervals
-    (lo, hi) of the real and imaginary parts and the precision in bits
-    they were computed at."""
-
-    __slots__ = ("re", "im", "prec")
-
-    def __init__(self, re: tuple, im: tuple, prec: int):
-        self.re = re
-        self.im = im
-        self.prec = prec
-
-    def mid(self) -> complex:
-        return complex(to_float(mpi_mid(self.re, self.prec)),
-                       to_float(mpi_mid(self.im, self.prec)))
-
-    def radius(self) -> float:
-        return math.hypot(to_float(mpi_delta(self.re, self.prec)) / 2,
-                          to_float(mpi_delta(self.im, self.prec)) / 2)
-
-    def abs_lower(self) -> float:
-        """Lower bound for |z| over the enclosure (0 if it may contain
-        the origin): the hypot of the least |endpoint| per axis, each
-        read exactly and rounded to the nearest float."""
-
-        def axis_low(ival) -> float:
-            lo, hi = map(_mpf_to_fraction, ival)
-            if lo <= 0 <= hi:
-                return 0.0
-            return float(min(abs(lo), abs(hi)))
-
-        return math.hypot(axis_low(self.re), axis_low(self.im))
-
-    def __repr__(self) -> str:
-        return f"ComplexBall({self.mid()} +/- {self.radius():.3g})"
-
-
-@functools.lru_cache(maxsize=64)
-def _two_pi(prec: int) -> tuple:
-    """Raw interval of 2 pi at ``prec`` bits."""
-    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-    return mpi_mul(_mpi_int(2, prec), pi, prec)
-
-
-def _unit_exponential_mpi(two_pi: tuple, phase: tuple, prec: int) -> tuple:
-    """Raw (re, im) intervals of exp(-2 pi i x) for a raw interval x (in
-    turns), from one ``mpi_cos_sin`` of 2 pi x."""
-    cos, sin = mpi_cos_sin(mpi_mul(two_pi, phase, prec), prec)
-    return cos, mpi_neg(sin, prec)
 
 
 class QTrigPoly:
@@ -523,25 +450,7 @@ class QTrigPoly:
         (sqrt 2 - 1)^4000, with 5,086-bit coordinates) widens with its
         coordinates, so no cap relative to prec alone meets it.
         """
-        if not isinstance(w, (FieldElement, Fraction, int, float)):
-            raise TypeError(f"unsupported evaluation point {type(w).__name__}")
-        if not isinstance(w, FieldElement):
-            w = Fraction(w)
-        wp = prec + 16
-        while True:
-            terms, mag = self._term_balls(wp)
-            two_pi = _two_pi(wp)
-            u = w.ball_mpi(wp) if isinstance(w, FieldElement) else _mpi_fraction(w, wp)
-            re = im = _MPI_ZERO
-            for db, cf in terms:
-                t_re, t_im = _unit_exponential_mpi(two_pi, mpi_mul(db, u, wp), wp)
-                re = mpi_add(re, mpi_mul(t_re, cf, wp), wp)
-                im = mpi_add(im, mpi_mul(t_im, cf, wp), wp)
-            ball = ComplexBall(re, im, wp)
-            if (ball.radius() <= max(1.0, to_float(mag[1])) * 2.0 ** (1 - prec)
-                    or wp > prec + 4096):
-                return ball
-            wp *= 2
+        return eval_terms(self._term_balls, w, prec)
 
     def _term_balls(self, wp: int):
         """(((exponent interval, coefficient interval), ...), sum of
@@ -552,12 +461,7 @@ class QTrigPoly:
             cache = self._ball_cache = {}
         hit = cache.get(wp)
         if hit is None:
-            terms = tuple((d.ball_mpi(wp), _mpi_fraction(c, wp))
-                          for d, c in self.terms.items())
-            mag = _MPI_ZERO
-            for _, cf in terms:
-                mag = mpi_add(mag, mpi_abs(cf, wp), wp)
-            hit = cache[wp] = (terms, mag)
+            hit = cache[wp] = term_balls(self.terms.items(), wp)
         return hit
 
     # -- divisibility --------------------------------------------------------

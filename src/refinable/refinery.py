@@ -5,7 +5,9 @@ Q(theta)), ``MaskSpec`` (a dilation lambda with a normalized mask
 polynomial H), ``MultivariateMaskSpec`` and the integer-dilation
 ``MultivariateMask`` with ``integer_dilation_box_mask``, its exact
 expansion.  Nothing here imports numpy: the float kernels in
-``splinecore`` build on these types, not the other way round.
+``splinecore`` build on these types, not the other way round.  The
+stack, each layer importing only from those before it: exactreal ->
+enclosure -> qtrig/polyq/powermod -> refinery -> splinecore -> cli.
 
 Is B(x|A) (univariate) or B(x|M) (s-variate) refinable under a dilation
 lambda > 1, and with which mask and translations?  The ground truth is
@@ -49,19 +51,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Collection, Optional, Sequence, Union
 
-from mpmath.libmp import (
-    fone,
-    from_int,
-    mpf_acos,
-    mpf_add,
-    mpf_div,
-    mpf_pi,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-)
-
 from . import polyq
+from .enclosure import acos_enclosure
 from .errors import (
     CycleInconsistency,
     InvalidLambda,
@@ -80,7 +71,6 @@ from .exactreal import (
     _json_element,
     _json_field,
     _json_rational,
-    _mpf_to_fraction,
     field_make,
     int_ratio,
 )
@@ -810,6 +800,8 @@ def lawton_check(p: Sequence[Union[int, Fraction]], d: int, m: int) -> LawtonRes
     """
     if m < 2:
         raise InvalidLambda("integer dilation must be >= 2")
+    if d < 0:
+        raise ValueError("spline degree d must be >= 0")
     pp = polyq.pnorm(list(p))
     if not pp:
         raise ValueError("p must be nonzero")
@@ -848,7 +840,8 @@ def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
     g, so the denominator multiplicity at g equals the one at I, while
     the numerator multiplicity at g is no larger (a divisor of g divides
     I).  A failure at I is thus a failure at g <= I, so I stops at L and
-    the first failing (j, I) is the one the full range gives.
+    the first failing (j, I) is the one the full range gives, and only
+    the divisors of L need a test.
     """
     lam_e, _, cols, _ = _prepare(A, lam)
     n = len(cols)
@@ -865,7 +858,7 @@ def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
         num_mod.append(nm)
     for j in range(n):
         period = math.lcm(*(q for q in den_mod[j] if q is not None))
-        for I in range(1, min(bound, period) + 1):
+        for I in _divisors_upto(period, bound):
             den_mult = sum(1 for q in den_mod[j] if q is not None and I % q == 0)
             num_mult = sum(1 for q in num_mod[j] if q is not None and I % q == 0)
             if num_mult < den_mult:
@@ -876,6 +869,18 @@ def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
                     "numerator_multiplicity": num_mult,
                 })
     return CoverageReport(True, bound, None)
+
+
+def _divisors_upto(n: int, bound: int) -> list[int]:
+    """The divisors of n >= 1 that are at most ``bound``, ascending: each
+    pair (i, n // i) is found from its smaller member i <= sqrt(n)."""
+    found = set()
+    for i in range(1, min(bound, math.isqrt(n)) + 1):
+        if n % i == 0:
+            found.add(i)
+            if n // i <= bound:
+                found.add(n // i)
+    return sorted(found)
 
 # ---------------------------------------------------------------------------
 # s-variate masks
@@ -1227,7 +1232,7 @@ def _self_reciprocal_roots(S: polyq.Poly, D0: int, delta_cap: Fraction
             cur_lo, cur_hi = ylo, yhi
             target = width0
             for _ in range(80):
-                ulo, uhi = _acos_enclosure(cur_lo, cur_hi)
+                ulo, uhi = acos_enclosure(cur_lo, cur_hi)
                 if flip:
                     ulo, uhi = 1 - uhi, 1 - ulo
                 mid = (ulo + uhi) / 2 * D0
@@ -1241,21 +1246,6 @@ def _self_reciprocal_roots(S: polyq.Poly, D0: int, delta_cap: Fraction
                     "enclosure refinement did not reach the target width")
             out.append(MaskRoot(mid, delta, False, "algebraic"))
     return out
-
-
-def _acos_enclosure(ylo: Fraction, yhi: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward enclosure of arccos(y/2)/(2 pi) over [ylo, yhi] in (−2, 2):
-    both ends at 96 bits rounded to nearest, padded by 2^-80."""
-    two_pi = mpf_shift(mpf_pi(96, round_nearest), 1)
-
-    def turns(y: Fraction):
-        half = mpf_shift(mpf_div(from_int(y.numerator, 96, round_nearest),
-                                 from_int(y.denominator), 96, round_nearest), -1)
-        return mpf_div(mpf_acos(half, 96, round_nearest), two_pi, 96, round_nearest)
-
-    pad = mpf_shift(fone, -80)
-    return (_mpf_to_fraction(mpf_sub(turns(yhi), pad, 96, round_nearest)),
-            _mpf_to_fraction(mpf_add(turns(ylo), pad, 96, round_nearest)))
 
 
 def decay_probe(mask: MaskSpec, J: int = 200, prec: int = 64) -> DecayReport:

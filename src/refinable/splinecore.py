@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from mpmath.libmp import to_str
 
+from .enclosure import decimal_midpoint
 from .errors import Divergence, InvalidLambda, RefinabilityError
 from .exactreal import QQ, FieldElement
 from .qtrig import QTrigPoly, geometric
@@ -122,7 +122,7 @@ def _longdouble(e) -> np.longdouble:
     if isinstance(e, FieldElement):
         if e.is_rational:
             return np.longdouble(e.num[0]) / np.longdouble(e.den)
-        return np.longdouble(to_str(e._mid_mpf(96), 24))
+        return np.longdouble(decimal_midpoint(e))
     q = Fraction(e)
     return np.longdouble(q.numerator) / np.longdouble(q.denominator)
 

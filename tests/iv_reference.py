@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from mpmath import iv
 
+from refinable import enclosure
 from refinable.exactreal import ExactReal, FieldElement
 from refinable.qtrig import _dot
 
@@ -89,7 +90,7 @@ def iv_theta(desc):
 
 
 def iv_ball(x: FieldElement, prec: int):
-    """``FieldElement.ball_mpi`` in the ``iv`` Horner form."""
+    """``enclosure.ball`` in the ``iv`` Horner form."""
     with iv_prec(prec + 8 + 2 * x.desc.k):
         th = iv_theta(x.desc)
         acc = iv.mpf(0)
@@ -139,7 +140,7 @@ def _hat_ball(x: ExactReal, prec: int) -> IvBall:
     if isinstance(x, FieldElement):
         if x.is_zero:
             return IvBall.exact(Fraction(1))
-        xb = iv.make_mpf(x.ball_mpi(prec))
+        xb = iv.make_mpf(enclosure.ball(x, prec))
     else:
         x = Fraction(x)
         if x == 0:

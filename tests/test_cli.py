@@ -121,6 +121,15 @@ def test_erdos_subcommand(capsys):
     assert code == 0
 
 
+def test_erdos_xi_decimal_is_correctly_rounded(capsys):
+    # the coordinates of xi cancel to 0.00190636528059788780...; the
+    # midpoint of a 64-bit ball of the coordinates printed "0"
+    code, data = run_json(capsys, ["erdos", "--field", "2,2", "--lambda", "1+t",
+                                   "--targets", "0", "--depth", "30"])
+    assert code == 0
+    assert data["certificate"]["xi_decimal"] == "0.0019063652805978877"
+
+
 def test_erdos_dilation_too_close_to_one(capsys):
     # no g <= 10000 is admissible; exit 1 would read as "refuted"
     assert run(["erdos", "--lambda", "100001/100000", "--depth", "1"]) == 2
@@ -180,6 +189,7 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     ["lawton", "--p", "1/0,1", "--d", "1", "--m", "2"],
     ["decay", "--bspline", "1", "--m", "2", "--J", "0"],
     ["cascade", "--bspline", "-1", "--m", "2"],
+    ["lawton", "--p", "1", "--d", "-3", "--m", "2"],
     ["check", "--instance", {**COUNTER, "columns": []}],
     ["check", "--instance", [1]],
     ["check", "--instance", {**COUNTER, "columns": "12"}],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 
 from fraction_field import RefElement
-from refinable import exactreal
+from refinable import enclosure, exactreal
 from refinable.errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 from refinable.exactreal import (
     QQ,
@@ -107,8 +107,8 @@ def test_numeric_embedding_consistency(F10):
     for _ in range(20):
         a = F10.element([rng.randint(-5, 5), rng.randint(-5, 5)])
         b = F10.element([rng.randint(-5, 5), rng.randint(-5, 5)])
-        ab = iv.make_mpf((a * b).ball_mpi(64))
-        sep = iv.make_mpf(a.ball_mpi(64)) * iv.make_mpf(b.ball_mpi(64))
+        ab = iv.make_mpf(enclosure.ball(a * b, 64))
+        sep = iv.make_mpf(enclosure.ball(a, 64)) * iv.make_mpf(enclosure.ball(b, 64))
         assert not (float(ab.b) < float(sep.a) or float(sep.b) < float(ab.a))
 
 
@@ -188,14 +188,14 @@ def test_sign_lets_an_interrupt_in_the_enclosure_check_through(monkeypatch):
 
 @pytest.mark.parametrize("expected", [1, -1])
 def test_sign_check_converts_nothing(F10, monkeypatch, expected):
-    # sign and floor are decided by integer arithmetic alone: any use of an
-    # mpmath enclosure or conversion raises here
+    # sign, floor and float are decided by integer arithmetic alone: any
+    # use of an mpmath enclosure or conversion raises here
     x = (F10.theta() - 3) * expected
-    monkeypatch.setattr(FieldElement, "ball_mpi", _raise_interrupt)
-    monkeypatch.setattr(FieldElement, "_mid_mpf", _raise_interrupt)
+    monkeypatch.setattr(enclosure, "ball", _raise_interrupt)
     monkeypatch.setattr(type(iv), "convert", _raise_interrupt)
     assert x.sign() == expected
     assert x.floor() == (0 if expected > 0 else -1)
+    assert float(x) == expected * 0.16227766016837933  # sqrt(10) - 3
 
 
 def _raise_interrupt(*args, **kwargs):
@@ -290,6 +290,57 @@ def test_cubic_sign_and_floor_against_3000_bits(case):
         sign = 1 if val > 0 else -1
     assert x.sign() == sign
     assert x.floor() == floor
+
+
+# (field, unit): a power of a unit has large coordinates whichever way
+# it is taken, and they cancel for the small powers
+_UNITS = [(field_make(2, 2), [-1, 1]), (field_make(10, 2), [-3, 1]),
+          (field_make(2, 3), [-1, 1])]
+
+
+@st.composite
+def _unit_powers(draw):
+    """+-2^e u^m for a unit u < 1 and |m| <= 60: tiny, large and negative
+    values, and 2^e moves them across the exponent range of a float,
+    down to its subnormals and below."""
+    desc, coords = draw(st.sampled_from(_UNITS))
+    m = draw(st.integers(-60, 60).filter(bool))
+    scale = Fraction(2) ** draw(st.sampled_from([0, 0, -800, 800, -1040]))
+    return desc.element(coords) ** m * scale * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_powers())
+def test_float_is_the_nearest_float(x):
+    f = float(x)
+    assert math.copysign(1.0, f) == x.sign()  # also when f underflows to 0
+    dist = abs(x - Fraction(f))
+    for g in (math.nextafter(f, -math.inf), math.nextafter(f, math.inf)):
+        assert dist < abs(x - Fraction(g))
+
+
+def test_float_of_cancelling_powers():
+    u = field_make(2, 2).theta() - 1
+    # the midpoint of a 64-bit ball of the coordinates read 7.45e-09
+    assert float(u ** 40) == 4.886215156265627e-16
+    # (sqrt 2 - 1)^1800 is about 1e-689 with 2,290-bit coordinates: the
+    # enclosure of x * 2^2048 straddles 0, and both ends underflow to a
+    # zero of either sign
+    for v in (u ** 1800, -u ** 1800):
+        f = float(v)
+        assert f == 0 and math.copysign(1.0, f) == v.sign()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_powers())
+def test_longdouble_is_within_its_rounding(x):
+    import numpy as np
+
+    from refinable.splinecore import _longdouble
+
+    eps = max(Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio()), Fraction(1, 1 << 63))
+    got = Fraction(*_longdouble(x).as_integer_ratio())
+    assert abs(x - got) <= eps * abs(x)
 
 
 _small = st.fractions(min_value=-50, max_value=50, max_denominator=30)

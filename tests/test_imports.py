@@ -1,8 +1,12 @@
 """Every module of the package uses each name it imports, every public
 name has a user, the exact core never loads the float numerics, and the
 numerics hold no global state: mpmath comes in only as ``mpmath.libmp``,
-and no precision setting of mpmath's contexts changes a result or is
-changed."""
+only in ``enclosure``, and no precision setting of mpmath's contexts
+changes a result or is changed.
+
+The stack, each layer importing only from those before it:
+exactreal -> enclosure -> qtrig/polyq/powermod -> refinery ->
+splinecore -> cli."""
 
 import ast
 from pathlib import Path
@@ -227,6 +231,30 @@ def test_library_imports_mpmath_only_as_libmp():
     source = ("import mpmath\nimport mpmath.libmp\nfrom mpmath import iv, mp\n"
               "from mpmath.libmp import mpf_add\n")
     assert _mpmath_imports(source) == ["mpmath", "mpmath.libmp", "mpmath.iv", "mpmath.mp"]
+
+
+def _mpmath_users(sources: dict[str, str]) -> list[str]:
+    """The modules that import mpmath in any form, and every import of a
+    private name from ``enclosure``."""
+    found = []
+    for name, source in sorted(sources.items()):
+        for module, _ in _imports(source):
+            if module.split(".")[0] == "mpmath":
+                found.append(name)
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.level
+                    and node.module == "enclosure"):
+                found += [f"{name} imports {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    return sorted(set(found))
+
+
+def test_only_enclosure_imports_mpmath():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _mpmath_users(sources) == ["enclosure"]
+    assert _mpmath_users({"qtrig": "from .enclosure import ball, _mpi_int\n",
+                          "splinecore": "from mpmath.libmp import to_str\n"}) == [
+        "qtrig imports _mpi_int", "splinecore"]
 
 
 def _numeric_outputs() -> list:

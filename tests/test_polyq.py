@@ -35,6 +35,14 @@ def test_compose_power():
     assert polyq.pcompose_power(F(1, 1), 3) == F(1, 0, 0, 1)
 
 
+def test_power_rejects_a_negative_exponent():
+    # a negative exponent once gave 1, so Lawton's test ran with Q = p
+    assert polyq.ppow(F(-1, 1), 0) == F(1)
+    assert polyq.ppow(F(-1, 1), 2) == F(1, -2, 1)
+    with pytest.raises(ValueError):
+        polyq.ppow(F(-1, 1), -3)
+
+
 def test_sturm_counts():
     p = polyq.pmul(F(-1, 1), polyq.pmul(F(-2, 1), F(3, 1)))  # roots 1, 2, -3
     assert polyq.sturm_root_count(p, Fraction(-4), Fraction(4)) == 3

@@ -13,17 +13,11 @@ from mpmath import iv
 from fraction_qtrig import RefPoly
 from gen_instances import instance_batch
 from iv_reference import IvBall, eval_ball_uncached, iv_ball, iv_fraction, iv_prec
-from refinable import exactreal
+from refinable import enclosure
+from refinable.enclosure import _two_pi, _unit_exponential_mpi
 from refinable.errors import DescriptorMismatch, ZeroPolynomial
 from refinable.exactreal import QQ, FieldElement, field_make
-from refinable.qtrig import (
-    BinomialDivisionWitness,
-    ExponentVector,
-    QTrigPoly,
-    _two_pi,
-    _unit_exponential_mpi,
-    geometric,
-)
+from refinable.qtrig import BinomialDivisionWitness, ExponentVector, QTrigPoly, geometric
 from refinable.refinery import _prepare
 
 
@@ -385,11 +379,11 @@ def test_raw_enclosures_match_the_interval_object_forms(desc, nums, den, prec):
     for q in [Fraction(nums[0], den), Fraction(nums[1]), Fraction(0)]:
         with iv_prec(prec):
             want = iv_fraction(q)._mpi_
-        assert exactreal._mpi_fraction(q, prec) == want
+        assert enclosure._mpi_fraction(q, prec) == want
     for coords in ([Fraction(n, den) for n in nums[:desc.k]], [0] * desc.k,
                    [-abs(Fraction(nums[0], den))] + [0] * (desc.k - 1)):
         x = desc.element(coords)
-        assert x.ball_mpi(prec) == iv_ball(x, prec)._mpi_
+        assert enclosure.ball(x, prec) == iv_ball(x, prec)._mpi_
 
 
 def test_eval_ball_and_ball_restore_the_interval_precision(F10, monkeypatch):
@@ -399,15 +393,15 @@ def test_eval_ball_and_ball_restore_the_interval_precision(F10, monkeypatch):
     P = QTrigPoly(F10, {F10.zero(): 1, F10.theta() / 2: Fraction(2, 3)})
     with iv_prec(77):
         P.eval_ball(F10.theta() * 10 ** 20, 64)  # escalates
-        F10.theta().ball_mpi(300)
+        enclosure.ball(F10.theta(), 300)
         for point in (0.25 + 0.5j, (F10.theta(), Fraction(1, 3)), "0.5"):
             with pytest.raises(TypeError):
                 P.eval_ball(point, 64)
 
-        def mismatch(self, prec):
+        def mismatch(x, prec):
             raise DescriptorMismatch("enclosure from a different field")
 
-        monkeypatch.setattr(FieldElement, "ball_mpi", mismatch)
+        monkeypatch.setattr(enclosure, "ball", mismatch)
         with pytest.raises(DescriptorMismatch):
             QTrigPoly(F10, P.terms).eval_ball(Fraction(1, 3), 64)
         assert iv.prec == 77
@@ -448,7 +442,8 @@ def test_exponents_order_equals_the_exact_sort(desc, rng):
     exps = _exponent_set(rng, desc)
     P = QTrigPoly(desc, {d: Fraction(i + 1) for i, d in enumerate(exps)})
     assert P.exponents() == tuple(sorted(P.terms))
-    assert P.exponents() == tuple(sorted(P.terms, key=lambda d: exactreal._mpf_to_fraction(d._mid_mpf(400))))
+    assert P.exponents() == tuple(sorted(P.terms, key=lambda d: enclosure._mpf_to_fraction(
+        enclosure.midpoint(enclosure.ball(d, 400), 400))))
 
 
 @settings(max_examples=100, deadline=None)

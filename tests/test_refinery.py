@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gen_instances import instance_batch
@@ -310,19 +310,72 @@ def _coverage_full_range(A, lam, bound):
     return None
 
 
-@pytest.mark.parametrize("seed", [777, 101])
+def _coverage_period_scan(A, lam, bound):
+    """Reference: the first uncovered (column, I) over 1 <= I <= min(bound,
+    L), L the lcm of the column's denominators, every I tested."""
+    lam_e, _, cols, _ = _prepare(A, lam)
+    for j, m in enumerate(cols):
+        dens = [(o / m).den if (o / m).is_rational else None for o in cols]
+        nums = [(lam_e * o / m).den if (lam_e * o / m).is_rational else None
+                for o in cols]
+        period = math.lcm(*(q for q in dens if q is not None))
+        for I in range(1, min(bound, period) + 1):
+            den_mult = sum(1 for q in dens if q is not None and I % q == 0)
+            num_mult = sum(1 for q in nums if q is not None and I % q == 0)
+            if num_mult < den_mult:
+                return j, I, den_mult, num_mult
+    return None
+
+
+def _uncovered(rep):
+    return None if rep.consistent else tuple(
+        rep.uncovered[key] for key in ("column", "I", "denominator_multiplicity",
+                                       "numerator_multiplicity"))
+
+
+_COVERAGE_FIELDS = [QQ, field_make(2, 2), field_make(10, 2), field_make(5, 3)]
+
+
+@st.composite
+def _coverage_instances(draw):
+    """Columns r_i * b and r_i * t / lambda * b (b a field element, r_i
+    rationals with small denominators, so the lcm L has many divisors, t
+    a small rational), a rational or field dilation lambda > 1 and a
+    bound below or above L.  The columns over lambda cover the zeros of
+    the others at small I, so many first failures come at I > 1."""
+    desc = draw(st.sampled_from(_COVERAGE_FIELDS))
+    b = desc.element([draw(st.integers(-6, 6)) for _ in range(desc.k)])
+    assume(b)
+    lam = draw(st.one_of(
+        st.integers(2, 6),
+        st.fractions(min_value=Fraction(7, 6), max_value=6, max_denominator=6),
+        st.just(desc.theta() if desc.k > 1 else 3),
+        st.integers(1, 3).map(lambda a: a + desc.theta() if desc.k > 1 else a + 1)))
+    assume(lam > 1)
+    ratios = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12)
+                           .filter(bool), min_size=1, max_size=4))
+    A = [r * b for r in ratios]
+    A += [r * t * b / lam for r, t in draw(st.lists(st.tuples(
+        st.sampled_from(ratios), st.sampled_from([1, 2, 3, Fraction(1, 2)])), max_size=4))]
+    return A, lam, draw(st.integers(1, 30_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coverage_instances())
+def test_coverage_divisor_scan_equals_the_period_scan(instance):
+    A, lam, bound = instance
+    assert _uncovered(coverage_oracle(A, lam, bound)) == _coverage_period_scan(A, lam, bound)
+
+
+@pytest.mark.parametrize("seed", [777, 101, 515])
 def test_coverage_scan_stops_at_the_period(seed):
-    # the scan up to the lcm of each column's denominators finds the
-    # same first uncovered point as the scan over the whole bound
+    # the scan over the divisors of the lcm of each column's denominators
+    # finds the same first uncovered point as the scan over the whole bound
     for A, lam in instance_batch(200, seed=seed):
         k = minimal_integer_power(lam)
         bound = 20 * len(A) * (lam ** k).as_integer()
-        rep = coverage_oracle(A, lam, bound)
         want = _coverage_full_range(A, lam, bound)
-        got = None if rep.consistent else tuple(
-            rep.uncovered[key] for key in ("column", "I", "denominator_multiplicity",
-                                           "numerator_multiplicity"))
-        assert got == want, (A, lam)
+        assert _uncovered(coverage_oracle(A, lam, bound)) == want, (A, lam)
 
 
 # -- multivariate ----------------------------------------------------------------
