@@ -53,6 +53,7 @@ from .refinery import (
     MultivariateMask,
     MultivariateMaskSpec,
     RefinabilityReport,
+    bspline_mask,
     chain_structure,
     condition_B,
     counterexample_instance,

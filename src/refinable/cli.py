@@ -14,10 +14,10 @@ Subcommands wire the library into reproducible workflows:
                     instance over Q(sqrt(10))
     factorize-check numeric k-fold convolution factorization check
 
-Only ``cascade``, ``ftprobe``, ``factorize-check`` and the ``--bspline``
-shortcut of ``decay`` run a float kernel; they import numpy and
-``splinecore`` when they start.  Every other command is exact and loads
-neither.
+Only ``cascade``, ``ftprobe`` and ``factorize-check`` run a float
+kernel; they import numpy and ``splinecore`` when they start.  Every
+other command is exact and loads neither, ``decay --bspline`` included:
+the exact core builds the B-spline masks.
 
 Exit codes: 0 success/accepted, 1 refuted or failed check, 2 usage error,
 3 internal consistency error.  Output is byte-identical for identical
@@ -48,6 +48,7 @@ from .powermod import (
 from .refinery import (
     BoxSplineSpec,
     MaskSpec,
+    bspline_mask,
     counterexample_instance,
     decay_probe,
     decide_univariate,
@@ -130,10 +131,10 @@ def _emit(args, report: dict, text_lines: Optional[list[str]] = None) -> None:
         payload = json.dumps(report, indent=2)
     elif fmt == "text":
         payload = "\n".join(text_lines or _flatten_text(report))
-    elif fmt == "csv":
-        payload = report.get("csv", "")
+    elif fmt == "csv" and "csv" in report:
+        payload = report["csv"]
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"{args.subcommand} has no {fmt} form")
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -258,8 +259,6 @@ def _cmd_cascade(args) -> int:
 
 def _mask_from_args(args) -> MaskSpec:
     if getattr(args, "bspline", None) is not None:
-        from .splinecore import bspline_mask
-
         return bspline_mask(args.bspline, 2 if args.m is None else args.m)
     inst = _load_instance(args)
     if inst["s"] != 1:
@@ -277,6 +276,10 @@ def _cmd_ftprobe(args) -> int:
 
     if args.points < 1:
         raise ValueError("points must be >= 1")
+    if not 0 < args.wmax < float("inf"):
+        raise ValueError(f"wmax must be finite and > 0, got {args.wmax!r}")
+    if not args.tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {args.tol!r}")
     inst = _load_instance(args)
     if inst["s"] != 1:
         raise ValueError("univariate instance required")
@@ -347,6 +350,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_factorize_check(args) -> int:
     from .splinecore import convolution_factorization_check
 
+    if not args.tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {args.tol!r}")
     inst = _load_instance(args)
     if inst["s"] != 1:
         raise ValueError("univariate instance required")

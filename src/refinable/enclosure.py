@@ -4,14 +4,13 @@ The one module of the package that imports mpmath, and the only one
 that knows its raw formats: an mpf is a tuple (sign, man, exp, bc), an
 interval a pair (lo, hi) of them.  Every function takes its precision
 in bits; none reads or sets a global precision of mpmath's contexts.
-``FieldElement`` needs none of this for sign, floor and ``float``
-(its integer enclosure ``fixed_point`` decides them); these enclosures
-serve the steps that leave the field:
+``FieldElement`` needs none of this for sign, floor, ``float`` and the
+long doubles of the float kernels (its integer enclosure
+``fixed_point`` decides them); these enclosures serve the steps that
+leave the field:
 
 - ``ball``, Horner over the coordinates q_j of a field element, with
   theta the square root of n for k = 2 and exp(log(n) / k) for k >= 3;
-- ``decimal_midpoint``, the string the float kernels read a long
-  double from;
 - ``rational_lower_bound``, the constant c of an Erdos certificate;
 - ``acos_enclosure``, the arccos roots of a mask factor;
 - ``ComplexBall``, ``term_balls`` and ``eval_terms``, the term loop of
@@ -33,13 +32,10 @@ from mpmath.libmp import (
     fone,
     from_int,
     fzero,
-    mpf_abs,
     mpf_acos,
     mpf_add,
     mpf_div,
-    mpf_le,
     mpf_pi,
-    mpf_pos,
     mpf_shift,
     mpf_sub,
     mpi_abs,
@@ -58,7 +54,6 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
     to_rational,
-    to_str,
 )
 
 from .exactreal import ExactReal, FieldElement
@@ -116,28 +111,6 @@ def ball(x: FieldElement, prec: int) -> tuple:
     for c in reversed(x.coeffs):
         acc = mpi_add(mpi_mul(acc, th, wp), _mpi_fraction(c, wp), wp)
     return acc
-
-
-def midpoint(ival: tuple, prec: int) -> tuple:
-    """Raw midpoint of a raw interval: both endpoints rounded to nearest
-    at ``prec`` bits, summed the same way and halved."""
-    lo, hi = ival
-    return mpf_shift(mpf_add(mpf_pos(lo, prec, round_nearest),
-                             mpf_pos(hi, prec, round_nearest), prec, round_nearest), -1)
-
-
-def decimal_midpoint(x: FieldElement) -> str:
-    """``midpoint(ball(x, wp), wp)`` in 24 significant decimal digits, at
-    the first wp = 96, 192, 384, ... whose ball is narrower than 2^-96
-    times the midpoint's magnitude.  The first ball passes unless the
-    coordinates of x cancel; x must be irrational (nonzero)."""
-    wp = 96
-    while True:
-        lo, hi = ival = ball(x, wp)
-        mid = midpoint(ival, wp)
-        if mpf_le(mpf_sub(hi, lo, 53, round_ceiling), mpf_shift(mpf_abs(mid), -96)):
-            return to_str(mid, 24)
-        wp *= 2
 
 
 def rational_lower_bound(x: FieldElement, bits: int = 64) -> Fraction:

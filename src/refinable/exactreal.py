@@ -32,12 +32,12 @@ without reducing it to lowest terms.  ``fixed_point(p)`` encloses
 x * 2^p between integers at most 2 apart, at the precision the
 coordinates need.
 
-``float`` reads the same enclosure: p doubles from 64 until both ends
-of ``fixed_point(p)``, divided by 2^p, round to one float.  Rounding is
-monotone and an irrational value is never a tie, so that float is the
-correctly rounded value, however far the coordinates cancel.  Nothing
-here imports mpmath; the floating enclosures of the layers above live
-in ``enclosure``.
+``rounded(to)`` reads the same enclosure: p doubles from 64 until both
+ends of ``fixed_point(p)`` round to one value.  An irrational value is
+never a tie, so that is the correctly rounded value, however far the
+coordinates cancel: ``float`` and the long doubles of the float kernels
+come from it.  Nothing here imports mpmath; the floating enclosures of
+the layers above live in ``enclosure``.
 
 Values are immutable; every operation is a pure function.
 """
@@ -50,7 +50,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import DescriptorMismatch, DivisionByZero, IrreducibilityError
 
@@ -516,19 +516,24 @@ class FieldElement:
     # -- numerics ---------------------------------------------------------
 
     def __float__(self) -> float:
-        """The nearest float, ties to even.  An irrational value is never
-        a tie: p doubles from 64 until both ends of ``fixed_point(p)``
-        round to one float (on one side of zero), which is then the
-        nearest float to the value."""
+        """The nearest float, ties to even."""
         num, den = self.num, self.den
         if not any(num[1:]):
             return num[0] / den
+        return self.rounded(_dyadic_float)
+
+    def rounded(self, to: Callable[[int, int], object]):
+        """The value rounded by ``to``, a monotone rounding ``to(n, p)``
+        of n / 2^p: p doubles from 64 until both ends of
+        ``fixed_point(p)`` round to one value on one side of zero.  An
+        irrational value is never a tie, so a correct ``to`` gives the
+        correctly rounded value."""
         p = _SIGN_START_PREC
         while True:
             lo, hi = self.fixed_point(p)
-            f = _dyadic_float(lo, p)
-            if f == _dyadic_float(hi, p) and (lo < 0) == (hi < 0):
-                return f
+            r = to(lo, p)
+            if r == to(hi, p) and (lo < 0) == (hi < 0):
+                return r
             p *= 2
 
     def _f64_key(self) -> float:

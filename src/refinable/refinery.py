@@ -3,7 +3,8 @@
 The types: ``BoxSplineSpec`` (a full-rank direction matrix over
 Q(theta)), ``MaskSpec`` (a dilation lambda with a normalized mask
 polynomial H), ``MultivariateMaskSpec`` and the integer-dilation
-``MultivariateMask`` with ``integer_dilation_box_mask``, its exact
+``MultivariateMask``.  ``integer_dilation_box_mask`` and
+``bspline_mask``, the cardinal B-spline masks, share one exact
 expansion.  Nothing here imports numpy: the float kernels in
 ``splinecore`` build on these types, not the other way round.  The
 stack, each layer importing only from those before it: exactreal ->
@@ -278,17 +279,31 @@ def integer_dilation_box_mask(spec: BoxSplineSpec, m: int):
     if not spec.is_integer_matrix():
         raise NonIntegerMatrix("integer-dilation mask needs an integer matrix")
     desc = spec.desc
-    dirs = spec.directions_1d() if spec.s == 1 else spec.columns
-    H = QTrigPoly.constant(desc, like=_exponent(desc, dirs[0]))
-    for d in dirs:
-        H = H * geometric(desc, m, d)
-    H = H.scale(Fraction(1, m ** spec.n))
+    H = _dilation_expansion(desc, spec.directions_1d() if spec.s == 1 else spec.columns, m)
     if spec.s == 1:
         return MaskSpec(desc.rational(m), H)
     # each exponent vector d = M alpha is the translation of B(mx - d)
     # integer columns give integer exponents, so H.eden is 1
     return MultivariateMask(m=m, s=spec.s, terms={
         n: Fraction(c, H.den) for n, c in H.rational_exponents()})
+
+
+def bspline_mask(degree: int, m: int) -> MaskSpec:
+    """The cardinal B-spline mask ((1 + z + ... + z^(m-1)) / m)^(degree+1),
+    the integer-dilation mask of degree + 1 unit directions."""
+    if m < 2:
+        raise InvalidLambda("integer dilation must be >= 2")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return MaskSpec(QQ.rational(m), _dilation_expansion(QQ, (QQ.one(),) * (degree + 1), m))
+
+
+def _dilation_expansion(desc: FieldDescriptor, dirs: Sequence, m: int) -> QTrigPoly:
+    """The H(w) of ``integer_dilation_box_mask`` for the directions ``dirs``."""
+    H = QTrigPoly.constant(desc, like=_exponent(desc, dirs[0]))
+    for d in dirs:
+        H = H * geometric(desc, m, d)
+    return H.scale(Fraction(1, m ** len(dirs)))
 
 
 # ---------------------------------------------------------------------------
@@ -958,9 +973,9 @@ def _probe_vectors(s: int):
             raise ProbeExhaustion("no admissible probes with sup-norm <= 1000")
 
 
-def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, ...]]:
+def admissible_probes(spec: BoxSplineSpec) -> list[tuple[int, ...]]:
     """s linearly independent integer probes avoiding every hyperplane
-    w . m_j = 0 (exact test), plus the requested spares."""
+    w . m_j = 0 (exact test), plus two spares."""
     chosen: list[tuple[int, ...]] = []
     independent: list[tuple[FieldElement, ...]] = []  # over QQ
     for w0 in _probe_vectors(spec.s):
@@ -970,9 +985,9 @@ def admissible_probes(spec: BoxSplineSpec, spares: int = 2) -> list[tuple[int, .
         if _rank(independent + [v], spec.s) > len(independent):
             independent.append(v)
             chosen.append(w0)
-        elif len(independent) == spec.s and len(chosen) < spec.s + spares:
+        elif len(independent) == spec.s and len(chosen) < spec.s + 2:
             chosen.append(w0)
-        if len(independent) == spec.s and len(chosen) >= spec.s + spares:
+        if len(independent) == spec.s and len(chosen) >= spec.s + 2:
             return chosen
     raise ProbeExhaustion("probe enumeration exhausted")  # pragma: no cover
 

@@ -8,32 +8,32 @@ Time side: the cascade fixed-point iteration
 f_{k+1}(x) = sum_j c_j f_k(lambda x - d_j) on a uniform grid with linear
 interpolation, which approximates the distribution solution supported
 in [d_0/(lambda-1), d_N/(lambda-1)], and the numeric check of the k-fold
-convolution factorization built on it.  ``bspline_mask`` gives the
-cardinal B-spline masks the cascade is tried on.
+convolution factorization built on it.
 
 Grid computations are float64/numpy with fixed summation order, so
-outputs are deterministic for fixed inputs.
+outputs are deterministic for fixed inputs.  An irrational dilation,
+translation or direction enters them as its nearest long double, which
+``FieldElement.rounded`` gives from the element's integer enclosure.
 
 The exact types these kernels read, ``BoxSplineSpec`` and ``MaskSpec``,
-live in ``refinery``, which never imports this module, so the exact
-decisions run without numpy.  The references that check the kernels
-(a convolution oracle for ``cascade_solve`` and an enclosure transform
-for ``boxspline_ft_f64``) live with the tests.
+and the cardinal B-spline masks the cascade is tried on
+(``bspline_mask``) come from ``refinery``, which never imports this
+module, so the exact decisions run without numpy.  The references that
+check the kernels (a convolution oracle for ``cascade_solve`` and an
+enclosure transform for ``boxspline_ft_f64``) live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .enclosure import decimal_midpoint
+from . import refinery
 from .errors import Divergence, InvalidLambda, RefinabilityError
-from .exactreal import QQ, FieldElement
-from .qtrig import QTrigPoly, geometric
+from .exactreal import FieldElement
 from .refinery import (
     BoxSplineSpec,
     MaskSpec,
@@ -43,21 +43,7 @@ from .refinery import (
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-
-# ---------------------------------------------------------------------------
-# cardinal B-spline masks
-
-
-def bspline_mask(degree: int, m: int) -> MaskSpec:
-    """The cardinal B-spline mask ((1 + z + ... + z^(m-1)) / m)^(degree+1)."""
-    if m < 2:
-        raise InvalidLambda("integer dilation must be >= 2")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    H = QTrigPoly.constant(QQ)
-    for _ in range(degree + 1):
-        H = H * geometric(QQ, m, 1)
-    return MaskSpec(QQ.rational(m), H.scale(Fraction(1, m ** (degree + 1))))
+bspline_mask = refinery.bspline_mask  # exact masks the cascade is tried on
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +104,26 @@ class GridFunction:
 # Fourier side
 
 
-def _longdouble(e) -> np.longdouble:
-    if isinstance(e, FieldElement):
-        if e.is_rational:
-            return np.longdouble(e.num[0]) / np.longdouble(e.den)
-        return np.longdouble(decimal_midpoint(e))
-    q = Fraction(e)
-    return np.longdouble(q.numerator) / np.longdouble(q.denominator)
+# the bits of a long double's significand, plus a round and a sticky bit
+_LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 3
+
+
+def _dyadic_longdouble(n: int, p: int) -> np.longdouble:
+    """n / 2^p rounded to the nearest long double.  The bits of |n| past
+    ``_LONGDOUBLE_BITS`` are ORed into the last bit kept, which rounds
+    the same and keeps the decimal string numpy reads a wide int through
+    under Python's 4,300-digit limit.  Below the normal range ``ldexp``
+    rounds a second time."""
+    m = abs(n)
+    cut = max(m.bit_length() - _LONGDOUBLE_BITS, 0)
+    v = np.ldexp(np.longdouble(m >> cut | bool(m & ((1 << cut) - 1))), cut - p)
+    return -v if n < 0 else v
+
+
+def _longdouble(e: FieldElement) -> np.longdouble:
+    if e.is_rational:
+        return np.longdouble(e.num[0]) / np.longdouble(e.den)
+    return e.rounded(_dyadic_longdouble)
 
 
 def boxspline_ft_f64(spec: BoxSplineSpec, w: np.ndarray) -> np.ndarray:

@@ -146,6 +146,17 @@ def test_cascade_csv(tmp_path, counter_file):
     assert len(lines) == 2 + 256
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--instance"],
+    ["decay", "--bspline", "0", "--m", "2", "--J", "5", "--instance"],
+], ids=lambda argv: argv[0])
+def test_csv_only_where_there_is_one(capsys, counter_file, argv):
+    # only cascade has a CSV form; the others once printed an empty line
+    assert run([*argv, counter_file, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {argv[0]} has no csv form\n"
+
+
 def test_ftprobe(capsys, counter_file):
     code, data = run_json(capsys, ["ftprobe", "--instance", counter_file,
                                    "--J", "40", "--points", "40"])
@@ -194,10 +205,18 @@ def test_numeric_argument_errors_exit_2(capsys, tmp_path, counter_file):
     ["check", "--instance", [1]],
     ["check", "--instance", {**COUNTER, "columns": "12"}],
     ["check", "--instance", {**COUNTER, "field": [10, 2]}],
+    ["ftprobe", "--wmax", "nan", "--instance", COUNTER],
+    ["ftprobe", "--wmax", "inf", "--instance", COUNTER],
+    ["ftprobe", "--wmax", "-5", "--instance", COUNTER],
+    ["ftprobe", "--tol", "nan", "--instance", COUNTER],
+    ["ftprobe", "--tol=-1e-9", "--instance", COUNTER],
+    ["factorize-check", "--tol", "nan", "--instance", COUNTER],
 ])
 def test_degenerate_inputs_exit_2(capsys, tmp_path, argv):
-    # a zero denominator, J < 1, a negative degree and malformed instance
-    # JSON (the last item, written to a file) are usage errors
+    # a zero denominator, J < 1, a negative degree, a sampling range or
+    # tolerance that is not a number >= 0 (--wmax nan once ended in an
+    # OverflowError traceback, --tol nan in a failed check) and malformed
+    # instance JSON (the last item, written to a file) are usage errors
     if not isinstance(argv[-1], str):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(argv[-1]))
@@ -238,8 +257,9 @@ def _fresh_run(argv: list[str], cwd: Path) -> tuple[int, str, bool, bool]:
     ["lawton", "--p", "1", "--d", "0", "--m", "2"],
     ["erdos", "--lambda", "2", "--targets", "0", "--depth", "4"],
     ["decay", "--field", "2,1", "--lambda", "3", "--columns", "1;1", "--J", "20"],
+    ["decay", "--bspline", "1", "--m", "2", "--J", "20"],
     ["counterexample"],
-], ids=lambda argv: argv[0])
+], ids=lambda argv: argv[0] + ("-bspline" if "--bspline" in argv else ""))
 def test_exact_commands_load_no_numpy(tmp_path, argv):
     (tmp_path / "counter.json").write_text(json.dumps(COUNTER))
     (tmp_path / "mv.json").write_text(json.dumps(MV))

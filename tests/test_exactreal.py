@@ -332,15 +332,20 @@ def test_float_of_cancelling_powers():
 
 
 @settings(max_examples=300, deadline=None)
-@given(_unit_powers())
-def test_longdouble_is_within_its_rounding(x):
+@given(_unit_powers(), st.one_of(st.just(0), st.integers(300, 4000), st.integers(-4000, -300)))
+def test_longdouble_is_within_its_rounding(x, e):
+    # the nearest long double, also far outside the float range
     import numpy as np
 
     from refinable.splinecore import _longdouble
 
-    eps = max(Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio()), Fraction(1, 1 << 63))
-    got = Fraction(*_longdouble(x).as_integer_ratio())
-    assert abs(x - got) <= eps * abs(x)
+    x *= Fraction(10) ** e
+    got = _longdouble(x)
+    assert np.signbit(got) == (x.sign() < 0)
+    dist = abs(x - Fraction(*got.as_integer_ratio()))
+    inf = np.longdouble(np.inf)
+    for g in (np.nextafter(got, -inf), np.nextafter(got, inf)):
+        assert dist < abs(x - Fraction(*g.as_integer_ratio()))
 
 
 _small = st.fractions(min_value=-50, max_value=50, max_denominator=30)

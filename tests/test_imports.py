@@ -143,7 +143,7 @@ def test_the_check_sees_an_unused_name():
 # The handlers that run a float kernel import numpy and splinecore
 # themselves, so the exact commands load neither.
 NUMERIC_HANDLERS = {("cli", "_cmd_cascade"), ("cli", "_cmd_ftprobe"),
-                    ("cli", "_cmd_factorize_check"), ("cli", "_mask_from_args")}
+                    ("cli", "_cmd_factorize_check")}
 
 
 def _imports(source: str) -> list[tuple[str, Optional[str]]]:

@@ -22,7 +22,6 @@ from refinable import exactreal, polyq
 from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import QTrigPoly, geometric
-from refinable.splinecore import bspline_mask
 from refinable.refinery import (
     BoxSplineSpec,
     ChainStructure,
@@ -33,6 +32,7 @@ from refinable.refinery import (
     _mask_identity,
     _orbit_abs_floor,
     _prepare,
+    bspline_mask,
     chain_structure,
     condition_B,
     counterexample_instance,
@@ -40,6 +40,7 @@ from refinable.refinery import (
     decay_probe,
     decide_univariate,
     indecomposability_witness,
+    integer_dilation_box_mask,
     lawton_check,
     mask_construct,
     mask_construct_detailed,
@@ -235,6 +236,22 @@ def test_lawton_examples():
     assert r2.refinable and r2.quotient == (1, 2, 1)
     r3 = lawton_check([1, 0, 1], 0, 2)
     assert not r3.refinable and r3.remainder
+
+
+def test_bspline_masks_keep_their_term_order():
+    # decay bits depend on the order of H's terms; the B-spline masks are
+    # the integer-dilation masks of unit directions, term for term
+    h = hashlib.sha256()
+    for degree in range(5):
+        for m in range(2, 6):
+            H = bspline_mask(degree, m).H
+            unit = integer_dilation_box_mask(BoxSplineSpec.univariate(QQ, [1] * (degree + 1)), m)
+            assert list(unit.H.num.items()) == list(H.num.items())
+            h.update(repr((degree, m, list(H.num.items()), H.den, H.eden)).encode())
+    assert h.hexdigest() == "c8e60973afe58344c2e9e058ae9b7b8c05a79eb4aee493935d354b3ea8a38ede"
+    H = bspline_mask(2, 3).H
+    assert list(H.num.items()) == [((0,), 1), ((1,), 3), ((2,), 6), ((3,), 7), ((4,), 6),
+                                   ((5,), 3), ((6,), 1)] and H.den == 27
 
 
 def test_lawton_bspline_family():
