@@ -27,7 +27,6 @@ from .exactreal import (
     FieldDescriptor,
     FieldElement,
     field_make,
-    int_ratio,
     parse_element,
 )
 from .enclosure import ComplexBall

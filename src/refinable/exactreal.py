@@ -95,7 +95,7 @@ class FieldDescriptor:
     For k = 1 the field is Q itself and the radicand plays no role.
     """
 
-    __slots__ = ("n", "k", "_zeros", "_theta_f64", "_power_bounds")
+    __slots__ = ("n", "k", "_zeros", "_power_bounds")
 
     def __init__(self, n: int, k: int):
         if k < 1:
@@ -111,7 +111,6 @@ class FieldDescriptor:
         self.n = n
         self.k = k
         self._zeros = (0,) * (k - 1)
-        self._theta_f64 = tuple(n ** (j / k) for j in range(1, k))
         self._power_bounds: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # Two descriptors denote the same field iff degrees match and, for
@@ -536,17 +535,6 @@ class FieldElement:
                 return r
             p *= 2
 
-    def _f64_key(self) -> float:
-        """A float near the value, for presorting only: not correctly
-        rounded, and inf or nan when the numerators are huge.  Raises
-        OverflowError when a coordinate exceeds the float range."""
-        num, den = self.num, self.den
-        x = num[0] / den
-        for n_j, t in zip(num[1:], self.desc._theta_f64):
-            if n_j:
-                x += n_j / den * t
-        return x
-
     def _scaled_bounds(self, p: int) -> tuple[int, int]:
         """Integers lo <= x * D * 2^p <= hi, hi - lo <= sum |N_j|: the
         directed sum of the numerators against the theta-power bounds."""
@@ -776,14 +764,3 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
             raise ValueError(f"power t^{j} exceeds field degree {desc.k}")
         coeffs[j] += -c if neg else c
     return desc.element(coeffs)
-
-
-def int_ratio(a: FieldElement, b: FieldElement) -> Optional[int]:
-    """The integer p with a = p*b, if it exists (exact test)."""
-    a, b = _coerce_pair(a, b)
-    if b.is_zero:
-        raise DivisionByZero("ratio against zero element")
-    r = a / b
-    if r.is_integer:
-        return r.num[0]
-    return None

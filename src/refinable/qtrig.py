@@ -25,10 +25,11 @@ shared by the whole polynomial, kept minimal.  Every exponent the
 refinability decision meets is an integer combination of the m_j and
 lambda*m_j, so sums, products, shifts and binomial division add and
 scale integer tuples and never do field arithmetic term by term.
-``terms`` hands the exponents out as ``FieldElement``s or
-``ExponentVector``s and the coefficients as ``Fraction``s, built on
-first use.  Scalar field-element factors (such as dilation powers) are
-kept outside the term map by the callers.
+``items()`` hands the terms out sorted by exponent, with the exponents
+as ``FieldElement``s or ``ExponentVector``s and the coefficients as
+``Fraction``s, built on first use and cached; ``terms`` builds the same
+map in storage order on each read.  Scalar field-element factors (such
+as dilation powers) are kept outside the term map by the callers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .enclosure import ComplexBall, eval_terms, term_balls
@@ -73,9 +74,6 @@ class ExponentVector(tuple):
 
     __rmul__ = __mul__  # never the tuple's repetition
 
-    def _f64_key(self) -> tuple[float, ...]:
-        return tuple([a._f64_key() for a in self])
-
     def to_text(self) -> str:
         return "(" + ", ".join(a.to_text() for a in self) + ")"
 
@@ -111,6 +109,15 @@ def _dot(a: Sequence, b: Sequence[FieldElement]) -> FieldElement:
     for x, y in zip(a, b):
         out = out + x * y
     return out
+
+
+def _near_key(d: Exponent):
+    """An integer within 2 of d * 2^64 (one per component of a vector):
+    a presort key, ordered as d wherever exponents differ by more than
+    2^-62."""
+    if isinstance(d, ExponentVector):
+        return tuple([a.fixed_point(64)[0] for a in d])
+    return d.fixed_point(64)[0]
 
 
 def _zero_exponent(desc: FieldDescriptor, like: Optional[Exponent]) -> Exponent:
@@ -191,9 +198,10 @@ class QTrigPoly:
     ``den`` and ``eden`` are 1 for the zero poly, so equal polys have
     equal ``num``, ``den`` and ``eden``.  ``terms`` is the same map with
     exponents as ``FieldElement``s (s = 1) or ``ExponentVector``s
-    (s >= 2) and ``Fraction`` coefficients, in the same order, built on
-    first use and cached; ``items()``, ``exponents()``, ``to_text`` and
-    ``eval_ball`` read it.
+    (s >= 2) and ``Fraction`` coefficients, in the same order, built
+    anew on each read; ``eval_ball`` reads it once per precision.
+    ``items()`` holds the same pairs sorted by exponent, built on first
+    use and cached; ``exponents()`` and ``to_text`` read it.
 
     Exponents are all scalars or all vectors of one length s >= 2.
     Immutable after construction.  ``exponents()`` sorts exactly: by real
@@ -203,7 +211,7 @@ class QTrigPoly:
     per working precision; a poly never evaluated keeps it ``None``.
     """
 
-    __slots__ = ("desc", "num", "den", "eden", "_terms", "_sorted", "_ball_cache")
+    __slots__ = ("desc", "num", "den", "eden", "_items", "_ball_cache")
 
     def __init__(self, desc: FieldDescriptor,
                  terms: Mapping[ExponentLike, Fraction]):
@@ -224,8 +232,7 @@ class QTrigPoly:
                     for (key, e), c in zip(lattice, clean.values())}
         self.den = den
         self.eden = eden
-        self._terms: Optional[dict[Exponent, Fraction]] = clean
-        self._sorted: Optional[tuple[Exponent, ...]] = None
+        self._items: Optional[tuple[tuple[Exponent, Fraction], ...]] = None
         self._ball_cache: Optional[dict[int, tuple]] = None
 
     @staticmethod
@@ -245,8 +252,7 @@ class QTrigPoly:
         out.num = num
         out.den = den
         out.eden = eden
-        out._terms = None
-        out._sorted = None
+        out._items = None
         out._ball_cache = None
         return out
 
@@ -280,12 +286,8 @@ class QTrigPoly:
     @property
     def terms(self) -> dict[Exponent, Fraction]:
         """exponent -> Fraction coefficient, in the order of ``num``."""
-        terms = self._terms
-        if terms is None:
-            desc, den, eden = self.desc, self.den, self.eden
-            terms = self._terms = {_from_lattice(desc, d, eden): Fraction(c, den)
-                                   for d, c in self.num.items()}
-        return terms
+        desc, den, eden = self.desc, self.den, self.eden
+        return {_from_lattice(desc, d, eden): Fraction(c, den) for d, c in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -296,25 +298,22 @@ class QTrigPoly:
 
     def exponents(self) -> tuple[Exponent, ...]:
         """Exponents sorted increasingly: by real value, or
-        lexicographically for vectors.
+        lexicographically for vectors."""
+        return tuple([d for d, _ in self.items()])
 
-        A presort by a float approximation puts nearly every pair in
-        order, so the exact sort after it makes about one comparison per
-        term; the exact sort alone decides the result, which is unique
-        because exponents are distinct.
+    def items(self) -> tuple[tuple[Exponent, Fraction], ...]:
+        """(exponent, coefficient) pairs in the order of ``exponents()``.
+
+        A presort by ``_near_key`` puts nearly every pair in order, so
+        the exact sort after it makes about one comparison per term; the
+        exact sort alone decides the result, which is unique because
+        exponents are distinct.
         """
-        if self._sorted is None:
-            near = self.terms
-            if near:
-                try:
-                    near = sorted(near, key=type(next(iter(near)))._f64_key)
-                except OverflowError:
-                    pass
-            self._sorted = tuple(sorted(near))
-        return self._sorted
-
-    def items(self) -> list[tuple[Exponent, Fraction]]:
-        return [(d, self.terms[d]) for d in self.exponents()]
+        if self._items is None:
+            pairs = sorted(self.terms.items(), key=lambda t: _near_key(t[0]))
+            pairs.sort(key=itemgetter(0))
+            self._items = tuple(pairs)
+        return self._items
 
     def coefficient_sum(self) -> Fraction:
         """The exact value at w = 0."""

@@ -73,7 +73,6 @@ from .exactreal import (
     _json_field,
     _json_rational,
     field_make,
-    int_ratio,
 )
 from .powermod import ErdosCertificate, erdos_construct, erdos_params
 from .qtrig import (
@@ -81,6 +80,7 @@ from .qtrig import (
     QTrigPoly,
     _dot,
     _exponent,
+    _lattice,
     _zero_exponent,
     geometric,
 )
@@ -196,7 +196,7 @@ class MaskSpec:
 
     @property
     def mask_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(self.H.terms[d] for d in self.translations)
+        return tuple([c for _, c in self.H.items()])
 
     @property
     def refinement_coefficients(self) -> tuple[FieldElement, ...]:
@@ -506,12 +506,15 @@ def condition_B(A: Sequence, lam: ExactReal) -> ConditionBResult:
     return _column_relations(cols, lam_e)
 
 
-def _column_ratio(a, b) -> Optional[int]:
-    """The integer p with a = p * b for scalar or vector columns, if any."""
-    a, b = _coords(a), _coords(b)
-    i0 = _lead(b)
-    p = int_ratio(a[i0], b[i0])
-    if p is None or any(x != p * y for i, (x, y) in enumerate(zip(a, b)) if i != i0):
+def _column_ratio(a: tuple[tuple[int, ...], int],
+                  b: tuple[tuple[int, ...], int]) -> Optional[int]:
+    """The integer p with a = p * b, if any, for columns given by their
+    lattice forms (N, D) in one field, scalar or vector alike:
+    N_a * D_b = p * N_b * D_a in every coordinate."""
+    (na, da), (nb, db) = a, b
+    i0 = next(i for i, y in enumerate(nb) if y)
+    p, r = divmod(na[i0] * db, nb[i0] * da)
+    if r or any(x * db != p * y * da for x, y in zip(na, nb)):
         return None
     return p
 
@@ -519,11 +522,16 @@ def _column_ratio(a, b) -> Optional[int]:
 def _column_relations(cols: Sequence, lam: FieldElement) -> ConditionBResult:
     """condition_B on lifted, sign-normalized columns."""
     lam_cols = [m * lam for m in cols]
+    # the field of every product; a rational coordinate is lifted into it
+    desc = next((x.desc for c in lam_cols for x in _coords(c)
+                 if not x.desc.is_rational_field), lam.desc)
+    forms = [_lattice(desc, m) for m in cols]
+    lam_forms = [_lattice(desc, m) for m in lam_cols]
     relations = []
     violations = []
-    for i, m0 in enumerate(cols):
+    for i, m0 in enumerate(forms):
         found = []
-        for j, lam_m in enumerate(lam_cols):
+        for j, lam_m in enumerate(lam_forms):
             p = _column_ratio(lam_m, m0)
             if p is not None:
                 found.append(ColumnRelation(i, j, p))
@@ -844,19 +852,28 @@ def coverage_oracle(A: Sequence[ExactReal], lam: ExactReal,
                     bound: int) -> CoverageReport:
     """Finite independent check of denominator-zero coverage.
 
-    For every denominator zero w = I/m_j with 1 <= I <= bound, the
-    numerator zero multiplicity #{l : lambda m_l w in Z\\0} must be at
-    least the denominator multiplicity #{j' : m_j' w in Z\\0}.  The
-    multiplicity tests reduce to exact divisibility: m_j' (I/m_j) in Z
-    iff den(m_j'/m_j) | I when the ratio is rational (never, otherwise).
-    Signs are symmetric, so positive I suffice.  The first uncovered I
-    of column j divides the lcm L of the denominators den(m_j'/m_j):
-    with g = gcd(I, L), every such denominator divides I iff it divides
-    g, so the denominator multiplicity at g equals the one at I, while
-    the numerator multiplicity at g is no larger (a divisor of g divides
-    I).  A failure at I is thus a failure at g <= I, so I stops at L and
-    the first failing (j, I) is the one the full range gives, and only
-    the divisors of L need a test.
+    Why coverage decides refinability: the instance is refinable iff
+    H(w) = lambda^-n prod_l (1 - E(lambda m_l, w)) / prod_j (1 - E(m_j, w))
+    is a finite exponential sum.  Each factor 1 - E(a, w), a != 0, has
+    simple zeros, exactly on Z/a.  So H is entire iff at every
+    denominator zero w = I/m_j, I in Z\\0, the numerator vanishes at
+    least as often: #{l : lambda m_l w in Z} >= #{j' : m_j' w in Z}.
+    By the quotient theorem for exponential polynomials (Ritt 1929;
+    Lax, Duke Math. J. 15, 1948) an entire quotient of two finite
+    exponential sums is one, so that inequality is the whole test.
+
+    It reduces to exact divisibility: m_j' (I/m_j) in Z iff
+    den(m_j'/m_j) | I when the ratio is rational (never, otherwise), and
+    likewise for lambda m_l / m_j.  Signs are symmetric, so positive I
+    suffice.  The first uncovered I of column j divides the lcm L of the
+    denominators den(m_j'/m_j): with g = gcd(I, L), every such
+    denominator divides I iff it divides g, so the denominator
+    multiplicity at g equals the one at I, while the numerator
+    multiplicity at g is no larger (a divisor of g divides I).  A
+    failure at I is thus a failure at g <= I, so the first failing
+    (j, I) is the one the full range gives, only the divisors of L up to
+    ``bound`` need a test, and a bound >= every L makes the check
+    complete.
     """
     lam_e, _, cols, _ = _prepare(A, lam)
     n = len(cols)
@@ -936,10 +953,7 @@ class MultivariateMaskSpec:
 
     @property
     def s(self) -> int:
-        return len(self.H.exponents()[0])
-
-    def translations(self) -> list[tuple]:
-        return list(self.H.exponents())
+        return len(_coords(self.H.exponents()[0]))
 
     def to_jsonable(self) -> dict:
         desc = self.lam.desc
@@ -949,8 +963,8 @@ class MultivariateMaskSpec:
             "lambda": self.lam.to_text(),
             "terms": [
                 {"coefficient": str(c),
-                 "exponent": [x.to_text() for x in d],
-                 "exponent_decimal": [f"{float(x):.17g}" for x in d]}
+                 "exponent": [x.to_text() for x in _coords(d)],
+                 "exponent_decimal": [f"{float(x):.17g}" for x in _coords(d)]}
                 for d, c in self.H.items()
             ],
         }

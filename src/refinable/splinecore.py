@@ -120,8 +120,15 @@ def _dyadic_longdouble(n: int, p: int) -> np.longdouble:
     return -v if n < 0 else v
 
 
+# a long double holds every int of at most this many bits exactly
+_LONGDOUBLE_INT_BITS = np.finfo(np.longdouble).nmant + 1
+
+
 def _longdouble(e: FieldElement) -> np.longdouble:
-    if e.is_rational:
+    """e rounded to the nearest long double.  A rational whose terms
+    are exact long doubles takes one correctly rounded division."""
+    if (e.is_rational and e.num[0].bit_length() <= _LONGDOUBLE_INT_BITS
+            and e.den.bit_length() <= _LONGDOUBLE_INT_BITS):
         return np.longdouble(e.num[0]) / np.longdouble(e.den)
     return e.rounded(_dyadic_longdouble)
 

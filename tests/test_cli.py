@@ -331,6 +331,20 @@ def test_mvcheck_cli(capsys, tmp_path):
     assert data["report"]["chains"]["cycles"] == [[0, 2], [1, 3]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "2,2", "--lambda", "t", "--columns", "1;t"],
+    ["--field", "2,1", "--lambda", "2", "--columns", "1/2;1"],
+])
+def test_mvcheck_one_row(capsys, argv):
+    # s = 1 outside the integer delegation: H's exponents are scalars
+    code, data = run_json(capsys, ["mvcheck", *argv])
+    assert code == 0
+    rep = data["report"]
+    assert rep["verdict"] == "refinable" and rep["mask"]["s"] == 1
+    assert rep["notes"] == ["3 slices agree with the s-variate mask"]
+    assert all(len(t["exponent"]) == 1 for t in rep["mask"]["terms"])
+
+
 @pytest.mark.parametrize("instance, code, digest", [
     (MV, 0, "8ebb0bb5c5caf48daf1cf20092adb2ba84ef62d1e4434b861ba702998d81c906"),
     ({**MV, "columns": MV["columns"][:3] + [["0", "1/7"]]}, 1,

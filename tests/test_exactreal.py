@@ -18,7 +18,6 @@ from refinable.exactreal import (
     FieldDescriptor,
     FieldElement,
     field_make,
-    int_ratio,
     parse_element,
 )
 
@@ -58,25 +57,6 @@ def test_zero_integer_and_sign_examples(F10):
     assert (5 / th - th / 2).is_zero
     c = 5 / th - th / 2
     assert c.is_zero and c.is_integer and c.sign() == 0
-
-
-def test_int_ratio_examples(F10):
-    th = F10.theta()
-    assert int_ratio(th * (th / 2), F10.one()) == 5
-    assert int_ratio(th, th) == 1
-    assert int_ratio(th, F10.one()) is None
-
-
-def test_int_ratio_random_multiples(F10):
-    rng = random.Random(7)
-    th = F10.theta()
-    for _ in range(50):
-        p = rng.randint(-1000, 1000)
-        b = F10.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
-        if b.is_zero:
-            continue
-        assert int_ratio(p * b, b) == p
 
 
 def test_mul_div_roundtrip_random(F10):
@@ -335,17 +315,45 @@ def test_float_of_cancelling_powers():
 @given(_unit_powers(), st.one_of(st.just(0), st.integers(300, 4000), st.integers(-4000, -300)))
 def test_longdouble_is_within_its_rounding(x, e):
     # the nearest long double, also far outside the float range
-    import numpy as np
-
     from refinable.splinecore import _longdouble
 
     x *= Fraction(10) ** e
-    got = _longdouble(x)
+    _assert_nearest_longdouble(x, _longdouble(x))
+
+
+def _assert_nearest_longdouble(x, got):
+    import numpy as np
+
     assert np.signbit(got) == (x.sign() < 0)
     dist = abs(x - Fraction(*got.as_integer_ratio()))
     inf = np.longdouble(np.inf)
     for g in (np.nextafter(got, -inf), np.nextafter(got, inf)):
         assert dist < abs(x - Fraction(*g.as_integer_ratio()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 130), st.integers(1, 130), st.randoms(use_true_random=False))
+def test_longdouble_of_a_rational_is_the_nearest(num_bits, den_bits, rng):
+    # terms past a long double's significand are not exact long doubles,
+    # so a division of their conversions would round twice
+    from refinable.splinecore import _dyadic_longdouble, _longdouble
+
+    num = rng.getrandbits(num_bits) | 1 << (num_bits - 1)
+    den = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+    x = QQ.rational(Fraction(num, den) * rng.choice([1, -1]))
+    got = _longdouble(x)
+    assert got == x.rounded(_dyadic_longdouble)
+    _assert_nearest_longdouble(x, got)
+
+
+def test_longdouble_of_rationals_past_the_digit_limit():
+    # 3^10000 has 4,772 digits, past the int-to-str limit a long double
+    # conversion of the numerator met
+    from refinable.splinecore import _longdouble
+
+    for q in (Fraction(3 ** 10000, 7), Fraction(-7, 3 ** 10000)):
+        x = QQ.rational(q)
+        _assert_nearest_longdouble(x, _longdouble(x))
 
 
 _small = st.fractions(min_value=-50, max_value=50, max_denominator=30)

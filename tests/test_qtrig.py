@@ -412,10 +412,9 @@ _SORT_FIELDS = [field_make(2, 1), field_make(10, 2), field_make(7, 2), field_mak
 
 
 def _exponent_set(rng: random.Random, desc) -> list:
-    """Random exponents, each often paired with a neighbour about 2^-60
-    away, which the float presort cannot tell apart, and sometimes two
-    with a huge coordinate, which the float key cannot hold
-    (OverflowError, inf or nan)."""
+    """Random exponents, each often paired with a neighbour at most
+    about 2^-60 away, near the 2^-64 resolution of the presort key, and
+    sometimes two with a coordinate past the float range."""
     out = []
     for _ in range(rng.randint(1, 12)):
         d = desc.element([Fraction(rng.randint(-240, 240), rng.randint(1, 12))
@@ -455,6 +454,29 @@ def test_vector_exponents_order_equals_the_exact_sort(desc, rng):
     P = QTrigPoly(desc, {(a, b): Fraction(i + 1) for i, (a, b) in enumerate(zip(lead, tail))})
     assert all(type(d) is ExponentVector for d in P.terms)
     assert P.exponents() == tuple(sorted(tuple(d) for d in P.terms))
+
+
+def test_exponents_presort_holds_past_the_float_range(monkeypatch):
+    # about 10^317.6: a float key would overflow and leave the exact sort
+    # to order a shuffled list (1,272 comparisons for these 200)
+    F2 = field_make(2, 2)
+    big = (1 + F2.theta()) ** 830
+    exps = [big + i for i in range(200)]
+    random.Random(5).shuffle(exps)
+    P = QTrigPoly(F2, {d: Fraction(1) for d in exps})
+    calls = 0
+    lt = FieldElement.__lt__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return lt(self, other)
+
+    monkeypatch.setattr(FieldElement, "__lt__", counting)
+    got = P.exponents()
+    monkeypatch.setattr(FieldElement, "__lt__", lt)
+    assert got == tuple([big + i for i in range(200)])
+    assert calls <= len(exps)
 
 
 # -- the Fraction-coefficient reference ------------------------------------------

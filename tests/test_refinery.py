@@ -21,11 +21,13 @@ from gen_instances import instance_batch
 from refinable import exactreal, polyq
 from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
 from refinable.exactreal import QQ, field_make
-from refinable.qtrig import QTrigPoly, geometric
+from refinable.qtrig import ExponentVector, QTrigPoly, _lattice, geometric
 from refinable.refinery import (
     BoxSplineSpec,
     ChainStructure,
     MaskSpec,
+    _column_ratio,
+    _coords,
     _cyclotomic_poly,
     _log_ratio_ceil,
     _mask_division,
@@ -183,6 +185,115 @@ def test_condition_B_examples(counter):
     F2 = field_make(2, 2)
     res3 = condition_B([F2.one(), F2.one()], F2.theta())
     assert not res3.ok and 0 in res3.violations
+
+
+def _field_ratio(a, b):
+    """The integer p with a = p * b for scalar or vector columns, by one
+    field division at b's first nonzero coordinate: the reference for
+    ``_column_ratio``."""
+    a, b = _coords(a), _coords(b)
+    i0 = next(i for i, y in enumerate(b) if not y.is_zero)
+    r = a[i0] / b[i0]
+    if not r.is_integer:
+        return None
+    p = r.num[0]
+    return p if all(x == p * y for x, y in zip(a, b)) else None
+
+
+def _ratio(desc, a, b):
+    return _column_ratio(_lattice(desc, a), _lattice(desc, b))
+
+
+def test_column_ratio_examples(F10):
+    th, one = F10.theta(), F10.one()
+    assert _ratio(F10, th * (th / 2), one) == 5
+    assert _ratio(F10, th, th) == 1
+    assert _ratio(F10, th, one) is None
+    assert _ratio(F10, -3 * th, th / 2) == -6
+    assert _ratio(F10, (th, 2), (th / 3, Fraction(2, 3))) == 3
+    assert _ratio(F10, (th, 1), (th, 2)) is None
+    assert _ratio(F10, (0, 2 * th), (0, th)) == 2
+    assert _ratio(F10, (1, 2 * th), (0, th)) is None
+    assert _ratio(F10, (QQ.rational(5), th * th), (QQ.one(), 2)) == 5  # lifted from Q
+    assert _ratio(F10, (th, 10), (1, th)) is None  # one ratio sqrt(10), not an integer
+
+
+def test_column_ratio_random_multiples(F10):
+    rng = random.Random(7)
+
+    def element():
+        return F10.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+    for s in (1, 2, 3):
+        for _ in range(50):
+            p = rng.randint(-1000, 1000)
+            b = element() if s == 1 else ExponentVector([element() for _ in range(s)])
+            if all(x.is_zero for x in _coords(b)):
+                continue
+            assert _ratio(F10, p * b, b) == p
+
+
+_RATIO_FIELDS = [QQ, field_make(10, 2), field_make(2, 2), field_make(5, 3)]
+
+
+@st.composite
+def _column_pairs(draw):
+    """(desc, a, b): nonzero columns of one dimension s <= 3, with a often
+    an integer multiple of b, or of b with one coordinate changed."""
+    desc = draw(st.sampled_from(_RATIO_FIELDS))
+    s = draw(st.integers(1, 3))
+    q = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    elem = st.builds(desc.element, st.lists(q, min_size=desc.k, max_size=desc.k))
+    b = draw(st.lists(elem, min_size=s, max_size=s))
+    assume(any(not x.is_zero for x in b))
+    how = draw(st.sampled_from(["multiple", "perturbed", "free"]))
+    if how == "free":
+        a = draw(st.lists(elem, min_size=s, max_size=s))
+    else:
+        p = draw(st.integers(-50, 50))
+        a = [p * x for x in b]
+        if how == "perturbed":
+            i = draw(st.integers(0, s - 1))
+            a[i] = a[i] + draw(elem)
+    assume(any(not x.is_zero for x in a))
+    if s == 1:
+        return desc, a[0], b[0]
+    return desc, ExponentVector(a), ExponentVector(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_pairs())
+def test_column_ratio_equals_the_field_division_ratio(case):
+    desc, a, b = case
+    assert _ratio(desc, a, b) == _field_ratio(a, b)
+
+
+def test_condition_B_does_no_field_division(counter, monkeypatch):
+    _, lam, A = counter
+    _, cols, mv_lam = _mv_template()
+    F2 = field_make(2, 2)
+    r2 = F2.theta()
+    cases = [(A, lam), ([tuple(c) for c in cols], mv_lam),
+             ([F2.one(), r2, 2 * r2 + 2, r2 / 3], r2), ([(1, r2), (r2, 2), (0, r2)], r2),
+             ([r2, 2 * r2], QQ.rational(3))]  # lambda in Q, columns in Q(sqrt 2)
+    want = []
+    for A, lam in cases:
+        lam_e, _, norm, _ = _prepare(A, lam)
+        ratios = [[(j, _field_ratio(m * lam_e, m0)) for j, m in enumerate(norm)]
+                  for m0 in norm]
+        want.append([[(j, p) for j, p in row if p is not None] for row in ratios])
+
+    def refuse(*_):
+        raise AssertionError("field division in condition_B")
+
+    monkeypatch.setattr(exactreal.FieldElement, "inverse", refuse)
+    monkeypatch.setattr(exactreal.FieldElement, "__truediv__", refuse)
+    monkeypatch.setattr(exactreal.FieldElement, "__rtruediv__", refuse)
+    for (A, lam), rel in zip(cases, want):
+        res = condition_B(A, lam)
+        assert [[(r.target, r.p) for r in found] for found in res.relations] == rel
+    assert any(rel != [[]] * len(rel) for rel in want)
 
 
 def test_chain_structure_examples(counter, F10):
