@@ -39,6 +39,12 @@ coordinates cancel: ``float`` and the long doubles of the float kernels
 come from it.  Nothing here imports mpmath; the floating enclosures of
 the layers above live in ``enclosure``.
 
+Fields combine by one rule, used by every layer above: ``lift`` takes
+an int, a ``Fraction`` or an element of Q into Q(theta), returns an
+element of Q(theta) as it is and refuses one of another field of degree
+> 1; ``_common_field`` picks the field of several values, the one of
+degree > 1 among theirs, else Q.
+
 Values are immutable; every operation is a pure function.
 """
 
@@ -133,6 +139,19 @@ class FieldDescriptor:
     @property
     def is_rational_field(self) -> bool:
         return self.k == 1
+
+    def lift(self, x: ExactReal) -> "FieldElement":
+        """x in this field, by the rule of the module docstring."""
+        if isinstance(x, FieldElement):
+            desc = x.desc
+            if desc is self or desc == self:
+                return x
+            if desc.k == 1:
+                return FieldElement(self, (x.num[0], *self._zeros), x.den)
+            raise DescriptorMismatch(f"cannot mix {desc} and {self}")
+        if isinstance(x, (int, Fraction)):
+            return self.rational(x)
+        raise TypeError(f"cannot lift {type(x).__name__} into {self}")
 
     def theta_power_bounds(self, p: int) -> tuple[tuple[int, int], ...]:
         """Integers (lo_j, hi_j) with lo_j <= theta^j * 2^p <= hi_j for
@@ -229,19 +248,19 @@ def _canonical(desc: FieldDescriptor, num, den: int) -> "FieldElement":
     return FieldElement(desc, tuple(num), den)
 
 
+def _common_field(values) -> FieldDescriptor:
+    """The field of degree > 1 among those of ``values``, else Q; a
+    second one is left for ``lift`` to refuse."""
+    for x in values:
+        if isinstance(x, FieldElement) and x.desc.k > 1:
+            return x.desc
+    return QQ
+
+
 def _coerce_pair(a: "FieldElement", b) -> tuple["FieldElement", "FieldElement"]:
-    """Lift rationals / degree-1 elements into the richer field."""
-    if isinstance(b, FieldElement):
-        if a.desc is b.desc or a.desc == b.desc:
-            return a, b
-        if b.desc.is_rational_field:
-            return a, FieldElement(a.desc, (b.num[0], *a.desc._zeros), b.den)
-        if a.desc.is_rational_field:
-            return FieldElement(b.desc, (a.num[0], *b.desc._zeros), a.den), b
-        raise DescriptorMismatch(f"cannot mix {a.desc} and {b.desc}")
-    if isinstance(b, (int, Fraction)):
-        return a, a.desc.rational(b)
-    raise TypeError(f"cannot combine FieldElement with {type(b).__name__}")
+    """a and b lifted into their common field."""
+    desc = _common_field((a, b))
+    return desc.lift(a), desc.lift(b)
 
 
 _RATIONAL_TYPES = frozenset((int, bool, Fraction))

@@ -30,6 +30,7 @@ as ``FieldElement``s or ``ExponentVector``s and the coefficients as
 ``Fraction``s, built on first use and cached; ``terms`` builds the same
 map in storage order on each read.  Scalar field-element factors (such
 as dilation powers) are kept outside the term map by the callers.
+Exponents enter the poly's field by the field rule of ``exactreal``.
 """
 
 from __future__ import annotations
@@ -85,21 +86,11 @@ ExponentLike = Union[Exponent, int, Fraction, tuple]
 
 
 def _exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
-    """x as an exponent: a tuple becomes an ExponentVector, and int and
-    Fraction values are lifted into ``desc``."""
-    if isinstance(x, (FieldElement, ExponentVector)):
-        return x
+    """x as an exponent over ``desc``: a tuple becomes an ExponentVector,
+    and each coordinate enters ``desc`` by ``desc.lift``."""
     if isinstance(x, tuple):
-        return ExponentVector([_exponent(desc, a) for a in x])
-    return desc.rational(Fraction(x))
-
-
-def _own_exponent(desc: FieldDescriptor, x: ExponentLike) -> Exponent:
-    """``_exponent``, rejecting an exponent of another field."""
-    e = _exponent(desc, x)
-    if e.desc != desc:
-        raise DescriptorMismatch("exponent from a different field")
-    return e
+        return ExponentVector([desc.lift(a) for a in x])
+    return desc.lift(x)
 
 
 def _dot(a: Sequence, b: Sequence[FieldElement]) -> FieldElement:
@@ -130,24 +121,14 @@ def _zero_exponent(desc: FieldDescriptor, like: Optional[Exponent]) -> Exponent:
 # -- lattice coordinates ------------------------------------------------------
 
 
-def _own_num(desc: FieldDescriptor, a: FieldElement) -> tuple[int, ...]:
-    """The numerators of ``a`` in ``desc``: an element of the rational
-    field is lifted, one of another field raises DescriptorMismatch."""
-    if a.desc is desc or a.desc == desc:
-        return a.num
-    if a.desc.is_rational_field:
-        return (a.num[0], *desc._zeros)
-    raise DescriptorMismatch("exponent from a different field")
-
-
 def _lattice(desc: FieldDescriptor, x: ExponentLike) -> tuple[tuple[int, ...], int]:
     """(N, D) with N / D the coordinates of the exponent x and D > 0 the
     least common denominator, so gcd(D, *N) = 1."""
     x = _exponent(desc, x)
     if isinstance(x, FieldElement):
-        return _own_num(desc, x), x.den
+        return x.num, x.den
     den = math.lcm(*[a.den for a in x])
-    return tuple([c * (den // a.den) for a in x for c in _own_num(desc, a)]), den
+    return tuple([c * (den // a.den) for a in x for c in a.num]), den
 
 
 def _from_lattice(desc: FieldDescriptor, key: tuple[int, ...], eden: int) -> Exponent:
@@ -217,7 +198,7 @@ class QTrigPoly:
                  terms: Mapping[ExponentLike, Fraction]):
         clean: dict[Exponent, Fraction] = {}
         for d, c in terms.items():
-            d = _own_exponent(desc, d)
+            d = _exponent(desc, d)
             c = Fraction(c)
             if c != 0:
                 clean[d] = clean.get(d, Fraction(0)) + c
@@ -275,7 +256,7 @@ class QTrigPoly:
     @staticmethod
     def binomial(desc: FieldDescriptor, m: ExponentLike) -> "QTrigPoly":
         """1 - E(m, w)."""
-        e = _own_exponent(desc, m)
+        e = _exponent(desc, m)
         if e.is_zero:
             return QTrigPoly.zero(desc)
         key, eden = _lattice(desc, e)
@@ -572,7 +553,7 @@ def geometric(desc: FieldDescriptor, p: int, m: ExponentLike) -> QTrigPoly:
     """sum_{t=0}^{p-1} E(t*m, w), the quotient (1 - E(pm)) / (1 - E(m))."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    e = _own_exponent(desc, m)
+    e = _exponent(desc, m)
     if e.is_zero:
         raise ZeroPolynomial("geometric factor with m = 0")
     key, eden = _lattice(desc, e)

@@ -69,6 +69,7 @@ from .exactreal import (
     FieldDescriptor,
     FieldElement,
     QQ,
+    _common_field,
     _json_element,
     _json_field,
     _json_rational,
@@ -93,8 +94,9 @@ from .qtrig import (
 class BoxSplineSpec:
     """An s x n direction matrix of field elements with full rank s.
 
-    ``columns[j]`` is the j-th direction m_j (a length-s tuple).  Rank is
-    checked by exact Gaussian elimination over the field.
+    ``columns[j]`` is the j-th direction m_j, a length-s tuple of entries
+    lifted into ``desc``.  Rank is checked by exact Gaussian elimination
+    over the field.
     """
 
     __slots__ = ("desc", "s", "columns")
@@ -102,8 +104,7 @@ class BoxSplineSpec:
     def __init__(self, desc: FieldDescriptor, columns: Sequence[Sequence[ExactReal]]):
         cols = []
         for col in columns:
-            vec = tuple(x if isinstance(x, FieldElement) else desc.rational(Fraction(x))
-                        for x in col)
+            vec = tuple([desc.lift(x) for x in col])
             if all(x.is_zero for x in vec):
                 raise RankDeficient("zero column in direction matrix")
             cols.append(vec)
@@ -169,16 +170,15 @@ def _rank(cols, s: int) -> int:
 class MaskSpec:
     """A dilation lambda > 1 with a normalized mask polynomial H, H(0) = 1.
 
-    The refinement coefficients are c_j = lambda * h_j (so that
-    sum_j c_j = lambda exactly) and the translations d_j are the sorted
-    exponents of H.
+    lambda is lifted into H's field.  The refinement coefficients are
+    c_j = lambda * h_j (so that sum_j c_j = lambda exactly) and the
+    translations d_j are the sorted exponents of H.
     """
 
     __slots__ = ("lam", "H")
 
-    def __init__(self, lam: FieldElement, H: QTrigPoly):
-        if not isinstance(lam, FieldElement):
-            lam = H.desc.rational(Fraction(lam))
+    def __init__(self, lam: ExactReal, H: QTrigPoly):
+        lam = H.desc.lift(lam)
         if not lam > 1:
             raise InvalidLambda("mask dilation must be > 1")
         if H.coefficient_sum() != 1:
@@ -321,7 +321,8 @@ def _lead(c) -> Optional[int]:
 
 
 def _prepare(A: Sequence, lam: ExactReal) -> tuple[FieldElement, tuple, tuple, object]:
-    """Lift lambda and the columns into one field and normalize signs.
+    """Lift lambda and the columns into one field, by the field rule of
+    ``exactreal``, and normalize signs.
 
     A column is a scalar (Q(theta)) or a tuple of coordinates
     (Q(theta)^s), lifted to an ``ExponentVector``.  Returns (lambda,
@@ -331,13 +332,8 @@ def _prepare(A: Sequence, lam: ExactReal) -> tuple[FieldElement, tuple, tuple, o
     multiplies the mask by E(-(lambda-1) m, w): the true translations
     are the normalized ones minus the returned shift.
     """
-    if isinstance(lam, FieldElement):
-        desc = lam.desc
-    else:
-        desc = next((x.desc for a in A for x in _coords(a)
-                     if isinstance(x, FieldElement)), QQ)
-
-    lam_e = _exponent(desc, lam)
+    desc = _common_field([lam, *[x for a in A for x in _coords(a)]])
+    lam_e = desc.lift(lam)
     cols = tuple(_exponent(desc, a) for a in A)
     if not lam_e > 1:
         raise InvalidLambda("dilation must be > 1")
@@ -521,12 +517,9 @@ def _column_ratio(a: tuple[tuple[int, ...], int],
 
 def _column_relations(cols: Sequence, lam: FieldElement) -> ConditionBResult:
     """condition_B on lifted, sign-normalized columns."""
-    lam_cols = [m * lam for m in cols]
-    # the field of every product; a rational coordinate is lifted into it
-    desc = next((x.desc for c in lam_cols for x in _coords(c)
-                 if not x.desc.is_rational_field), lam.desc)
+    desc = lam.desc
     forms = [_lattice(desc, m) for m in cols]
-    lam_forms = [_lattice(desc, m) for m in lam_cols]
+    lam_forms = [_lattice(desc, m * lam) for m in cols]
     relations = []
     violations = []
     for i, m0 in enumerate(forms):
@@ -613,13 +606,14 @@ def chain_structure(A: Sequence, lam: ExactReal) -> ChainStructure:
     (m_0, lambda m_0, ..., lambda^{k-1} m_0) the partition is returned.
     """
     lam_e, _, cols, _ = _prepare(A, lam)
-    return _chain_walk(cols, lam_e, _column_relations(cols, lam_e))
+    return _chain_walk(cols, lam_e, _column_relations(cols, lam_e),
+                       minimal_integer_power(lam_e))
 
 
-def _chain_walk(cols: Sequence, lam_e: FieldElement,
-                condb: ConditionBResult) -> ChainStructure:
-    """chain_structure on lifted, sign-normalized columns and their
-    relations."""
+def _chain_walk(cols: Sequence, lam_e: FieldElement, condb: ConditionBResult,
+                k: Optional[int]) -> ChainStructure:
+    """chain_structure on lifted, sign-normalized columns, their
+    relations and k = ``minimal_integer_power(lam_e)``."""
     if not condb.ok:
         raise RefinabilityError(
             f"per-column relation fails at columns {condb.violations}")
@@ -635,8 +629,6 @@ def _chain_walk(cols: Sequence, lam_e: FieldElement,
     if not (lam_l.is_rational and lam_l.as_fraction() == prod):
         raise CycleInconsistency(
             f"cycle multiplier product {prod} != lambda^{l}")
-
-    k = minimal_integer_power(lam_e)
 
     # sub-vector (v, v p_1 / lambda, ..., v p_{l-1} / lambda^{l-1})
     v = cols[cycle[0]]
@@ -773,12 +765,12 @@ def decide_univariate(A: Sequence[ExactReal], lam: ExactReal) -> RefinabilityRep
         mask = MaskSpec(lam_e, H)
 
     condb = _column_relations(norm_cols, lam_e)
-    flags: dict = {"A": minimal_integer_power(lam_e) is not None,
-                   "B": condb.ok, "C": None, "D": None}
+    k = minimal_integer_power(lam_e)
+    flags: dict = {"A": k is not None, "B": condb.ok, "C": None, "D": None}
     chains = None
     notes = []
     if condb.ok:
-        chains = _chain_walk(norm_cols, lam_e, condb)
+        chains = _chain_walk(norm_cols, lam_e, condb, k)
         flags["C"] = bool(chains.subvector)
         flags["D"] = chains.partition is not None
     if mask is not None and not _mask_identity(norm_cols, lam_e, H):
@@ -1043,8 +1035,8 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactReal) -> RefinabilityRepo
             notes=("integer dilation: exact expansion of the classical mask",))
 
     condb = _column_relations(cols, lam_e)
-    flags = {"A": minimal_integer_power(lam_e) is not None, "B": condb.ok,
-             "C": None, "D": None}
+    k = minimal_integer_power(lam_e)
+    flags = {"A": k is not None, "B": condb.ok, "C": None, "D": None}
     slice_masks: list[tuple[tuple[int, ...], MaskSpec, FieldElement]] = []
     for w0 in admissible_probes(spec):
         mask_w, witness_w, shift_w = mask_construct_detailed(
@@ -1086,7 +1078,7 @@ def multivariate_decide(spec: BoxSplineSpec, lam: ExactReal) -> RefinabilityRepo
 
     chains = None
     if condb.ok:
-        chains = _chain_walk(cols, lam_e, condb)
+        chains = _chain_walk(cols, lam_e, condb, k)
         flags["C"] = bool(chains.subvector)
         flags["D"] = chains.partition is not None
     return RefinabilityReport(

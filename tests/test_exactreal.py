@@ -17,6 +17,7 @@ from refinable.exactreal import (
     QQ,
     FieldDescriptor,
     FieldElement,
+    _common_field,
     field_make,
     parse_element,
 )
@@ -114,6 +115,30 @@ def test_descriptor_mismatch():
         F2.theta() + F3.theta()
     # rationals lift into any field
     assert F2.theta() * 0 + QQ.rational(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_lift_is_the_one_field_rule(F10):
+    th = F10.theta()
+    assert F10.lift(th) is th
+    assert field_make(10, 2).lift(th) is th  # an equal descriptor
+    # an int, a Fraction and an element of Q (of either Q descriptor) lift
+    for q in (3, Fraction(3, 7), QQ.rational(Fraction(3, 7)), field_make(5, 1).rational(3)):
+        x = F10.lift(q)
+        assert x.desc is F10 and x.is_rational and x == q
+    assert QQ.lift(Fraction(1, 2)).desc is QQ
+    with pytest.raises(DescriptorMismatch):
+        field_make(2, 2).lift(th)
+    with pytest.raises(DescriptorMismatch):
+        QQ.lift(F10.one())  # rational, but of a field of degree 2
+    with pytest.raises(TypeError):
+        F10.lift(0.5)
+    # the common field is the one of degree > 1, else Q
+    assert _common_field([1, QQ.one(), th, field_make(2, 2).theta()]) is F10
+    assert _common_field([Fraction(1, 2), field_make(5, 1).one()]) is QQ
+    # arithmetic mixes fields by the same rule
+    assert (QQ.rational(2) * th).desc is F10 and (th * QQ.rational(2)).desc is F10
+    with pytest.raises(TypeError):
+        th + 0.5
 
 
 def test_text_roundtrip(F10):

@@ -2,7 +2,8 @@
 name has a user, the exact core never loads the float numerics, and the
 numerics hold no global state: mpmath comes in only as ``mpmath.libmp``,
 only in ``enclosure``, and no precision setting of mpmath's contexts
-changes a result or is changed.
+changes a result or is changed.  Fields combine by one rule, in
+``exactreal`` alone.
 
 The stack, each layer importing only from those before it:
 exactreal -> enclosure -> qtrig/polyq/powermod -> refinery ->
@@ -208,6 +209,28 @@ def test_the_layering_check_sees_a_back_edge():
         "refinery imports refinable.splinecore",
         "splinecore.f imports refinable.refinery",
     ]
+
+
+# -- one field rule ----------------------------------------------------------------
+
+
+def _field_rule_readers(sources: dict[str, str]) -> list[str]:
+    """The modules other than ``exactreal`` that read
+    ``is_rational_field``: outside ``exactreal`` a value enters a field
+    by ``FieldDescriptor.lift``, and no module picks a field itself."""
+    return sorted({name for name, source in sources.items() if name != "exactreal"
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "is_rational_field"})
+
+
+def test_only_exactreal_decides_how_fields_combine():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _field_rule_readers(sources) == []
+    assert _field_rule_readers({
+        "exactreal": "q = d.is_rational_field\n",
+        "qtrig": "if a.desc.is_rational_field:\n    pass\n",
+        "refinery": "desc = next(x.desc for x in xs if not x.desc.is_rational_field)\n",
+    }) == ["qtrig", "refinery"]
 
 
 # -- no global numeric state -----------------------------------------------------

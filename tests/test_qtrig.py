@@ -88,6 +88,20 @@ def test_foreign_exponents_still_rejected(F10):
         QTrigPoly.constant(F10).shift(field_make(2, 2).theta())
 
 
+def test_exponents_of_the_rational_field_lift(F10):
+    # an exponent typed as an element of Q enters Q(sqrt 10) as an int
+    # does, in every constructor and in shift alike
+    one, half = QQ.one(), QQ.rational(Fraction(1, 2))
+    assert QTrigPoly.binomial(F10, one) == QTrigPoly.binomial(F10, 1)
+    assert geometric(F10, 2, one) == geometric(F10, 2, 1)
+    assert QTrigPoly(F10, {one: 1, half: 2}) == QTrigPoly(F10, {1: 1, Fraction(1, 2): 2})
+    assert QTrigPoly.constant(F10).shift(one) == QTrigPoly.constant(F10).shift(1)
+    assert (QTrigPoly.binomial(F10, (one, half))
+            == QTrigPoly.binomial(F10, (1, Fraction(1, 2))))
+    P = QTrigPoly.binomial(F10, 2)
+    assert P.divide_binomial(one) == P.divide_binomial(1)
+
+
 def test_eval_examples(F10, counterexample_mask):
     B = QTrigPoly.binomial(F10, 1)
     b0 = B.eval_ball(0, 64)

@@ -1,5 +1,6 @@
 """Decision procedures: masks, structure, oracles, probes, witnesses."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -19,7 +20,13 @@ from hypothesis import strategies as st
 
 from gen_instances import instance_batch
 from refinable import exactreal, polyq
-from refinable.errors import InvalidLambda, RefinabilityError, RootIsolationFailure
+from refinable.errors import (
+    DescriptorMismatch,
+    InvalidLambda,
+    RefinabilityError,
+    RefinableError,
+    RootIsolationFailure,
+)
 from refinable.exactreal import QQ, field_make
 from refinable.qtrig import ExponentVector, QTrigPoly, _lattice, geometric
 from refinable.refinery import (
@@ -167,6 +174,71 @@ def test_integer_lambda_with_irrational_column():
     F2 = field_make(2, 2)
     rep = decide_univariate([F2.one(), F2.theta()], F2.rational(2))
     assert rep.refinable
+
+
+# -- one field rule -------------------------------------------------------------
+
+
+def _report_json(rep) -> str:
+    return json.dumps(rep.to_jsonable(), sort_keys=True)
+
+
+def test_rational_field_lambda_decides_over_irrational_columns(F10):
+    # a dilation typed as an element of Q is lifted into the columns'
+    # field, in every decision alike
+    th = F10.theta()
+    A = [th, 2 * th]
+    assert (_report_json(decide_univariate(A, QQ.rational(2)))
+            == _report_json(decide_univariate(A, F10.rational(2))))
+    assert (mask_construct(A, QQ.rational(2)).to_jsonable()
+            == mask_construct(A, F10.rational(2)).to_jsonable())
+    spec = BoxSplineSpec(F10, [[1, 0], [0, th]])
+    assert (_report_json(multivariate_decide(spec, QQ.rational(3)))
+            == _report_json(multivariate_decide(spec, F10.rational(3))))
+    # the integer dilation of an integer matrix reports the matrix's field
+    rep = multivariate_decide(BoxSplineSpec(F10, [[1, 0], [0, 1]]), QQ.rational(3))
+    assert rep.to_jsonable()["field"] == {"n": 10, "k": 2}
+
+
+def test_mask_spec_lifts_lambda_into_the_mask_field(F10):
+    H = QTrigPoly(F10, {0: Fraction(1, 2), F10.theta(): Fraction(1, 2)})
+    # a dilation of another field would read back from JSON as 2 sqrt(10)
+    with pytest.raises(DescriptorMismatch):
+        MaskSpec(2 * field_make(3, 2).theta(), H)
+    mask = MaskSpec(QQ.rational(3), H)
+    assert mask.lam.desc is F10
+    data = mask.to_jsonable()
+    assert data["lambda"] == ["3", "0"]
+    assert MaskSpec.from_jsonable(data).to_jsonable() == data
+
+
+def test_box_spline_spec_lifts_its_entries(F10):
+    with pytest.raises(DescriptorMismatch):
+        BoxSplineSpec(QQ, [[F10.theta()]])
+    spec = BoxSplineSpec(F10, [[QQ.one(), Fraction(1, 2)], [0, F10.theta()]])
+    assert all(x.desc is F10 for col in spec.columns for x in col)
+
+
+def test_each_decision_searches_the_integer_power_once(F10, monkeypatch):
+    import refinable.refinery as refinery
+
+    calls = 0
+    original = refinery.minimal_integer_power
+
+    def counting(lam):
+        nonlocal calls
+        calls += 1
+        return original(lam)
+
+    monkeypatch.setattr(refinery, "minimal_integer_power", counting)
+    th = F10.theta()
+    spec = BoxSplineSpec(F10, [[1, 0], [0, 1], [th, 0], [0, th]])
+    for decide in (lambda: decide_univariate([1, th], th),
+                   lambda: multivariate_decide(spec, th)):
+        calls = 0
+        rep = decide()
+        assert rep.chains is not None and rep.chains.k == 2
+        assert calls == 1
 
 
 # -- structure ----------------------------------------------------------------
@@ -919,6 +991,45 @@ def test_indecomposability_witness_all_pairs():
 
 
 # -- random instances end to end ---------------------------------------------------
+
+
+_TYPED_BATCH = instance_batch(40, seed=909)
+_FORMS = ("field", "Q", "Fraction")
+
+
+def _typed(x, form: str):
+    """A rational x as an element of its field, as its Q-field twin or
+    as a Fraction; an irrational x as it is."""
+    if form == "field" or not x.is_rational:
+        return x
+    return QQ.rational(x.as_fraction()) if form == "Q" else x.as_fraction()
+
+
+def _decisions(A, lam) -> str:
+    """The JSON of decide_univariate, condition_B, chain_structure and
+    coverage_oracle on (A, lam); an error as its type and message."""
+    out = []
+    for decide in (lambda: decide_univariate(A, lam).to_jsonable(),
+                   lambda: dataclasses.asdict(condition_B(A, lam)),
+                   lambda: chain_structure(A, lam).to_jsonable(),
+                   lambda: dataclasses.asdict(coverage_oracle(A, lam, 120))):
+        try:
+            out.append(decide())
+        except RefinableError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return json.dumps(out, sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(_TYPED_BATCH) - 1), st.data())
+def test_decisions_do_not_depend_on_how_a_rational_is_typed(i, data):
+    A, lam = _TYPED_BATCH[i]
+    want = _decisions(A, lam)
+    for form in _FORMS:
+        assert _decisions([_typed(a, form) for a in A], _typed(lam, form)) == want
+    forms = data.draw(st.lists(st.sampled_from(_FORMS), min_size=len(A) + 1,
+                               max_size=len(A) + 1))
+    assert _decisions([_typed(a, f) for a, f in zip(A, forms)], _typed(lam, forms[-1])) == want
 
 
 def test_random_instances_identity_and_structure():
