@@ -224,8 +224,9 @@ def _cmd_erdos(args) -> int:
     targets = [_rational(t, "--targets") for t in args.targets.split(";")]
     g, c_default = erdos_params(lam, len(targets))
     out = {"config": _config_echo(args), "g": g, "c_default": str(c_default)}
-    c = _rational(args.c, "--c") if args.c else None
-    if c is not None:
+    c = c_default
+    if args.c:
+        c = _rational(args.c, "--c")
         adm = check_admissibility(lam, len(targets), g, c)
         out["admissibility"] = adm
         if not all(adm.values()):

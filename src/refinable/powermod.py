@@ -69,8 +69,13 @@ integer only if y is rational, so ceil(Q y) = floor(Q y) + 1 for an
 irrational y.  The bounds are a few lambda^j 2^-64 apart in units of
 Q x; where they straddle an integer, ``_k_ranges`` decides on the
 unreduced ends with exact floors.  Every k-range is therefore exact.
-The remaining comparisons (gap lengths, nesting) are decided by the
-exact order of ``FieldElement``.
+
+``erdos_verify`` decides its certified windows [a, b] lambda^n with the
+same floors: a lambda^n and b lambda^n are stepped as unreduced
+numerators, and lambda^n 2^P is enclosed once per certificate by
+directed products (``_power_bounds``), so no normalised product is
+formed per n.  Gap lengths, nesting and the length law are compared in
+the exact order of ``FieldElement``.
 """
 
 from __future__ import annotations
@@ -120,23 +125,29 @@ def erdos_params(lam: ExactReal, m: int) -> tuple[int, Fraction]:
     0 < c' <= c remains admissible.
     """
     lam_e = _lift(lam)
-    if not lam_e > 1:
-        raise InvalidLambda("dilation must be > 1")
-    if m < 1:
-        raise ValueError("need at least one target")
-    g = 1
-    power = lam_e
-    while not power >= 2 * (1 + g * m):
-        g += 1
-        power = power * lam_e
-        if g > 10_000:
-            raise InvalidLambda(
-                f"dilation {lam_e} is too close to 1: no g <= 10000 "
-                f"satisfies lambda^g >= 2(1 + g*m) with m = {m}")
+    g = _erdos_g(lam_e, m)
     c_exact = (lam_e - 1) ** 2 / (20 * (m + 2) ** 2 * lam_e ** 3)
     if c_exact.is_rational:
         return g, c_exact.as_fraction()
     return g, rational_lower_bound(c_exact)
+
+
+def _erdos_g(lam: FieldElement, m: int) -> int:
+    """The g of ``erdos_params``: least with lambda^g >= 2(1 + g m)."""
+    if not lam > 1:
+        raise InvalidLambda("dilation must be > 1")
+    if m < 1:
+        raise ValueError("need at least one target")
+    g = 1
+    power = lam
+    while not power >= 2 * (1 + g * m):
+        g += 1
+        power = power * lam
+        if g > 10_000:
+            raise InvalidLambda(
+                f"dilation {lam} is too close to 1: no g <= 10000 "
+                f"satisfies lambda^g >= 2(1 + g*m) with m = {m}")
+    return g
 
 
 def _check_c(c: Fraction) -> None:
@@ -200,6 +211,12 @@ class ErdosCertificate:
 
     def __post_init__(self):
         _check_c(self.c)
+        # with no target or no step there is nothing to check, and an
+        # empty certificate would verify as certified
+        if not self.targets:
+            raise ValueError("need at least one target")
+        if not self.g >= 1:
+            raise ValueError("g must be >= 1")
         # lambda <= 1 has no growing orbit; lambda = 0 divided by zero
         # in erdos_verify
         if not self.lam > 1:
@@ -255,8 +272,8 @@ class ErdosCertificate:
             return fe(pair[0]), fe(pair[1])
 
         targets, intervals, g = data.get("targets"), data.get("intervals"), data.get("g")
-        if not isinstance(targets, list):
-            raise ValueError("certificate targets must be a list")
+        if not (isinstance(targets, list) and targets):
+            raise ValueError("certificate targets must be a non-empty list")
         if not (isinstance(intervals, list) and intervals):
             raise ValueError("certificate intervals must be a non-empty list")
         if not (type(g) is int and g >= 1):
@@ -397,10 +414,11 @@ def erdos_construct(lam: ExactReal, targets: Sequence[Union[int, Fraction]],
     if depth < 0:
         raise ValueError("depth must be >= 0")
     targets_q = tuple(Fraction(t) for t in targets)
-    g, c_default = erdos_params(lam_e, len(targets_q))
     if c is None:
-        c = c_default
-    _check_c(c)
+        g, c = erdos_params(lam_e, len(targets_q))
+    else:
+        g = _erdos_g(lam_e, len(targets_q))
+        _check_c(c)
     desc = lam_e.desc
     one = desc.one()
     zero = desc.zero()
@@ -478,14 +496,9 @@ def _steps(lam: FieldElement, lam_inv_g: FieldElement, g: int,
         for j in range(g):
             if j:
                 x, y = _times(*x, lam), _times(*y, lam)
-            floors = _window_floors(x, y, q, bounds, j)
-            if floors is None:
-                ranges = _k_ranges(FieldElement(desc, tuple(x[0]), x[1]),
-                                   FieldElement(desc, tuple(y[0]), y[1]), lattice)
-            else:
-                ranges = _lattice_ranges(*floors, lattice)
             scale = powers[g - j]
-            for (lo, hi), (k_first, k_last) in zip(ends, ranges):
+            for (lo, hi), (k_first, k_last) in zip(
+                    ends, _window_ranges(desc, x, y, lattice, bounds, j)):
                 for k in range(k_first, k_last + 1):
                     removed.append(((k + lo) * scale, (k + hi) * scale))
         left = u * powers[g]
@@ -520,17 +533,36 @@ def _times(num, den: int, lam: FieldElement) -> tuple[list[int], int]:
     return out, den * lam.den
 
 
+def _unreduced(desc, end) -> FieldElement:
+    """The element of an unreduced (numerators, denominator) pair."""
+    return FieldElement(desc, tuple(end[0]), end[1])
+
+
+def _window_ranges(desc, x, y, lattice: tuple[int, int, tuple[int, ...]],
+                   bounds, j: int) -> list[tuple[int, int]]:
+    """Each target's k-range for the window [x, y], 0 < x <= y, given by
+    unreduced ends: from the floors of ``_window_floors`` where they are
+    decided, else from the exact floors of ``_k_ranges``."""
+    floors = _window_floors(x, y, lattice[0], bounds, j)
+    if floors is None:
+        return _k_ranges(_unreduced(desc, x), _unreduced(desc, y), lattice)
+    return _lattice_ranges(*floors, lattice)
+
+
 def _window_floors(x, y, q: int, bounds, j: int) -> Optional[tuple[int, int]]:
-    """floor(q x) and ceil(q y) of the window [x, y] = [u, u + ell0] lambda^j
-    with u > 0, or None where the enclosures leave one undecided.
+    """floor(q x) and ceil(q y) of a window [x, y] = [s, t] w with
+    0 < s <= t and w > 0, or None where the enclosures leave one undecided.
 
     x and y are unreduced (numerators, denominator) pairs.  A rational end
     is decided by integer division; an irrational y has q y irrational, so
     ceil(q y) = floor(q y) + 1.  For an irrational end, ``bounds`` is
-    ((lo, hi), (lo', hi'), ql, shift): lo <= u 2^P <= hi and
-    lo' <= (u + ell0) 2^P <= hi', ql[j] = (q L_lo, q L_hi) with
-    L_lo <= lambda^j 2^p <= L_hi, and shift = P + p, so the products of
-    the lower and of the upper bounds bound q x 2^shift and q y 2^shift.
+    ((lo, hi), (lo', hi'), ql, shift): lo <= s 2^P <= hi and
+    lo' <= t 2^P <= hi', ql[j] = (q L_lo, q L_hi) with
+    L_lo <= w 2^p <= L_hi, and shift = P + p.  Every factor is
+    non-negative, so the products of the lower and of the upper bounds
+    bound q x 2^shift and q y 2^shift.  ``_steps`` encloses
+    [u, u + ell0] lambda^j with w = lambda^j, ``erdos_verify`` the final
+    interval [a, b] times w = lambda^n.
     """
     num, den = x
     if any(num[1:]):
@@ -581,48 +613,59 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
     law, I_0 inside (0,1)) and, for every n in [-1, guaranteed_depth]
     and every target r, the image [a, b] lambda^n of the final interval
     must stay at distance >= c from r + Z, i.e. meet no open interval
-    (k + r - c, k + r + c).  ``_k_ranges`` decides that for all targets
-    from one exact floor per endpoint, and the endpoints a lambda^n,
-    b lambda^n are stepped by one product each (n = -1 divides by
-    lambda).  Beyond the guaranteed depth, the orbit of the midpoint xi
-    is scanned up to extra_n (report only).
+    (k + r - c, k + r + c).  The k-ranges of all targets come from
+    floor(Q a lambda^n) and ceil(Q b lambda^n), as in the construction:
+
+    - n = -1 divides by lambda and takes the exact floors of
+      ``_k_ranges``;
+    - for n >= 0, a lambda^n and b lambda^n are stepped as unreduced
+      numerators by ``_times``, and where the final interval has
+      0 < a < b, ``_window_floors`` decides the floors from
+      ``fixed_point(P)`` of a and of b and from directed bounds of
+      lambda^n 2^P (``_power_bounds``), with P = bitlen(Q) +
+      N bitlen(floor(lambda) + 1) + bitlen(N) + 64 rounded up to a
+      multiple of 64 and N = guaranteed_depth: the bounds of Q x are
+      then a few 2^-64 apart;
+    - where they straddle an integer, and at every n when the final
+      interval is not 0 < a < b, ``_k_ranges`` takes the exact floors
+      of the unreduced ends.
+
+    Beyond the guaranteed depth, the orbit of the midpoint xi is scanned
+    up to extra_n (report only).
     """
     lam = cert.lam
     desc = lam.desc
     failures: list[str] = []
 
-    # structure
+    # structure; each interval's length is formed once and is the next
+    # length law's right-hand side
     lam_g = lam ** cert.g if len(cert.intervals) > 1 else None
+    length = None
     for M, (a, b) in enumerate(cert.intervals):
-        if not b - a > 0:
+        outer, length = length, b - a
+        if not length > 0:
             failures.append(f"I_{M} empty")
         if M == 0:
             if not (a > 0 and b < 1):
                 failures.append("I_0 not inside (0,1)")
-            if (b - a) != desc.rational(cert.ell0):
+            if length != desc.rational(cert.ell0):
                 failures.append("|I_0| != ell0")
         else:
             pa, pb = cert.intervals[M - 1]
             if not (a >= pa and b <= pb):
                 failures.append(f"I_{M} not nested in I_{M - 1}")
-            if (b - a) * lam_g != pb - pa:
+            if length * lam_g != outer:
                 failures.append(f"length law fails at I_{M}")
     a, b = cert.intervals[-1]
     if not (cert.xi >= a and cert.xi <= b):
         failures.append("xi outside the final interval")
     structure_ok = not failures
 
-    # certified window, by endpoint arithmetic on the final interval:
-    # a lambda^n and b lambda^n are walked by one product each
-    lattice = _lattice(cert.targets, cert.c)
-    lam_inv = desc.one() / lam  # at most one field inverse
-    xa, xb = a * lam_inv, b * lam_inv
-    for n in range(-1, cert.guaranteed_depth + 1):
-        if n == 0:
-            xa, xb = a, b
-        elif n > 0:
-            xa, xb = xa * lam, xb * lam
-        for r, (k_first, k_last) in zip(cert.targets, _k_ranges(xa, xb, lattice)):
+    # certified window, by endpoint arithmetic on the final interval
+    windows = _orbit_windows(a, b, lam, _lattice(cert.targets, cert.c),
+                             cert.guaranteed_depth)
+    for n, ranges in enumerate(windows, start=-1):
+        for r, (k_first, k_last) in zip(cert.targets, ranges):
             if k_first <= k_last:
                 failures.append(f"distance bound fails at n={n}, r={r}")
 
@@ -640,6 +683,49 @@ def erdos_verify(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
         first_violation=first_violation,
         failures=tuple(failures),
     )
+
+
+def _orbit_windows(a: FieldElement, b: FieldElement, lam: FieldElement,
+                   lattice: tuple[int, int, tuple[int, ...]], depth: int):
+    """Each target's k-range for the window [a, b] lambda^n, for
+    n = -1, 0, ..., depth in turn (``erdos_verify``)."""
+    desc = lam.desc
+    lam_inv = desc.one() / lam  # the walk's only field inverse
+    yield _k_ranges(a * lam_inv, b * lam_inv, lattice)
+    if depth < 0:
+        return
+    ordered = a > 0 and b > a
+    bounds = None  # enclosures, for the walks where an end can be irrational
+    if ordered and not (lam.is_rational and a.is_rational and b.is_rational):
+        q = lattice[0]
+        floor_lam = lam.rounded(lambda num, p: num >> p)
+        prec = -(-(q.bit_length() + depth * (floor_lam + 1).bit_length()
+                   + depth.bit_length() + _GUARD_BITS) // 64) * 64
+        bounds = (a.fixed_point(prec), b.fixed_point(prec),
+                  _power_bounds(lam, q, depth, prec), 2 * prec)
+    x, y = (a.num, a.den), (b.num, b.den)
+    for n in range(depth + 1):
+        if n:
+            x, y = _times(*x, lam), _times(*y, lam)
+        if ordered:
+            yield _window_ranges(desc, x, y, lattice, bounds, n)
+        else:
+            yield _k_ranges(_unreduced(desc, x), _unreduced(desc, y), lattice)
+
+
+def _power_bounds(lam: FieldElement, q: int, depth: int,
+                  prec: int) -> list[tuple[int, int]]:
+    """(q L_lo, q L_hi) with L_lo <= lambda^n 2^prec <= L_hi for
+    n = 0, ..., depth: floor and ceiling products of the bounds of
+    ``lam.fixed_point(prec)``, all non-negative as lambda > 1."""
+    l_lo, l_hi = lam.fixed_point(prec)
+    lo = hi = 1 << prec
+    out = [(q * lo, q * hi)]
+    for _ in range(depth):
+        lo = (lo * l_lo) >> prec
+        hi = -((-hi * l_hi) >> prec)
+        out.append((q * lo, q * hi))
+    return out
 
 
 def orbit_distance_scan(lam: ExactReal, xi: ExactReal,

@@ -350,10 +350,17 @@ def _assert_nearest_longdouble(x, got):
     import numpy as np
 
     assert np.signbit(got) == (x.sign() < 0)
-    dist = abs(x - Fraction(*got.as_integer_ratio()))
+    got_q = Fraction(*got.as_integer_ratio())
+    dist = abs(x - got_q)
     inf = np.longdouble(np.inf)
     for g in (np.nextafter(got, -inf), np.nextafter(got, inf)):
-        assert dist < abs(x - Fraction(*g.as_integer_ratio()))
+        g_q = Fraction(*g.as_integer_ratio())
+        if dist == abs(x - g_q):
+            # x lies halfway: a tie rounds to the even significand, the
+            # end that is an even multiple of the spacing of the two
+            assert got_q / abs(g_q - got_q) % 2 == 0
+        else:
+            assert dist < abs(x - g_q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,6 +376,20 @@ def test_longdouble_of_a_rational_is_the_nearest(num_bits, den_bits, rng):
     got = _longdouble(x)
     assert got == x.rounded(_dyadic_longdouble)
     _assert_nearest_longdouble(x, got)
+
+
+def test_longdouble_ties_round_to_even():
+    # 2^64 + 1 and 2^64 + 3 lie halfway between long doubles 2 apart,
+    # and (2^64 + 1) / 2^70 halfway between two 2^-69 apart
+    from refinable.splinecore import _longdouble
+
+    for q, want in ((2 ** 64 + 1, 2 ** 64), (2 ** 64 + 3, 2 ** 64 + 4),
+                    (Fraction(2 ** 64 + 1, 2 ** 70), Fraction(1, 64))):
+        for s in (1, -1):
+            x = QQ.rational(Fraction(q) * s)
+            got = _longdouble(x)
+            assert Fraction(*got.as_integer_ratio()) == want * s
+            _assert_nearest_longdouble(x, got)
 
 
 def test_longdouble_of_rationals_past_the_digit_limit():

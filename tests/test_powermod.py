@@ -23,6 +23,7 @@ from refinable.powermod import (
     _lift,
     _removed_intervals,
     _sqrt_lower_bound,
+    VerifyReport,
     check_admissibility,
     dist_to_int,
     erdos_construct,
@@ -485,7 +486,8 @@ def test_construction_inverts_a_bounded_number_of_times(monkeypatch):
 
 def test_each_step_floors_twice_whatever_the_targets(monkeypatch):
     floor, inverse = FieldElement.floor, FieldElement.inverse
-    calls = {"floor": 0, "inverse": 0}
+    window_floors = powermod._window_floors
+    calls = {"floor": 0, "inverse": 0, "undecided": 0}
 
     def counting_floor(self, *args):
         calls["floor"] += 1
@@ -495,8 +497,14 @@ def test_each_step_floors_twice_whatever_the_targets(monkeypatch):
         calls["inverse"] += 1
         return inverse(self)
 
+    def counting_window_floors(*args):
+        floors = window_floors(*args)
+        calls["undecided"] += floors is None
+        return floors
+
     monkeypatch.setattr(FieldElement, "floor", counting_floor)
     monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+    monkeypatch.setattr(powermod, "_window_floors", counting_window_floors)
     for lam in (field_make(3, 2).theta(), Fraction(5, 2)):
         for targets in ([0], [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]):
             for depth in (2, 6):
@@ -505,11 +513,11 @@ def test_each_step_floors_twice_whatever_the_targets(monkeypatch):
                 # the base step floors twice; a step's n floors twice only
                 # where its enclosures leave the window undecided
                 assert calls["floor"] <= 2 * (1 + cert.g * depth)
-                calls["floor"] = calls["inverse"] = 0
+                calls["floor"] = calls["inverse"] = calls["undecided"] = 0
                 erdos_verify(cert)
-                # every n in [-1, guaranteed_depth], then the midpoint scan's
-                # n = 0 (one dist_to_int per target)
-                assert calls["floor"] == 2 * (cert.guaranteed_depth + 2) + len(targets)
+                # n = -1, every n >= 0 the enclosures leave undecided, then
+                # the midpoint scan's n = 0 (one dist_to_int per target)
+                assert calls["floor"] == 2 + 2 * calls["undecided"] + len(targets)
                 assert calls["inverse"] <= 1
 
 
@@ -539,12 +547,46 @@ def test_lambda_at_most_one_is_rejected():
     {"field": [10, 2]}, {"targets": 5}, {"lambda": 5}, {"intervals": 7}, {"c": [1]},
     {"c": "1/0"}, {"field": {"n": "10", "k": 2}}, {"intervals": []},
     {"intervals": [[["1"]]]}, {"targets": [0.5]}, {"g": "2"}, {"g": 0}, {"xi": None},
+    {"targets": []},
 ])
 def test_certificate_json_shape_is_checked(change):
     # the first five once raised TypeError and "1/0" ZeroDivisionError
     data = erdos_construct(2, [0], 2).to_jsonable()
     with pytest.raises(ValueError, match="certificate"):
         ErdosCertificate.from_jsonable({**data, **change})
+
+
+def test_certificates_with_nothing_to_check_are_rejected():
+    # with no target the window walk checked nothing, and with g = 0 the
+    # guaranteed depth was -1, so both verified as certified
+    cert = erdos_construct(2, [0], 3)
+    with pytest.raises(ValueError, match="need at least one target"):
+        dataclasses.replace(cert, targets=())
+    with pytest.raises(ValueError, match="g must be >= 1"):
+        dataclasses.replace(cert, g=0)
+    with pytest.raises(ValueError, match="certificate targets"):
+        ErdosCertificate.from_jsonable({**cert.to_jsonable(), "targets": []})
+
+
+def test_a_given_c_is_not_computed_again(monkeypatch):
+    # with c given only g is computed: the one rational_lower_bound left
+    # is the one of ell0 <= sqrt(2 lambda c)
+    lam = field_make(3, 2).theta()
+    _, c = erdos_params(lam, 1)
+    text = erdos_construct(lam, [0], 5).to_json()
+    lower_bound = powermod.rational_lower_bound
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return lower_bound(*args)
+
+    monkeypatch.setattr(powermod, "rational_lower_bound", counting)
+    assert erdos_construct(lam, [0], 5, c=c).to_json() == text
+    assert calls[0] == 1
+    calls[0] = 0
+    erdos_construct(lam, [0], 5)
+    assert calls[0] == 2
 
 
 def test_certificate_json_must_be_an_object():
@@ -727,3 +769,182 @@ def test_certificate_round_trip_rejects_tampered_derived_fields():
             data[name] = value
             with pytest.raises(ValueError, match=f"'{name}'"):
                 ErdosCertificate.from_jsonable(data)
+
+
+# -- the certified window walk against the per-n exact walk --------------------
+
+
+def _erdos_verify_per_n(cert: ErdosCertificate, extra_n: int = 0) -> VerifyReport:
+    """The verification as it ran before the window walk moved onto the
+    construction's integer floors: a lambda^n and b lambda^n formed as
+    normalised products at every n, each window decided by the exact
+    floors of ``_k_ranges``."""
+    lam = cert.lam
+    desc = lam.desc
+    failures: list[str] = []
+
+    lam_g = lam ** cert.g if len(cert.intervals) > 1 else None
+    for M, (a, b) in enumerate(cert.intervals):
+        if not b - a > 0:
+            failures.append(f"I_{M} empty")
+        if M == 0:
+            if not (a > 0 and b < 1):
+                failures.append("I_0 not inside (0,1)")
+            if (b - a) != desc.rational(cert.ell0):
+                failures.append("|I_0| != ell0")
+        else:
+            pa, pb = cert.intervals[M - 1]
+            if not (a >= pa and b <= pb):
+                failures.append(f"I_{M} not nested in I_{M - 1}")
+            if (b - a) * lam_g != pb - pa:
+                failures.append(f"length law fails at I_{M}")
+    a, b = cert.intervals[-1]
+    if not (cert.xi >= a and cert.xi <= b):
+        failures.append("xi outside the final interval")
+    structure_ok = not failures
+
+    lattice = _lattice(cert.targets, cert.c)
+    lam_inv = desc.one() / lam
+    xa, xb = a * lam_inv, b * lam_inv
+    for n in range(-1, cert.guaranteed_depth + 1):
+        if n == 0:
+            xa, xb = a, b
+        elif n > 0:
+            xa, xb = xa * lam, xb * lam
+        for r, (k_first, k_last) in zip(cert.targets, _k_ranges(xa, xb, lattice)):
+            if k_first <= k_last:
+                failures.append(f"distance bound fails at n={n}, r={r}")
+
+    emp_min, first_violation = orbit_distance_scan(
+        lam, cert.xi, cert.targets, cert.c, max(extra_n, 0))
+    return VerifyReport(
+        certified=not failures,
+        checked_depth=cert.guaranteed_depth,
+        structure_ok=structure_ok,
+        empirical_min=float("nan") if emp_min is None else float(emp_min),
+        empirical_min_exact="" if emp_min is None else str(emp_min),
+        first_violation=first_violation,
+        failures=tuple(failures),
+    )
+
+
+def _tampered(cert: ErdosCertificate) -> list[ErdosCertificate]:
+    """The certificate and seven variants that fail in different ways: c
+    doubled, c = 1/4, the last interval shifted by its own length,
+    reversed to (b, a), negated to (-b, -a), replaced by I_0 reversed
+    (long windows that hold whole removed intervals, which a reversed
+    window read as ordered misses), and xi outside it."""
+    a, b = cert.intervals[-1]
+    a0, b0 = cert.intervals[0]
+
+    def last(pair):
+        return dataclasses.replace(cert, intervals=cert.intervals[:-1] + (pair,))
+
+    return [cert,
+            dataclasses.replace(cert, c=2 * cert.c),
+            dataclasses.replace(cert, c=Fraction(1, 4)),
+            last((b, b + (b - a))),
+            last((b, a)),
+            last((-b, -a)),
+            last((b0, a0)),
+            dataclasses.replace(cert, xi=b + (b - a))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_construction_case(), st.integers(0, 3))
+def test_window_walk_matches_the_per_n_exact_walk(case, extra_n):
+    lam, targets, depth, c = case
+    for cert in _tampered(erdos_construct(lam, targets, depth, c=c)):
+        assert erdos_verify(cert, extra_n).to_jsonable() == \
+            _erdos_verify_per_n(cert, extra_n).to_jsonable()
+
+
+def test_every_window_on_the_exact_fallback_gives_the_same_reports(monkeypatch):
+    certs = []
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        certs += _tampered(erdos_construct(lam, targets, depth))
+    expected = [json.dumps(erdos_verify(cert).to_jsonable()) for cert in certs]
+    calls = [0]
+    k_ranges = powermod._k_ranges
+
+    def counting(*args):
+        calls[0] += 1
+        return k_ranges(*args)
+
+    monkeypatch.setattr(powermod, "_window_floors", lambda *args: None)
+    monkeypatch.setattr(powermod, "_k_ranges", counting)
+    for cert, text in zip(certs, expected):
+        calls[0] = 0
+        assert json.dumps(erdos_verify(cert).to_jsonable()) == text
+        # every n in [-1, guaranteed_depth] takes the exact floors
+        assert calls[0] == cert.guaranteed_depth + 2
+
+
+@pytest.mark.parametrize("lam_text", ["sqrt3", "(1+sqrt5)/2", "cbrt10", "5/2"])
+def test_power_bounds_enclose_the_powers(lam_text):
+    # directed products: q L_lo <= q lambda^n 2^p <= q L_hi exactly, at a
+    # precision low enough for the rounding of every product to matter
+    lam = {"sqrt3": field_make(3, 2).theta(),
+           "(1+sqrt5)/2": (1 + field_make(5, 2).theta()) / 2,
+           "cbrt10": field_make(10, 3).theta(),
+           "5/2": QQ.rational(Fraction(5, 2))}[lam_text]
+    q, p = 7, 64
+    bounds = powermod._power_bounds(lam, q, 40, p)
+    power = lam.desc.one()
+    for lo, hi in bounds:
+        assert lam.desc.rational(Fraction(lo, q << p)) <= power
+        assert power <= lam.desc.rational(Fraction(hi, q << p))
+        power = power * lam
+
+
+def test_verify_enclosed_floors_are_the_exact_floors(monkeypatch):
+    # every window of the golden certificates is decided by the enclosures
+    # and gets the exact floor(Q x) and ceil(Q y)
+    window_floors = powermod._window_floors
+    decided = [0]
+    desc = [None]
+
+    def checked(x, y, q, bounds, j):
+        floors = window_floors(x, y, q, bounds, j)
+        assert floors is not None
+        decided[0] += 1
+        end = powermod._unreduced(desc[0], y)
+        assert floors == (powermod._unreduced(desc[0], x).floor(q),
+                          end.floor(q) + (not powermod._on_lattice(end, q)))
+        return floors
+
+    certs = []
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        certs.append(erdos_construct(lam, targets, depth))
+    monkeypatch.setattr(powermod, "_window_floors", checked)
+    for cert in certs:
+        desc[0] = cert.lam.desc
+        decided[0] = 0
+        assert erdos_verify(cert).certified
+        assert decided[0] == cert.guaranteed_depth + 1
+
+
+def test_reversed_and_nonpositive_verify_reports_golden():
+    # final intervals that are not 0 < a < b: reversed to (b, a), negated
+    # to (-b, -a), starting at 0, and I_0 reversed; their windows take the
+    # exact floors at every n.  The hash was taken while every window of
+    # every certificate took them
+    h = hashlib.sha256()
+    for lam, targets, depth in _GOLDEN_TASKS:
+        if isinstance(lam, tuple):
+            n, k, s = lam
+            lam = s * field_make(n, k).theta()
+        cert = erdos_construct(lam, targets, depth)
+        a, b = cert.intervals[-1]
+        a0, b0 = cert.intervals[0]
+        for last in ((b, a), (-b, -a), (a - a, b), (b0, a0)):
+            bad = dataclasses.replace(cert, intervals=cert.intervals[:-1] + (last,))
+            h.update(json.dumps(erdos_verify(bad).to_jsonable(), sort_keys=True).encode())
+    assert h.hexdigest() == \
+        "8eb2a53d562c6c9542d2425a6f769ede2cb341aa5082c343b85952b8211ee497"
